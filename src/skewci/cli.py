@@ -107,7 +107,11 @@ def _parse_window(text):
         key = key.strip()
         if key not in mapping:
             raise JobError(f"unknown window key {key!r} (use c=, D=, h=)")
-        out[mapping[key]] = int(value)
+        try:
+            out[mapping[key]] = int(value)
+        except ValueError:
+            raise JobError(f"window value for {key!r} is not an integer: "
+                           f"{value.strip()!r}") from None
     return out
 
 

@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "QRing",
@@ -130,25 +131,12 @@ def unit_vector(n, i):
 # polynomial dictionaries: exponent tuple -> CycScalar (no zero values stored)
 # ---------------------------------------------------------------------------
 
-def dict_add_term(terms, exps, coeff):
-    cur = terms.get(exps)
-    if cur is None:
-        if coeff:
-            terms[exps] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            terms[exps] = cur
-        else:
-            del terms[exps]
-
-
 def dict_mul(ring, p, q):
     out = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
             s, exps = ring.mono_mul(ea, eb)
-            dict_add_term(out, exps, ca * cb * s)
+            add_term(out, exps, ca * cb * s)
     return out
 
 
@@ -202,8 +190,7 @@ class Poly:
         if isinstance(other, (int, Fraction, CycScalar)):
             other = Poly.constant(self.ring, other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            dict_add_term(out, e, c)
+        add_scaled(out, other.terms)
         return Poly(self.ring, out)
 
     __radd__ = __add__

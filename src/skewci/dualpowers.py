@@ -22,6 +22,7 @@ from math import comb, factorial
 
 from .colorcore import RingSpec
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "DualElement",
@@ -107,13 +108,7 @@ class DualElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[e] = cur
-            else:
-                del out[e]
+        add_scaled(out, other.terms)
         return DualElement(self.spec, out)
 
     def __neg__(self):
@@ -222,16 +217,7 @@ def _tensor_mul(spec, u, v):
             tw = ring.chi(q1, p2)  # chi(-q1, -p2) = chi(q1, p2)
             s1, pe = xi_mul(spec, p1, p2)
             s2, qe = xi_mul(spec, q1, q2)
-            coeff = c1 * c2 * tw * s1 * s2
-            if not coeff:
-                continue
-            key = (pe, qe)
-            cur = out.get(key)
-            cur = coeff if cur is None else cur + coeff
-            if cur:
-                out[key] = cur
-            else:
-                del out[key]
+            add_term(out, (pe, qe), c1 * c2 * tw * s1 * s2)
     return out
 
 

@@ -21,6 +21,7 @@ from math import comb
 from .colorcore import RingSpec, count_standard_monomials
 from .linalg import Echelon
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "DGAlgebra",
@@ -165,32 +166,7 @@ class DGAlgebra:
                             coeff = coeff * chi(
                                 self.even_colors[j],
                                 self.even_colors[l]) ** (h1[j] * h2[l])
-                if not coeff:
-                    continue
-                key = (exps, s1 | s2, hvec)
-                cur = out.get(key)
-                cur = coeff if cur is None else cur + coeff
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
-        return out
-
-    def add(self, u, v, scale=None):
-        out = dict(u)
-        for key, c in v.items():
-            cc = c if scale is None else c * scale
-            if not cc:
-                continue
-            cur = out.get(key)
-            if cur is None:
-                out[key] = cc
-            else:
-                cur = cur + cc
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+                add_term(out, (exps, s1 | s2, hvec), coeff)
         return out
 
     def scale(self, u, s):
@@ -215,7 +191,7 @@ class DGAlgebra:
                 rest = self.term(smask=smask & ~(1 << s), hvec=hvec)
                 piece = self.mul(dval, rest)
                 piece = self.mul(self.term(exps=alpha), piece)
-                out = self.add(out, piece, scal)
+                add_scaled(out, piece, scal)
             # even part, with presign (-1)^{|S|}
             presign = -1 if len(bits) % 2 else 1
             for j in range(self.neven):
@@ -233,7 +209,7 @@ class DGAlgebra:
                 hrest[j] -= 1
                 inner = self.mul(dval, self.term(hvec=hrest))
                 piece = self.mul(self.term(exps=alpha, smask=smask), inner)
-                out = self.add(out, piece, scal)
+                add_scaled(out, piece, scal)
         return out
 
     # -- slice enumeration ------------------------------------------------
@@ -362,8 +338,9 @@ def diagonal_context(spec: RingSpec) -> DGAlgebra:
     for i, f in enumerate(spec.relations):
         ctx.odd_diff[i] = ctx.from_poly(f)
         ctx.odd_diff[c + i] = ctx.from_poly(f)
-        ctx.even_diff[i] = ctx.add(ctx.term(smask=1 << (c + i)),
-                                   ctx.term(smask=1 << i), scale=-ctx._one)
+        dy = ctx.term(smask=1 << (c + i))
+        add_scaled(dy, ctx.term(smask=1 << i), -ctx._one)
+        ctx.even_diff[i] = dy
     return ctx
 
 

@@ -7,23 +7,9 @@ bidegree-slice homology computations and the degreewise resolution oracle.
 
 from __future__ import annotations
 
+from .sparse import add_scaled
+
 __all__ = ["Echelon", "kernel_basis", "rank", "solve_in_span"]
-
-
-def axpy(target, scale, source):
-    """target -= scale * source, in place, dropping exact zeros."""
-    for k, v in source.items():
-        nv = v * scale
-        cur = target.get(k)
-        if cur is None:
-            if nv:
-                target[k] = -nv
-        else:
-            cur = cur - nv
-            if cur:
-                target[k] = cur
-            else:
-                del target[k]
 
 
 class Echelon:
@@ -48,10 +34,10 @@ class Echelon:
             if entry is None:
                 break
             pvec, ptrace = entry
-            scale = vec[piv] / pvec[piv]
-            axpy(vec, scale, pvec)
+            scale = -(vec[piv] / pvec[piv])
+            add_scaled(vec, pvec, scale)
             if self.track:
-                axpy(trace, scale, ptrace)
+                add_scaled(trace, ptrace, scale)
         return vec, trace
 
     def add(self, vec, trace=None):

@@ -30,6 +30,7 @@ from .qgrobner import (
 )
 from .resolve import KoszulComplex, ModulePresentation
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "OperatorComplex",
@@ -97,6 +98,9 @@ class ModuleBasis:
 
 
 # -- X interfaces -------------------------------------------------------------
+# Each interface gives symbols, their degrees, dx, the two e-actions lam and
+# lamp, x-multiplication, and hx_range: the homological degrees its symbols
+# occupy, from which slices enumerate exactly the chi-weights that can occur.
 
 class _HomIntoModule:
     """X = Hom_Q(F, N): symbols (p, b, nkey) meaning b* tensor nkey."""
@@ -105,6 +109,7 @@ class _HomIntoModule:
         self.cx = cx
         self.nb = nbasis
         self.spec = cx.spec
+        self.hx_range = (1 - len(cx.basis), 0)
 
     def symbols(self, hx, idegx):
         # hx = -p; idegx = ideg(nkey) - ideg(b)
@@ -146,13 +151,7 @@ class _HomIntoModule:
                            nkey[1]): scal * ring.cpair(exps, nkey[0])}
                 nf = self.nb.normal_form(moved)
                 for k2, c2 in nf.items():
-                    key = (source_layer, col, k2)
-                    cur = out.get(key)
-                    cur = c2 if cur is None else cur + c2
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
+                    add_term(out, (source_layer, col, k2), c2)
         return out
 
     def dx(self, sym):
@@ -199,6 +198,7 @@ class _HomIntoComplex:
         self.f = cxf
         self.g = cxg
         self.spec = cxf.spec
+        self.hx_range = (1 - len(cxf.basis), len(cxg.basis) - 1)
 
     def symbols(self, hx, idegx):
         ring = self.spec.qring
@@ -249,14 +249,7 @@ class _HomIntoComplex:
             for exps, c in poly.items():
                 scal = c * ring.chi(sigma, ring.color(exps))
                 s, prod = ring.mono_mul(exps, gamma)
-                key = (new_pf, col, pg, bg, prod)
-                val = scal * s
-                cur = out.get(key)
-                cur = val if cur is None else cur + val
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+                add_term(out, (new_pf, col, pg, bg, prod), scal * s)
         return out
 
     def dx(self, sym):
@@ -264,28 +257,14 @@ class _HomIntoComplex:
         spec = self.spec
         out = {}
         if 1 <= pg < len(self.g.diff) and self.g.diff[pg]:
-            for k, v in self._postcompose(sym, self.g.diff[pg],
-                                          pg - 1, None).items():
-                cur = out.get(k)
-                cur = v if cur is None else cur + v
-                if cur:
-                    out[k] = cur
-                else:
-                    del out[k]
+            out = self._postcompose(sym, self.g.diff[pg], pg - 1, None)
         hx = pg - pf
         if pf + 1 < len(self.f.basis) and self.f.diff[pf + 1]:
             # d(alpha) = dG o alpha - (-1)^{|alpha|} alpha o dF
             sign = -CycScalar.one(spec.m) if hx % 2 == 0 \
                 else CycScalar.one(spec.m)
-            for k, v in self._precompose(sym, self.f.diff[pf + 1],
-                                         pf + 1).items():
-                v = v * sign
-                cur = out.get(k)
-                cur = v if cur is None else cur + v
-                if cur:
-                    out[k] = cur
-                else:
-                    del out[k]
+            add_scaled(out, self._precompose(sym, self.f.diff[pf + 1],
+                                             pf + 1), sign)
         return out
 
     def lam(self, i, sym):
@@ -325,6 +304,7 @@ class _SelfE:
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.ctx = koszul_algebra(spec)
+        self.hx_range = (0, self.ctx.nodd)
 
     def symbols(self, hx, idegx):
         return [ (exps, smask) for (exps, smask, _h)
@@ -384,13 +364,14 @@ class OperatorComplex:
     def slice_symbols(self, i, j):
         """All symbols at cohomological degree i, internal index j."""
         spec = self.spec
+        lo, hi = self.x.hx_range
         out = []
-        for w in _chi_weights(spec, i):
-            shift = sum(a * d for a, d in zip(w, spec.df))
-            hx = 2 * sum(w) - i
-            idegx = shift - j
-            for xsym in self.x.symbols(hx, idegx):
-                out.append((w, xsym))
+        # hx = 2|w| - i must lie in the X-part's homological range
+        for size in range(max(0, (i + lo + 1) // 2), (i + hi) // 2 + 1):
+            for w in _chi_weights(spec.c, size):
+                shift = sum(a * d for a, d in zip(w, spec.df))
+                for xsym in self.x.symbols(2 * size - i, shift - j):
+                    out.append((w, xsym))
         return sorted(out, key=_symkey)
 
     def differential(self, sym):
@@ -400,7 +381,7 @@ class OperatorComplex:
         w, xsym = sym
         out = {}
         for xk, c in self.x.dx(xsym).items():
-            _accum(out, (w, xk), c)
+            add_term(out, (w, xk), c)
         for i in range(spec.c):
             scal = CycScalar.one(spec.m)
             for jj in range(i + 1, spec.c):
@@ -408,9 +389,9 @@ class OperatorComplex:
                     scal = scal * ring.chi(spec.cf[jj], spec.cf[i]) ** w[jj]
             w2 = tuple(a + (1 if t == i else 0) for t, a in enumerate(w))
             for xk, c in self.x.lam(i, xsym).items():
-                _accum(out, (w2, xk), c * scal)
+                add_term(out, (w2, xk), c * scal)
             for xk, c in self.x.lamp(i, xsym).items():
-                _accum(out, (w2, xk), -(c * scal))
+                add_term(out, (w2, xk), -(c * scal))
         return out
 
     def chi_action(self, i, sym):
@@ -436,19 +417,8 @@ class OperatorComplex:
                 scal = scal * ring.chi(self.spec.cf[t], el).inverse() ** w[t]
         out = {}
         for xk, c in self.x.xmul(l, xsym).items():
-            _accum(out, (w, xk), c * scal)
+            add_term(out, (w, xk), c * scal)
         return out
-
-
-def _accum(out, key, val):
-    if not val:
-        return
-    cur = out.get(key)
-    cur = val if cur is None else cur + val
-    if cur:
-        out[key] = cur
-    else:
-        del out[key]
 
 
 def _symkey(sym):
@@ -459,30 +429,12 @@ def _symkey(sym):
     return flat(sym)
 
 
-def _chi_weights(spec, i):
-    """All w in N^c with 2|w| >= i possible; bounded by 2|w| - hx = i."""
-    # hx ranges over a bounded set; enumerate |w| <= (i + hmax)/2 where the
-    # x-interface caps hx; generous bound: |w| <= (i + _HX_CAP)//2
-    cap = (i + _HX_CAP) // 2
-    out = []
-    if cap < 0:
-        return out
-    w = [0] * spec.c
-
-    def walk(t, rem):
-        if t == spec.c:
-            out.append(tuple(w))
-            return
-        for e in range(rem + 1):
-            w[t] = e
-            walk(t + 1, rem - e)
-        w[t] = 0
-
-    walk(0, cap)
-    return out
-
-
-_HX_CAP = 12  # homological degrees of X-parts at desk scale stay below this
+def _chi_weights(c, total):
+    """All w in N^c with |w| = total."""
+    if c == 0:
+        return [()] if total == 0 else []
+    return [(e,) + rest for e in range(total + 1)
+            for rest in _chi_weights(c - 1, total - e)]
 
 
 def build_operator_complex(resolution, target) -> OperatorComplex:
@@ -512,12 +464,17 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
 # -- bigraded homology --------------------------------------------------------
 
 class ExtTable:
-    """Exact bigraded dimensions with operator action matrices."""
+    """Exact bigraded dimensions with operator action matrices.
+
+    An action matrix on the classes at (i, j) is {"target": (i', j'),
+    "columns": [{row: scalar}, one sparse column per source class]}; its
+    row count is dims[target].
+    """
 
     def __init__(self, dims, chi_actions, x_actions, window):
         self.dims = dims                  # (i, j) -> dim
-        self.chi_actions = chi_actions    # op -> (i, j) -> matrix
-        self.x_actions = x_actions
+        self.chi_actions = chi_actions    # "chi<i>" -> (i, j) -> matrix
+        self.x_actions = x_actions        # [l] -> (i, j) -> matrix
         self.window = window
 
     def dim(self, i, j):
@@ -531,25 +488,18 @@ class ExtTable:
 
     def tensor_k_dim(self, i):
         """dim of Ext^i (x)_R k inside the window."""
-        spec_n = len(self.x_actions)
         total = 0
         for (ii, j), d in self.dims.items():
             if ii != i:
                 continue
             ech = Echelon()
-            rk = 0
-            for l in range(spec_n):
-                for (src, mat) in self.x_actions[l].items():
-                    if src[0] != i or mat is None:
-                        continue
-                    tgt = mat["target"]
-                    if tgt != (i, j):
-                        continue
-                    for colvec in mat["columns"]:
-                        if colvec:
-                            piv, _ = ech.add(dict(colvec))
-            rk = ech.rank
-            total += d - rk
+            for table in self.x_actions:
+                for mat in table.values():
+                    if mat["target"] == (i, j):
+                        for colvec in mat["columns"]:
+                            if colvec:
+                                ech.add(dict(colvec))
+            total += d - ech.rank
         return total
 
     def to_json(self):
@@ -562,7 +512,9 @@ class ExtTable:
         for name, table in (self.chi_actions or {}).items():
             acts[name] = [
                 [list(src), mat["target"],
-                 [[c.to_string() for c in row] for row in mat["dense"]]]
+                 [[col[r].to_string() if r in col else "0"
+                   for col in mat["columns"]]
+                  for r in range(self.dims[mat["target"]])]]
                 for src, mat in sorted(table.items())
             ]
         out["actions"] = acts
@@ -591,12 +543,7 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
                     raise AssertionError(
                         f"differential escapes the enumerated slice: {sym}")
                 continue
-            cur = out.get(idx)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[idx] = cur
-            else:
-                del out[idx]
+            add_term(out, idx, c)
         return out
 
     dmat = {}
@@ -629,67 +576,46 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
             dims[(i, j)] = len(reps)
             hdata[(i, j)] = (reps, comb)
 
+    def action_table(act, di, dj):
+        table = {}
+        for (i, j), (reps, _comb) in hdata.items():
+            tgt = (i + di, j + dj)
+            if tgt in hdata and reps:
+                table[(i, j)] = {"target": tgt, "columns": _action_columns(
+                    act, reps, slices[(i, j)], slices[tgt], hdata[tgt][1])}
+        return table
+
     chi_actions = {}
     x_actions = []
     if want_actions:
         for opi in range(spec.c):
-            table = {}
-            for (i, j), (reps, _comb) in hdata.items():
-                tgt = (i + 2, j + spec.df[opi])
-                if tgt not in hdata or not reps:
-                    continue
-                mat = _action_matrix(
-                    opcx, lambda s: opcx.chi_action(opi, s), reps,
-                    slices[(i, j)], slices.get(tgt, {}), hdata[tgt], one)
-                table[(i, j)] = {"target": tgt, **mat}
-            chi_actions[f"chi{opi+1}"] = table
+            chi_actions[f"chi{opi+1}"] = action_table(
+                lambda s: opcx.chi_action(opi, s), 2, spec.df[opi])
         for l in range(spec.n):
-            table = {}
-            for (i, j), (reps, _comb) in hdata.items():
-                tgt = (i, j - spec.degrees[l])
-                if tgt not in hdata or not reps:
-                    continue
-                mat = _action_matrix(
-                    opcx, lambda s: opcx.x_action(l, s), reps,
-                    slices[(i, j)], slices.get(tgt, {}), hdata[tgt], one)
-                table[(i, j)] = {"target": tgt, **mat}
-            x_actions.append(table)
+            x_actions.append(action_table(
+                lambda s: opcx.x_action(l, s), 0, -spec.degrees[l]))
 
     window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
     return ExtTable(dims, chi_actions, x_actions, window)
 
 
-def _action_matrix(opcx, act, reps, src_index, tgt_index, tgt_data, one):
-    """Matrix of an action on homology bases; columns in H-coordinates."""
-    tgt_reps, tgt_comb = tgt_data
+def _action_columns(act, reps, src_index, tgt_index, tgt_comb):
+    """Sparse columns {row: scalar} of an action on homology bases, one per
+    source class, in the H-coordinates of the target slice."""
     src_syms = list(src_index)
     columns = []
-    dense = []
-    zero = one - one
     for rep in reps:
         total = {}
         for idx, c in rep.items():
-            sym = src_syms[idx]
-            for tsym, tc in act(sym).items():
+            for tsym, tc in act(src_syms[idx]).items():
                 tidx = tgt_index.get(tsym)
-                if tidx is None:
-                    continue
-                cur = total.get(tidx)
-                cur = tc * c if cur is None else cur + tc * c
-                if cur:
-                    total[tidx] = cur
-                else:
-                    del total[tidx]
+                if tidx is not None:
+                    add_term(total, tidx, tc * c)
         residual, trace = tgt_comb.reduce(total, {})
         if residual:
             raise AssertionError("action image not recognized in target slice")
-        coords = {k: -v for k, v in trace.items()}
-        columns.append(coords)
-        dense.append([coords.get(r, zero) for r in range(len(tgt_reps))])
-    ncols = len(dense)
-    nrows = len(tgt_reps)
-    dense_t = [[dense[c][r] for c in range(ncols)] for r in range(nrows)]
-    return {"columns": columns, "dense": dense_t}
+        columns.append({k: -v for k, v in trace.items()})
+    return columns
 
 
 # -- braided Hochschild cohomology --------------------------------------------
@@ -738,9 +664,7 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
             got = table.dim(i, j)
             expected = 0
             if i >= 0 and i % 2 == 0:
-                for w in _chi_weights(spec, i):
-                    if 2 * sum(w) != i:
-                        continue
+                for w in _chi_weights(spec.c, i // 2):
                     d = sum(a * b for a, b in zip(w, spec.df)) - j
                     if 0 <= d <= rcut:
                         expected += rdims[d]
@@ -861,9 +785,7 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
                     scal = ring.chi(spec.cf[i], colr).inverse() * c
                     if p % 2 == 1:
                         scal = -scal
-                    key = (lindex[(p - 1, col)], src)
-                    cur = ti[i].get(key)
-                    ti[i][key] = scal if cur is None else cur + scal
+                    add_term(ti[i], (lindex[(p - 1, col)], src), scal)
 
     # theta expansion on basis (label, w), 0 <= w_i < t
     weights = []
@@ -908,8 +830,7 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
             for (dst, src), c in t0.items():
                 if src != li:
                     continue
-                key = ((zero_t), gen_id(dst, wv))
-                _accum(col, key, c)
+                add_term(col, (zero_t, gen_id(dst, wv)), c)
             for i in range(spec.c):
                 if not ti[i]:
                     continue
@@ -934,8 +855,7 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
                 for (dst, src), c in ti[i].items():
                     if src != li:
                         continue
-                    key = (texps, gen_id(dst, w2))
-                    _accum(col, key, c * u)
+                    add_term(col, (texps, gen_id(dst, w2)), c * u)
 
     # homology presentation per color class (theta shifts color by -t cf_i)
     classes = {}
@@ -974,10 +894,9 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
 
 def _homology_presentation(columns, gen_degs, tring):
     """ker(D)/im(D) for the square matrix given by columns over tring."""
-    kergens = syzygy_module(columns, tring)
+    kergens = syzygy_module(columns, tring)   # in canonical order
     if not kergens:
         return [], []
-    kergens = sorted(kergens, key=lambda v: sorted(v.items(), key=str))
     gb = buchberger(kergens, tring, want_lifts=True, want_syzygies=True)
     rels = []
     for col in columns:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .colorcore import QRing
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "Order",
@@ -22,7 +23,6 @@ __all__ = [
     "buchberger",
     "syzygy_module",
     "normal_form",
-    "vector_add",
     "vector_scale",
     "poly_mul_vector",
     "minimalize_presentation",
@@ -53,23 +53,6 @@ class Order:
 
 # -- raw vector helpers ------------------------------------------------------
 
-def vector_add(target, source, scale=None):
-    """target += scale*source in place (scale None means 1)."""
-    for mono, coeff in source.items():
-        c = coeff if scale is None else coeff * scale
-        cur = target.get(mono)
-        if cur is None:
-            if c:
-                target[mono] = c
-        else:
-            cur = cur + c
-            if cur:
-                target[mono] = cur
-            else:
-                del target[mono]
-    return target
-
-
 def vector_scale(vec, scale):
     return {m: c * scale for m, c in vec.items()}
 
@@ -78,13 +61,8 @@ def mono_mul_vector(ring, scale, delta, vec):
     """scale * x^delta * vec."""
     out = {}
     for (alpha, comp), coeff in vec.items():
-        s = ring.cpair(delta, alpha) * coeff * scale
-        if s:
-            mono = (tuple(d + a for d, a in zip(delta, alpha)), comp)
-            cur = out.get(mono)
-            out[mono] = s if cur is None else cur + s
-            if not out[mono]:
-                del out[mono]
+        add_term(out, (tuple(d + a for d, a in zip(delta, alpha)), comp),
+                 ring.cpair(delta, alpha) * coeff * scale)
     return out
 
 
@@ -92,7 +70,7 @@ def poly_mul_vector(ring, poly_terms, vec):
     """(sum of scalar*x^delta) * vec for a poly given as {exps: scalar}."""
     out = {}
     for delta, s in poly_terms.items():
-        vector_add(out, mono_mul_vector(ring, s, delta, vec))
+        add_scaled(out, mono_mul_vector(ring, s, delta, vec))
     return out
 
 
@@ -141,7 +119,7 @@ class GroebnerBasis:
             return None
         out = {}
         for k, poly in q.items():
-            vector_add(out, poly_mul_vector(self.ring, poly, self.lifts[k]))
+            add_scaled(out, poly_mul_vector(self.ring, poly, self.lifts[k]))
         return out
 
 
@@ -161,16 +139,10 @@ def _reduce_full(ring, order, vec, elements, leads, want_lift):
                     continue
                 delta = tuple(a - b for a, b in zip(exps, lexps))
                 scale = vec[mono] / (ring.cpair(delta, lexps) * lcoeff)
-                vector_add(vec, mono_mul_vector(ring, -scale, delta,
+                add_scaled(vec, mono_mul_vector(ring, -scale, delta,
                                                 elements[k]))
                 if want_lift:
-                    q = quotients.setdefault(k, {})
-                    cur = q.get(delta)
-                    cur = scale if cur is None else cur + scale
-                    if cur:
-                        q[delta] = cur
-                    else:
-                        del q[delta]
+                    add_term(quotients.setdefault(k, {}), delta, scale)
                 hit = True
                 break
             if hit:
@@ -221,7 +193,7 @@ def buchberger(gens, ring, order=None, want_lifts=False, want_syzygies=False):
         nf, q = _reduce_full(ring, order, spoly, elements, leads, track)
         if track:
             for k, poly in (q or {}).items():
-                vector_add(slift, poly_mul_vector(ring, poly, lifts[k]),
+                add_scaled(slift, poly_mul_vector(ring, poly, lifts[k]),
                            scale=_neg_one(ring))
         if nf:
             new_idx = len(elements)
@@ -268,11 +240,11 @@ def _s_poly(ring, order, elements, leads, lifts, i, j):
     sa = (ring.cpair(da, aexps) * ac).inverse()
     sb = (ring.cpair(db, bexps) * bc).inverse()
     spoly = mono_mul_vector(ring, sa, da, elements[i])
-    vector_add(spoly, mono_mul_vector(ring, -sb, db, elements[j]))
+    add_scaled(spoly, mono_mul_vector(ring, -sb, db, elements[j]))
     slift = None
     if lifts is not None:
         slift = mono_mul_vector(ring, sa, da, lifts[i])
-        vector_add(slift, mono_mul_vector(ring, -sb, db, lifts[j]))
+        add_scaled(slift, mono_mul_vector(ring, -sb, db, lifts[j]))
     return spoly, slift
 
 
@@ -332,7 +304,7 @@ def minimalize_presentation(ncomps, columns, ring):
                            if cc == comp}
             if entry_terms:
                 other = {m: c for m, c in other.items() if m[1] != comp}
-                vector_add(other, poly_mul_vector(ring, entry_terms, expr))
+                add_scaled(other, poly_mul_vector(ring, entry_terms, expr))
             if other:
                 new_cols.append(other)
         cols = new_cols
@@ -342,7 +314,7 @@ def minimalize_presentation(ncomps, columns, ring):
                            if cc == comp}
             if entry_terms:
                 pvec = {m: c for m, c in pvec.items() if m[1] != comp}
-                vector_add(pvec, poly_mul_vector(ring, entry_terms, expr))
+                add_scaled(pvec, poly_mul_vector(ring, entry_terms, expr))
                 proj[key] = pvec
 
     kept = sorted(alive)
@@ -399,27 +371,20 @@ def interreduce_ideal(gens, ring, order=None):
     """Reduced Groebner basis of the ideal generated by gens (component 0)."""
     order = order or Order(ring)
     gb = buchberger([g for g in gens if g], ring, order)
-    elems = gb.elements
-    out = []
-    for i, g in enumerate(elems):
-        others = elems[:i] + elems[i + 1 :]
-        if not others:
-            out.append(g)
-            continue
-        leads = [leading(h, order) for h in others]
-        nf, _ = _reduce_full(ring, order, g, others, leads, False)
-        if nf:
-            out.append(nf)
+    # a minimal basis: one element per minimal leading monomial
+    lead_exps = [exps for (exps, _comp), _ in gb.leads]
+    keep = [i for i, e in enumerate(lead_exps)
+            if not any(_divides(f, e) and (f != e or j < i)
+                       for j, f in enumerate(lead_exps) if j != i)]
+    elems = [gb.elements[i] for i in keep]
+    leads = [gb.leads[i] for i in keep]
     # tail-reduce and normalize lead coefficients
     final = []
-    leads = [leading(h, order) for h in out]
-    for i, g in enumerate(out):
-        others = out[:i] + out[i + 1 :]
-        oleads = leads[:i] + leads[i + 1 :]
-        nf, _ = _reduce_full(ring, order, g, others, oleads, False)
-        if nf:
-            _, lc = leading(nf, order)
-            final.append(vector_scale(nf, lc.inverse()))
+    for i, g in enumerate(elems):
+        nf, _ = _reduce_full(ring, order, g, elems[:i] + elems[i + 1:],
+                             leads[:i] + leads[i + 1:], False)
+        _, lc = leading(nf, order)
+        final.append(vector_scale(nf, lc.inverse()))
     return sorted(final, key=_canonical_vec_key)
 
 
@@ -451,7 +416,7 @@ def ideal_intersect(igens, jgens, ring, order=None):
         elt = {}
         for (exps, idx), c in s.items():
             if idx < ni:
-                vector_add(elt, poly_mul_vector(ring, {exps: c}, igens[idx]))
+                add_scaled(elt, poly_mul_vector(ring, {exps: c}, igens[idx]))
         if elt:
             out.append(elt)
     return interreduce_ideal(out, ring, order)

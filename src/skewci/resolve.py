@@ -28,9 +28,9 @@ from .qgrobner import (
     minimalize_presentation,
     poly_mul_vector,
     syzygy_module,
-    vector_add,
 )
 from .scalars import CycScalar
+from .sparse import add_scaled, add_term
 
 __all__ = [
     "ModulePresentation",
@@ -198,13 +198,7 @@ class SemifreeResolution:
             for (alpha, smask, g), c2 in felt.items():
                 prod = ctx.mul(left, {(alpha, smask, ()): c2})
                 for (gamma, umask, _hh), c in prod.items():
-                    key = (gamma, umask, g)
-                    cur = out.get(key)
-                    cur = c if cur is None else cur + c
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
+                    add_term(out, (gamma, umask, g), c)
         return out
 
     def fdiff(self, felt):
@@ -214,25 +208,12 @@ class SemifreeResolution:
         for (alpha, smask, g), coeff in felt.items():
             epart = ctx.diff({(alpha, smask, ()): coeff})
             for (gamma, umask, _h), c in epart.items():
-                key = (gamma, umask, g)
-                cur = out.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+                add_term(out, (gamma, umask, g), c)
             dg = self.dgen[g]
             if dg:
                 bits = bin(smask).count("1")
                 sign = coeff if bits % 2 == 0 else -coeff
-                piece = self.emul({(alpha, smask, ()): sign}, dg)
-                for key, c in piece.items():
-                    cur = out.get(key)
-                    cur = c if cur is None else cur + c
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
+                add_scaled(out, self.emul({(alpha, smask, ()): sign}, dg))
         return out
 
     def term_ideg(self, key):
@@ -404,14 +385,7 @@ class KoszulComplex:
                     continue
                 for exps, c in poly.items():
                     s, prod = ring.mono_mul(alpha, exps)
-                    key = (prod, row)
-                    val = tw * c * s
-                    cur = out.get(key)
-                    cur = val if cur is None else cur + val
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
+                    add_term(out, (prod, row), tw * c * s)
         return out
 
     def fmul_vec(self, poly: dict, vec):
@@ -436,11 +410,11 @@ class KoszulComplex:
                 for i in range(spec.c):
                     eiv = self._e(i, h, v)
                     lhs = self._d(h + 1, eiv)
-                    vector_add(lhs, self._e(i, h - 1, dv))
+                    add_scaled(lhs, self._e(i, h - 1, dv))
                     f_terms = {e: c for e, c in
                                spec.relations[i].terms.items()}
                     rhs = self.fmul_vec(f_terms, v)
-                    vector_add(lhs, rhs, scale=-CycScalar.one(spec.m))
+                    add_scaled(lhs, rhs, -CycScalar.one(spec.m))
                     if lhs:
                         errors.append(("homotopy", i, h, col))
                     if self._e(i, h + 1, eiv):
@@ -450,7 +424,7 @@ class KoszulComplex:
                         ejv = self._e(j, h, v)
                         lhs = self._e(i, h + 1, ejv)
                         rhs = self._e(j, h + 1, self._e(i, h, v))
-                        vector_add(lhs, rhs, scale=spec.chi_ff(i, j))
+                        add_scaled(lhs, rhs, spec.chi_ff(i, j))
                         if lhs:
                             errors.append(("ecomm", i, j, h, col))
         return errors
@@ -616,6 +590,7 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
         layers.append([(res.label_data(s, g)[1], res.label_data(s, g)[2])
                        for s, g in bas])
     top_basis = res.basis(cut)
+    top_index = {lab: i for i, lab in enumerate(top_basis)}
     top_labels = [top_basis[k] for k in kept]
     labels.append(top_labels)
     layers.append([(res.label_data(s, g)[1], res.label_data(s, g)[2])
@@ -628,8 +603,7 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
         """Push a vector over the full F_cut basis into the cokernel."""
         out = {}
         for (alpha, comp), c in qvec.items():
-            expanded = poly_mul_vector(ring, {alpha: c}, proj[comp])
-            vector_add(out, expanded)
+            add_scaled(out, poly_mul_vector(ring, {alpha: c}, proj[comp]))
         return {(e, remap_top[comp]): v for (e, comp), v in out.items()}
 
     diff = [None]
@@ -641,13 +615,7 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
             img = res.fdiff({(ring.zero_exp(), smask, g): one})
             for (alpha, tmask, tg), c in img.items():
                 row = target_index[(tmask, tg)]
-                cell = mat.setdefault((row, cidx), {})
-                cur = cell.get(alpha)
-                cur = c if cur is None else cur + c
-                if cur:
-                    cell[alpha] = cur
-                else:
-                    del cell[alpha]
+                add_term(mat.setdefault((row, cidx), {}), alpha, c)
         diff.append({k: v for k, v in mat.items() if v})
 
     eact = []
@@ -659,44 +627,21 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
                 continue
             mat = {}
             source = labels[h]
+            # the top layer is indexed over all of F_cut, then projected
+            tindex = top_index if h + 1 == cut else index[h + 1]
             for cidx, (smask, g) in enumerate(source):
                 img = res.emul(res.ctx.term(smask=1 << i),
                                {(ring.zero_exp(), smask, g): one})
-                qvec = {}
-                for (alpha, tmask, tg), c in img.items():
-                    qvec[(alpha, (tmask, tg))] = c
+                qvec = {(alpha, tindex[(tmask, tg)]): c
+                        for (alpha, tmask, tg), c in img.items()}
                 if h + 1 == cut:
-                    raw = {(alpha, _full_index(res, cut, lab)): c
-                           for (alpha, lab), c in qvec.items()}
-                    pushed = project_top(raw)
-                    for (alpha, row), c in pushed.items():
-                        cell = mat.setdefault((row, cidx), {})
-                        cur = cell.get(alpha)
-                        cur = c if cur is None else cur + c
-                        if cur:
-                            cell[alpha] = cur
-                        else:
-                            del cell[alpha]
-                else:
-                    tindex = index[h + 1]
-                    for (alpha, lab), c in qvec.items():
-                        row = tindex[lab]
-                        cell = mat.setdefault((row, cidx), {})
-                        cur = cell.get(alpha)
-                        cur = c if cur is None else cur + c
-                        if cur:
-                            cell[alpha] = cur
-                        else:
-                            del cell[alpha]
+                    qvec = project_top(qvec)
+                for (alpha, row), c in qvec.items():
+                    add_term(mat.setdefault((row, cidx), {}), alpha, c)
             family.append({k: v for k, v in mat.items() if v})
         eact.append(family)
 
     return KoszulComplex(spec, layers, diff, eact, res.module)
-
-
-def _full_index(res, h, lab):
-    bas = res.basis(h)
-    return bas.index(lab)
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +762,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
                 for kv in kernel_basis(cols_d, one):
                     vec = {}
                     for idx, c in kv.items():
-                        key = keys_d[idx]
-                        cur = vec.get(key)
-                        cur = c if cur is None else cur + c
-                        if cur:
-                            vec[key] = cur
-                        else:
-                            del vec[key]
+                        add_term(vec, keys_d[idx], c)
                     if vec:
                         vecs.append(vec)
                 kernel_slices[d] = vecs
@@ -866,11 +805,5 @@ def _mult_into_slice(spec, delta, col):
         moved = _rmul_mono(spec, delta, key, c)
         if moved is None:
             continue
-        k2, c2 = moved
-        cur = out.get(k2)
-        cur = c2 if cur is None else cur + c2
-        if cur:
-            out[k2] = cur
-        else:
-            del out[k2]
+        add_term(out, *moved)
     return out

@@ -149,7 +149,6 @@ class CycScalar:
         """zeta_m^k, reduced."""
         fd = _field(m)
         k %= m
-        coeffs = [_ZERO] * (m if m > fd.phi else fd.phi)
         coeffs = [_ZERO] * max(fd.phi, k + 1)
         coeffs[k] = _ONE
         return CycScalar(m, _reduce(fd, coeffs))

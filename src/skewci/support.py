@@ -29,6 +29,7 @@ from .resolve import (
     finite_koszul_resolution,
     minimal_R_resolution,
 )
+from .sparse import add_scaled
 
 __all__ = [
     "ThetaAlgebra",
@@ -445,26 +446,13 @@ def _theta_monomial_annihilates(table, spec, t, v, imax, jmax):
             for mat in mats:
                 nxt = {}
                 for kidx, c in vec.items():
-                    for ridx, cc in enumerate(_column(mat, kidx)):
-                        if cc:
-                            cur = nxt.get(ridx)
-                            val = cc * c
-                            cur = val if cur is None else cur + val
-                            if cur:
-                                nxt[ridx] = cur
-                            else:
-                                del nxt[ridx]
+                    add_scaled(nxt, mat["columns"][kidx], c)
                 vec = nxt
                 if not vec:
                     break
             if vec:
                 return False
     return True
-
-
-def _column(mat, col):
-    dense = mat["dense"]
-    return [row[col] for row in dense]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ def test_window_parsing():
         _parse_window("q=3")
 
 
+def test_window_value_not_integer_exit_code(tmp_path, capsys):
+    config_path = tmp_path / "job.json"
+    with open(config_path, "w") as handle:
+        json.dump(example_config("check"), handle)
+    code = main(["--config", str(config_path), "--window", "c=x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_command():
     code, report, text = run(example_config("check"))
     assert code == 0

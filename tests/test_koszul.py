@@ -11,6 +11,7 @@ from skewci.koszul import (
     verify_diagonal_resolution,
 )
 from skewci.scalars import CycScalar
+from skewci.sparse import add_scaled, add_term
 
 from fixtures import example_ring, hypersurface_ring, random_exponent, random_ring
 
@@ -63,11 +64,8 @@ def test_diff_e1e2_leibniz():
     e1e2 = ctx.term(smask=3)
     d = koszul_diff(ctx, e1e2)
     # d(e1 e2) = f1 e2 - chi(f1, f2) f2 e1
-    expected = ctx.add(
-        {((2, 0), 2, ()): spec.one()},
-        {((0, 2), 1, ()): spec.chi_ff(0, 1)},
-        scale=-spec.one(),
-    )
+    expected = {((2, 0), 2, ()): spec.one()}
+    add_scaled(expected, {((0, 2), 1, ()): spec.chi_ff(0, 1)}, -spec.one())
     assert d == expected
 
 
@@ -84,7 +82,7 @@ def _random_element(rng, ctx, max_terms=3):
         coeff = CycScalar.zeta(spec.m, rng.randrange(spec.m))
         if rng.random() < 0.3:
             coeff = coeff + 1
-        out = ctx.add(out, {(exps, smask, hvec): coeff})
+        add_term(out, (exps, smask, hvec), coeff)
     return out
 
 
@@ -111,11 +109,9 @@ def test_leibniz_randomized():
         v = _random_element(rng, ctx)
         sign = -1 if ctx.term_hdeg((exps, smask, hvec)) % 2 else 1
         lhs = ctx.diff(ctx.mul(u, v))
-        rhs = ctx.add(
-            ctx.mul(ctx.diff(u), v),
-            ctx.mul(u, ctx.diff(v)),
-            scale=CycScalar.from_rational(spec.m, sign),
-        )
+        rhs = ctx.mul(ctx.diff(u), v)
+        add_scaled(rhs, ctx.mul(u, ctx.diff(v)),
+                   CycScalar.from_rational(spec.m, sign))
         assert lhs == rhs
 
 
@@ -135,8 +131,8 @@ def test_diagonal_dy_is_eprime_minus_e():
     ctx = diagonal_context(spec)
     y1 = ctx.term(hvec=(1, 0))
     d = koszul_diff(ctx, y1)
-    expected = ctx.add(ctx.term(smask=1 << 2), ctx.term(smask=1),
-                       scale=-spec.one())
+    expected = ctx.term(smask=1 << 2)
+    add_scaled(expected, ctx.term(smask=1), -spec.one())
     assert d == expected
 
 

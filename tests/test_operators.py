@@ -12,7 +12,14 @@ from skewci.resolve import (
     finite_koszul_resolution,
     minimal_R_resolution,
 )
-from fixtures import example_ring, hypersurface_ring, random_ring
+from skewci.sparse import add_scaled
+
+from fixtures import (
+    example_ring,
+    fixture_rings,
+    hypersurface_ring,
+    random_ring,
+)
 
 
 def paper_display_complex(spec):
@@ -158,28 +165,43 @@ def test_chi_action_commutation_on_homology():
         other = t1.get(first["target"])
         if other is None:
             continue
-        a = _compose_dense(step2["dense"], m1["dense"])
-        b = _compose_dense(other["dense"], first["dense"])
+        a = _compose_columns(step2["columns"], m1["columns"])
+        b = _compose_columns(other["columns"], first["columns"])
         assert a == b
 
 
-def _compose_dense(m2, m1):
-    if not m1 or not m2:
-        return []
-    rows = len(m2)
-    mid = len(m1)
-    cols = len(m1[0]) if m1 else 0
+def _compose_columns(m2, m1):
+    """Sparse columns of m2 o m1, both given as lists of sparse columns."""
     out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = None
-            for k in range(mid):
-                term = m2[r][k] * m1[k][c]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+    for col in m1:
+        image = {}
+        for k, c in col.items():
+            add_scaled(image, m2[k], c)
+        out.append(image)
     return out
+
+
+def test_slice_symbols_match_brute_force_enumeration():
+    # chi-weights up to a cap far beyond every X-part's homological range
+    from skewci.operators import _chi_weights, _symkey
+
+    for spec in fixture_rings():
+        k = ModulePresentation.residue_field(spec)
+        m = ModulePresentation.cyclic(spec, ["x1"])
+        cxk, cxm = finite_koszul_resolution(k), finite_koszul_resolution(m)
+        for opcx in (build_operator_complex(cxm, k),
+                     build_operator_complex(cxk, cxm),
+                     build_operator_complex(spec, "self-E")):
+            for i in range(-3, 5):
+                for j in range(-4, 5):
+                    brute = []
+                    for size in range((i + 24) // 2 + 1):
+                        for w in _chi_weights(spec.c, size):
+                            shift = sum(a * d for a, d in zip(w, spec.df))
+                            brute += [(w, xsym) for xsym in opcx.x.symbols(
+                                2 * size - i, shift - j)]
+                    assert opcx.slice_symbols(i, j) == \
+                        sorted(brute, key=_symkey), (opcx.description, i, j)
 
 
 def test_braided_hh_example_ring():
@@ -218,9 +240,7 @@ def test_braided_hh_negative_control():
         for j in range(-6, 7):
             expected = 0
             if i >= 0 and i % 2 == 0:
-                for w in _chi_weights(spec, i):
-                    if 2 * sum(w) != i:
-                        continue
+                for w in _chi_weights(spec.c, i // 2):
                     d = sum(a * b for a, b in zip(w, spec.df)) - j
                     if 0 <= d <= 20:
                         expected += rdims[d]

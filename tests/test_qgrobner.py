@@ -13,9 +13,9 @@ from skewci.qgrobner import (
     poly_mul_vector,
     quotient_dims,
     syzygy_module,
-    vector_add,
 )
 from skewci.scalars import CycScalar
+from skewci.sparse import add_scaled
 
 from fixtures import example_ring, random_exponent, random_ring
 
@@ -103,7 +103,7 @@ def test_syzygy_koszul_pair_skew():
     # the c_pair((0,2),(2,0)) reordering scalar
     check = {}
     for (exps, idx), coeff in s.items():
-        vector_add(check, poly_mul_vector(ring, {exps: coeff}, f[idx]))
+        add_scaled(check, poly_mul_vector(ring, {exps: coeff}, f[idx]))
     assert not check
 
 
@@ -267,6 +267,16 @@ def test_interreduce_drops_redundant():
     assert list(red[0]) == [((1, 0), 0)]
 
 
+def test_interreduce_keeps_one_of_repeated_generators():
+    ring = commutative_ring(2, ("th1", "th2"))
+    th1 = poly_vec(ring, "th1")
+    assert interreduce_ideal([th1, th1], ring) == [th1]
+    # equal leading monomials, different tails
+    red = interreduce_ideal([poly_vec(ring, "th1 + th2"), th1], ring)
+    assert sorted(red, key=str) == sorted([th1, poly_vec(ring, "th2")],
+                                          key=str)
+
+
 def test_exactness_of_resolutions_randomized():
     rng = random.Random(99)
     for _ in range(5):
@@ -288,7 +298,7 @@ def test_exactness_of_resolutions_randomized():
             for col in mat:
                 image = {}
                 for (exps, comp), coeff in col.items():
-                    vector_add(image, poly_mul_vector(
+                    add_scaled(image, poly_mul_vector(
                         ring, {exps: coeff}, mat_prev[comp]))
                 assert not image
 

@@ -99,6 +99,27 @@ def test_support_intersection_identity():
     assert pair.dimension == 0
 
 
+def test_support_pair_commutative_three_relations():
+    # V(M,k) and V(N,k) share the generator th3: the intersection ideal
+    # must keep one copy of it
+    spec = RingSpec(3, 1, [[0] * 3 for _ in range(3)],
+                    relations=["x1^2", "x2^2", "x3^2"])
+    m = ModulePresentation.cyclic(spec, ["x1"])
+    n = ModulePresentation.cyclic(spec, ["x2"])
+    pair = support_variety(m, n)
+    assert sorted(pair.ideal) == ["th1", "th2", "th3"]
+    assert pair.dimension == 0
+
+
+def test_support_skew_three_relations():
+    # n=3, c=3, m=5: noncommutative with phi(m) = 4
+    spec = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                    relations=["x1^2", "x2^2", "x3^2"])
+    report = support_variety(ModulePresentation.cyclic(spec, ["x1"]), "k")
+    assert sorted(report.ideal) == ["th2", "th3"]
+    assert report.dimension == 1
+
+
 def test_poincare_residue_field_example():
     spec = example_ring()
     k = ModulePresentation.residue_field(spec)

@@ -148,7 +148,12 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
     """Execute one job; returns (exit_code, report dict, text summary)."""
     if "ring" not in config or "command" not in config:
         raise JobError("config must contain 'ring' and 'command'")
-    spec = RingSpec.from_json(config["ring"])
+    try:
+        spec = RingSpec.from_json(config["ring"])
+    except KeyError as exc:
+        raise JobError(f"ring is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise JobError(f"invalid ring: {exc}") from None
     command = config["command"]
     params = dict(config.get("params", {}))
     params.update(window_override or {})

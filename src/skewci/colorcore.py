@@ -43,6 +43,8 @@ class QRing:
     __slots__ = ("m", "names", "degs", "aexp", "colors", "nvars", "_zpow")
 
     def __init__(self, m, names, degs, aexp, colors=None):
+        if m < 1:
+            raise ValueError(f"conductor m must be positive, got {m}")
         self.m = m
         self.names = tuple(names)
         self.nvars = len(self.names)

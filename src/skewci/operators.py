@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .colorcore import RingSpec
 from .koszul import koszul_algebra, monomials_of_degree
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon, kernel_basis, rank
 from .qgrobner import (
     buchberger,
     hilbert_numerator,
@@ -354,12 +354,18 @@ class OperatorComplex:
 
     Symbols are (w, xsym) with w the chi-multiindex; cohomological degree
     is 2|w| - hdeg(xsym) and the internal index is sum w df - ideg(xsym).
+
+    Only a zeta-power depends on w, so the X-parts of the differential
+    (dx and each lam_i - lam_i') are computed once per X-symbol and the
+    w-scalars once per (operator, w); both memos belong to this instance.
     """
 
     def __init__(self, spec: RingSpec, xiface, description):
         self.spec = spec
         self.x = xiface
         self.description = description
+        self._xparts = {}    # xsym -> (dx, [lam_i - lamp_i for each i])
+        self._scalars = {}   # (kind, i, w) -> zeta-power, None when it is 1
 
     def slice_symbols(self, i, j):
         """All symbols at cohomological degree i, internal index j."""
@@ -374,50 +380,76 @@ class OperatorComplex:
                     out.append((w, xsym))
         return sorted(out, key=_symkey)
 
-    def differential(self, sym):
-        """d(sym) as {symbol: scalar}, landing in (i+1, j)."""
+    def _xpart(self, xsym):
+        """(dx, [lam_i - lam_i' for each i]) of one X-symbol, zeros dropped."""
+        part = self._xparts.get(xsym)
+        if part is None:
+            dx = {}
+            add_scaled(dx, self.x.dx(xsym))
+            ops = []
+            for i in range(self.spec.c):
+                op = {}
+                add_scaled(op, self.x.lam(i, xsym))
+                for xk, c in self.x.lamp(i, xsym).items():
+                    add_term(op, xk, -c)
+                ops.append(op)
+            part = self._xparts[xsym] = (dx, ops)
+        return part
+
+    def _w_scalar(self, kind, i, w):
+        """The zeta-power chi^w picks up under an operator, None if it is 1.
+
+        kind "d": the chi_i term of the differential, prod_{t>i}
+        chi(f_t, f_i)^w_t; "chi": left chi_i-multiplication, prod_{t<i}
+        chi(f_i, f_t)^w_t; "x": x_i moved past chi^w, prod_t chi(f_t, e_i)^-w_t.
+        """
+        key = (kind, i, w)
+        if key in self._scalars:
+            return self._scalars[key]
         spec = self.spec
         ring = spec.qring
+        cf = spec.cf
+        if kind == "d":
+            e = sum(w[t] * ring.chi_exp(cf[t], cf[i])
+                    for t in range(i + 1, spec.c) if w[t])
+        elif kind == "chi":
+            e = sum(w[t] * ring.chi_exp(cf[i], cf[t]) for t in range(i) if w[t])
+        else:
+            el = tuple(1 if k == i else 0 for k in range(spec.n))
+            e = -sum(w[t] * ring.chi_exp(cf[t], el)
+                     for t in range(spec.c) if w[t])
+        scal = ring.zeta_pow(e) if e % spec.m else None
+        self._scalars[key] = scal
+        return scal
+
+    def differential(self, sym):
+        """d(sym) as {symbol: scalar}, landing in (i+1, j); a fresh dict."""
         w, xsym = sym
-        out = {}
-        for xk, c in self.x.dx(xsym).items():
-            add_term(out, (w, xk), c)
-        for i in range(spec.c):
-            scal = CycScalar.one(spec.m)
-            for jj in range(i + 1, spec.c):
-                if w[jj]:
-                    scal = scal * ring.chi(spec.cf[jj], spec.cf[i]) ** w[jj]
-            w2 = tuple(a + (1 if t == i else 0) for t, a in enumerate(w))
-            for xk, c in self.x.lam(i, xsym).items():
-                add_term(out, (w2, xk), c * scal)
-            for xk, c in self.x.lamp(i, xsym).items():
-                add_term(out, (w2, xk), -(c * scal))
+        dx, ops = self._xpart(xsym)
+        out = {(w, xk): c for xk, c in dx.items()}
+        for i, op in enumerate(ops):
+            if not op:
+                continue
+            # distinct i give distinct w2, so no two parts share a key
+            w2 = w[:i] + (w[i] + 1,) + w[i + 1:]
+            scal = self._w_scalar("d", i, w)
+            for xk, c in op.items():
+                out[(w2, xk)] = c if scal is None else c * scal
         return out
 
     def chi_action(self, i, sym):
         """Left multiplication by chi_i: (i,j) -> (i+2, j+df_i)."""
-        ring = self.spec.qring
         w, xsym = sym
-        scal = CycScalar.one(self.spec.m)
-        for jj in range(i):
-            if w[jj]:
-                scal = scal * ring.chi(self.spec.cf[i],
-                                       self.spec.cf[jj]) ** w[jj]
-        w2 = tuple(a + (1 if t == i else 0) for t, a in enumerate(w))
-        return {(w2, xsym): scal}
+        scal = self._w_scalar("chi", i, w) or CycScalar.one(self.spec.m)
+        return {(w[:i] + (w[i] + 1,) + w[i + 1:], xsym): scal}
 
     def x_action(self, l, sym):
         """Left multiplication by x_l: (i,j) -> (i, j - d_l)."""
-        ring = self.spec.qring
         w, xsym = sym
-        scal = CycScalar.one(self.spec.m)
-        el = tuple(1 if k == l else 0 for k in range(self.spec.n))
-        for t in range(self.spec.c):
-            if w[t]:
-                scal = scal * ring.chi(self.spec.cf[t], el).inverse() ** w[t]
+        scal = self._w_scalar("x", l, w)
         out = {}
         for xk, c in self.x.xmul(l, xsym).items():
-            add_term(out, (w, xk), c * scal)
+            add_term(out, (w, xk), c if scal is None else c * scal)
         return out
 
 
@@ -524,7 +556,11 @@ class ExtTable:
 def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
                       want_actions=True) -> ExtTable:
     """Exact dims of H in the (cohomological, internal) window, with the
-    chi_i and x_l action matrices on pivot-chosen homology bases."""
+    chi_i and x_l action matrices on pivot-chosen homology bases.
+
+    Without actions the dims come from ranks alone, one untracked
+    elimination per slice matrix.
+    """
     spec = opcx.spec
     one = CycScalar.one(spec.m)
 
@@ -554,6 +590,19 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
             for sym in slices[(i, j)]:
                 cols.append(as_vector(opcx.differential(sym), index_to))
             dmat[(i, j)] = cols
+
+    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
+    if not want_actions:
+        # dim H = #cols - rank d(i,j) - rank d(i-1,j); each rank once
+        ranks = {key: rank(cols) for key, cols in dmat.items()}
+        dims = {}
+        for i in range(imin, imax + 1):
+            for j in range(jmin, jmax + 1):
+                d = len(dmat[(i, j)]) - ranks[(i, j)] - ranks[(i - 1, j)]
+                if d < 0:
+                    raise AssertionError(f"negative homology dim at {(i, j)}")
+                dims[(i, j)] = d
+        return ExtTable(dims, {}, [], window)
 
     # homology data per slice: a combined echelon (image vectors first with
     # empty traces, then kernel vectors tracked by homology-basis index)
@@ -586,16 +635,13 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
         return table
 
     chi_actions = {}
+    for opi in range(spec.c):
+        chi_actions[f"chi{opi+1}"] = action_table(
+            lambda s: opcx.chi_action(opi, s), 2, spec.df[opi])
     x_actions = []
-    if want_actions:
-        for opi in range(spec.c):
-            chi_actions[f"chi{opi+1}"] = action_table(
-                lambda s: opcx.chi_action(opi, s), 2, spec.df[opi])
-        for l in range(spec.n):
-            x_actions.append(action_table(
-                lambda s: opcx.x_action(l, s), 0, -spec.degrees[l]))
-
-    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
+    for l in range(spec.n):
+        x_actions.append(action_table(
+            lambda s: opcx.x_action(l, s), 0, -spec.degrees[l]))
     return ExtTable(dims, chi_actions, x_actions, window)
 
 

@@ -280,6 +280,8 @@ def minimalize_presentation(ncomps, columns, ring):
     cols = [dict(c) for c in columns]
     alive = set(range(ncomps))
     proj = {i: {(zero_exp, i): one} for i in range(ncomps)}
+    # component -> proj keys whose expression may mention it
+    mentioned_by = {i: {i} for i in range(ncomps)}
 
     while True:
         target = None
@@ -308,7 +310,8 @@ def minimalize_presentation(ncomps, columns, ring):
             if other:
                 new_cols.append(other)
         cols = new_cols
-        for key in proj:
+        expr_comps = {cc for (_e, cc) in expr}
+        for key in mentioned_by.pop(comp, ()):
             pvec = proj[key]
             entry_terms = {exps: c for (exps, cc), c in pvec.items()
                            if cc == comp}
@@ -316,6 +319,8 @@ def minimalize_presentation(ncomps, columns, ring):
                 pvec = {m: c for m, c in pvec.items() if m[1] != comp}
                 add_scaled(pvec, poly_mul_vector(ring, entry_terms, expr))
                 proj[key] = pvec
+                for cc in expr_comps:
+                    mentioned_by.setdefault(cc, set()).add(key)
 
     kept = sorted(alive)
     return kept, cols, proj

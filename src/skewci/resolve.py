@@ -587,14 +587,12 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
     for h in range(cut):
         bas = res.basis(h)
         labels.append(bas)
-        layers.append([(res.label_data(s, g)[1], res.label_data(s, g)[2])
-                       for s, g in bas])
+        layers.append([res.label_data(s, g)[1:] for s, g in bas])
     top_basis = res.basis(cut)
     top_index = {lab: i for i, lab in enumerate(top_basis)}
     top_labels = [top_basis[k] for k in kept]
     labels.append(top_labels)
-    layers.append([(res.label_data(s, g)[1], res.label_data(s, g)[2])
-                   for s, g in top_labels])
+    layers.append([res.label_data(s, g)[1:] for s, g in top_labels])
 
     index = [{lab: i for i, lab in enumerate(layer)} for layer in labels]
     remap_top = {orig: new for new, orig in enumerate(kept)}

@@ -38,6 +38,32 @@ def test_window_value_not_integer_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _main_exit_and_stderr(tmp_path, capsys, config):
+    config_path = tmp_path / "job.json"
+    with open(config_path, "w") as handle:
+        json.dump(config, handle)
+    code = main(["--config", str(config_path)])
+    return code, capsys.readouterr().err
+
+
+def test_relation_with_unknown_variable_exit_code(tmp_path, capsys):
+    config = example_config("check")
+    config["ring"]["relations"] = ["x1^2", "x9^2"]
+    code, err = _main_exit_and_stderr(tmp_path, capsys, config)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "x9" in err
+
+
+def test_zero_conductor_exit_code(tmp_path, capsys):
+    config = example_config("check")
+    config["ring"]["m"] = 0
+    code, err = _main_exit_and_stderr(tmp_path, capsys, config)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "conductor" in err
+
+
 def test_check_command():
     code, report, text = run(example_config("check"))
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 
+from skewci.colorcore import RingSpec
 from skewci.operators import (
     build_operator_complex,
     braided_hh,
@@ -12,7 +13,7 @@ from skewci.resolve import (
     finite_koszul_resolution,
     minimal_R_resolution,
 )
-from skewci.sparse import add_scaled
+from skewci.sparse import add_scaled, add_term
 
 from fixtures import (
     example_ring,
@@ -146,6 +147,80 @@ def test_resolution_independence_of_target():
     for i in range(5):
         for j in range(-4, 7):
             assert t1.dim(i, j) == t2.dim(i, j), (i, j)
+
+
+def test_rank_only_dims_match_action_path():
+    spec = example_ring()
+    k = ModulePresentation.residue_field(spec)
+    cxm = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
+    skew5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                     relations=["x1^2", "x2^2", "x3^2"])
+    k5 = ModulePresentation.residue_field(skew5)
+    cxk5 = finite_koszul_resolution(k5)
+    cases = [
+        (lambda: build_operator_complex(cxm, k), dict(imax=4, jmax=6)),
+        (lambda: build_operator_complex(cxm, cxm),
+         dict(imax=2, jmax=3, jmin=-3)),
+        (lambda: build_operator_complex(spec, "self-E"),
+         dict(imax=4, jmax=4, imin=-2, jmin=-4)),
+        (lambda: build_operator_complex(cxk5, k5), dict(imax=3, jmax=3)),
+    ]
+    for build, window in cases:
+        fast = homology_bigraded(build(), want_actions=False, **window)
+        full = homology_bigraded(build(), **window)
+        assert fast.dims == full.dims, window
+        assert any(fast.dims.values())
+
+
+def _direct_differential(opcx, sym):
+    """The operator differential straight from the X-interface, no memos."""
+    spec = opcx.spec
+    ring = spec.qring
+    w, xsym = sym
+    out = {}
+    for xk, c in opcx.x.dx(xsym).items():
+        add_term(out, (w, xk), c)
+    for i in range(spec.c):
+        scal = spec.one()
+        for t in range(i + 1, spec.c):
+            scal = scal * ring.chi(spec.cf[t], spec.cf[i]) ** w[t]
+        w2 = tuple(a + (1 if t == i else 0) for t, a in enumerate(w))
+        for xk, c in opcx.x.lam(i, xsym).items():
+            add_term(out, (w2, xk), c * scal)
+        for xk, c in opcx.x.lamp(i, xsym).items():
+            add_term(out, (w2, xk), -(c * scal))
+    return out
+
+
+def test_differential_returns_a_fresh_dict():
+    # on the m=3 ring chi(f_2, f_1) = zeta_3^2, so the w-scalars are not 1
+    for spec in (example_ring(),
+                 RingSpec(2, 3, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"])):
+        k = ModulePresentation.residue_field(spec)
+        opcx = build_operator_complex(finite_koszul_resolution(k), k)
+        for i, j in ((1, 2), (2, 2), (3, 4), (4, 4)):
+            for sym in opcx.slice_symbols(i, j):
+                first = opcx.differential(sym)
+                expected = _direct_differential(opcx, sym)
+                assert first == expected
+                first.clear()
+                first[sym] = spec.one()
+                assert opcx.differential(sym) == expected
+
+
+def test_differential_parts_belong_to_one_complex():
+    spec = example_ring()
+    cxm = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
+    into_k = build_operator_complex(cxm, ModulePresentation.residue_field(spec))
+    into_n = build_operator_complex(cxm, ModulePresentation.cyclic(spec, ["x2"]))
+    shared = [sym for i in range(-1, 4) for j in range(-2, 5)
+              for sym in into_k.slice_symbols(i, j)
+              if _direct_differential(into_k, sym)
+              != _direct_differential(into_n, sym)]
+    assert shared
+    for sym in shared:
+        assert into_k.differential(sym) == _direct_differential(into_k, sym)
+        assert into_n.differential(sym) == _direct_differential(into_n, sym)
 
 
 def test_chi_action_commutation_on_homology():

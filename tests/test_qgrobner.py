@@ -201,6 +201,24 @@ def test_minimalize_presentation_unit_entry():
     assert proj[1] == {((1, 0), 0): one}
 
 
+def test_minimalize_presentation_chained_unit_eliminations():
+    ring = commutative_ring(2)
+    one = CycScalar.one(1)
+    # g2 = t1 g1 is eliminated first, its expression mentions g1, and then
+    # g1 = t2 g0 is eliminated; g2 must end as t1 t2 g0
+    first = {((0, 0), 2): one, ((1, 0), 1): -one}
+    second = {((0, 0), 1): one, ((0, 1), 0): -one}
+    kept, cols, proj = minimalize_presentation(4, [first, second], ring)
+    assert kept == [0, 3]
+    assert cols == []
+    assert proj == {
+        0: {((0, 0), 0): one},
+        1: {((0, 1), 0): one},
+        2: {((1, 1), 0): one},
+        3: {((0, 0), 3): one},
+    }
+
+
 def test_minimal_free_resolution_koszul():
     # k over k[t1,t2]: Koszul resolution with ranks 1, 2, 1
     ring = commutative_ring(2)

@@ -372,13 +372,16 @@ class OperatorComplex:
         spec = self.spec
         lo, hi = self.x.hx_range
         out = []
+        xsyms = {}
         # hx = 2|w| - i must lie in the X-part's homological range
         for size in range(max(0, (i + lo + 1) // 2), (i + hi) // 2 + 1):
             for w in _chi_weights(spec.c, size):
-                shift = sum(a * d for a, d in zip(w, spec.df))
-                for xsym in self.x.symbols(2 * size - i, shift - j):
-                    out.append((w, xsym))
-        return sorted(out, key=_symkey)
+                key = (2 * size - i,
+                       sum(a * d for a, d in zip(w, spec.df)) - j)
+                if key not in xsyms:
+                    xsyms[key] = self.x.symbols(*key)
+                out.extend((w, xsym) for xsym in xsyms[key])
+        return sorted(out)
 
     def _xpart(self, xsym):
         """(dx, [lam_i - lam_i' for each i]) of one X-symbol, zeros dropped."""
@@ -451,14 +454,6 @@ class OperatorComplex:
         for xk, c in self.x.xmul(l, xsym).items():
             add_term(out, (w, xk), c if scal is None else c * scal)
         return out
-
-
-def _symkey(sym):
-    def flat(x):
-        if isinstance(x, tuple):
-            return tuple(flat(y) for y in x)
-        return x
-    return flat(sym)
 
 
 def _chi_weights(c, total):

@@ -267,63 +267,80 @@ def normal_form(vec, gb: GroebnerBasis):
 
 # -- presentations -----------------------------------------------------------
 
+def _substitute(vec, comp, expr, ring):
+    """vec with e_comp replaced by expr, or None if vec does not mention it.
+
+    Surviving terms keep their order and new terms follow them.
+    """
+    entry_terms = {exps: c for (exps, cc), c in vec.items() if cc == comp}
+    if not entry_terms:
+        return None
+    out = {m: c for m, c in vec.items() if m[1] != comp}
+    add_scaled(out, poly_mul_vector(ring, entry_terms, expr))
+    return out
+
+
 def minimalize_presentation(ncomps, columns, ring):
     """Eliminate unit entries from a graded presentation.
 
     Returns (kept, cols, proj): kept is the list of surviving component
     indices, cols the remaining relation columns written over the kept
     components, and proj maps each original component index to its
-    expression over kept components (identity on kept ones).
+    expression over kept components (identity on kept ones).  Each step
+    eliminates the first unit entry of the first column that has one.
     """
     zero_exp = ring.zero_exp()
     one = CycScalar.one(ring.m)
-    cols = [dict(c) for c in columns]
+
+    def has_unit(col):
+        return any(exps == zero_exp for exps, _c in col)
+
+    cols = {ci: dict(c) for ci, c in enumerate(columns) if c}
+    units = {ci for ci, col in cols.items() if has_unit(col)}
     alive = set(range(ncomps))
     proj = {i: {(zero_exp, i): one} for i in range(ncomps)}
-    # component -> proj keys whose expression may mention it
+    # component -> column ids / proj keys whose vector may mention it
+    col_mentions = {}
+    for ci, col in cols.items():
+        for _e, cc in col:
+            col_mentions.setdefault(cc, set()).add(ci)
     mentioned_by = {i: {i} for i in range(ncomps)}
 
-    while True:
-        target = None
-        for ci, col in enumerate(cols):
-            for (exps, comp), coeff in col.items():
-                if exps == zero_exp:
-                    target = (ci, comp, coeff)
-                    break
-            if target:
-                break
-        if not target:
-            break
-        ci, comp, coeff = target
+    while units:
+        ci = min(units)
+        units.discard(ci)
         col = cols.pop(ci)
+        comp, coeff = next((cc, c) for (exps, cc), c in col.items()
+                           if exps == zero_exp)
         inv = coeff.inverse()
         # e_comp = -inv * (col - coeff e_comp), substituted everywhere
         expr = {m: -(c * inv) for m, c in col.items() if m != (zero_exp, comp)}
         alive.discard(comp)
-        new_cols = []
-        for other in cols:
-            entry_terms = {exps: c for (exps, cc), c in other.items()
-                           if cc == comp}
-            if entry_terms:
-                other = {m: c for m, c in other.items() if m[1] != comp}
-                add_scaled(other, poly_mul_vector(ring, entry_terms, expr))
-            if other:
-                new_cols.append(other)
-        cols = new_cols
         expr_comps = {cc for (_e, cc) in expr}
+        for cj in col_mentions.pop(comp, ()):
+            if cj not in cols:
+                continue
+            other = _substitute(cols[cj], comp, expr, ring)
+            if other is None:
+                continue
+            units.discard(cj)
+            if not other:
+                del cols[cj]
+                continue
+            cols[cj] = other
+            if has_unit(other):
+                units.add(cj)
+            for cc in expr_comps:
+                col_mentions.setdefault(cc, set()).add(cj)
         for key in mentioned_by.pop(comp, ()):
-            pvec = proj[key]
-            entry_terms = {exps: c for (exps, cc), c in pvec.items()
-                           if cc == comp}
-            if entry_terms:
-                pvec = {m: c for m, c in pvec.items() if m[1] != comp}
-                add_scaled(pvec, poly_mul_vector(ring, entry_terms, expr))
+            pvec = _substitute(proj[key], comp, expr, ring)
+            if pvec is not None:
                 proj[key] = pvec
                 for cc in expr_comps:
                     mentioned_by.setdefault(cc, set()).add(key)
 
     kept = sorted(alive)
-    return kept, cols, proj
+    return kept, list(cols.values()), proj
 
 
 def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32,

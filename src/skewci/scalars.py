@@ -1,16 +1,24 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-Elements are residues modulo the m-th cyclotomic polynomial Phi_m, stored in
-the power basis 1, z, ..., z^(phi(m)-1) with Fraction coefficients.  The
-representation is fully reduced, so two values are equal in the field iff
-their coefficient vectors are equal.  No floating point anywhere.
+Elements are residues modulo the m-th cyclotomic polynomial Phi_m in the
+power basis 1, z, ..., z^(phi(m)-1).  A value is stored as a tuple ``n`` of
+phi(m) integer numerators over one common denominator ``d > 0`` with
+gcd(d, *n) == 1, so the form is canonical: two values are equal in the
+field iff their (m, n, d) are equal.  Phi_m is monic over Z, so a product is
+an integer convolution reduced by integer rows, with one gcd at the end.
+
+The inverse of a non-rational a is the product of its non-trivial Galois
+conjugates sigma_k(a), k in (Z/m)^x minus {1}, divided by the rational norm
+a * prod sigma_k(a).  The roots of unity +-zeta^k, which most pivots are,
+take their inverse +-zeta^(-k) from a per-field table.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "CycScalar",
@@ -18,9 +26,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ConductorMismatch(ValueError):
@@ -79,28 +84,43 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 
 class _FieldData:
-    """Per-conductor tables: phi(m) and reduction rows for z^k, k >= phi."""
+    """Per-conductor integer tables.
 
-    __slots__ = ("m", "phi", "red")
+    ``zpow[j]`` holds the numerators of zeta^j for j < m; ``red[k]`` the
+    nonzero (index, coefficient) pairs of z^(phi+k) for the degrees a
+    product reaches; ``conj`` one row table per non-trivial Galois
+    automorphism sigma_k, its row i being sigma_k(z^i) = zeta^(ik); and
+    ``unit_inv`` maps the numerators of each +-zeta^k to +-zeta^(-k).
+    """
+
+    __slots__ = ("phi", "zpow", "red", "conj", "unit_inv")
 
     def __init__(self, m: int):
-        self.m = m
-        self.phi = euler_phi(m)
-        poly = cyclotomic_polynomial(m)
-        # z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1)); extend far enough
-        # for products (2phi-2) and for zeta powers up to z^(m-1)
-        rows = []
-        base = [Fraction(-c) for c in poly[: self.phi]]
-        rows.append(tuple(base))
-        extra = max(2 * self.phi - 2, m - 1) - self.phi
-        for _ in range(extra):
-            prev = rows[-1]
-            shifted = [_ZERO] + list(prev[:-1])
+        phi = self.phi = euler_phi(m)
+        # z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1))
+        base = tuple(-c for c in cyclotomic_polynomial(m)[:phi])
+        # powers[j] = z^j reduced, for every zeta power and product degree
+        powers = [tuple(int(i == j) for i in range(phi)) for j in range(phi)]
+        while len(powers) < max(m, 2 * phi - 1):
+            prev = powers[-1]
             top = prev[-1]
-            if top:
-                shifted = [s + top * b for s, b in zip(shifted, base)]
-            rows.append(tuple(shifted))
-        self.red = rows  # red[k] = coefficients of z^(phi+k)
+            powers.append(tuple((prev[i - 1] if i else 0) + top * base[i]
+                                for i in range(phi)))
+        self.zpow = tuple(powers[:m])
+        self.red = tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                         for row in powers[phi:2 * phi - 1])
+        self.conj = tuple(
+            tuple(powers[i * k % m] for i in range(phi))
+            for k in range(2, m) if gcd(k, m) == 1)
+        self.unit_inv = {}
+        for k, zk in enumerate(self.zpow):
+            inv = self.zpow[-k % m]
+            self.unit_inv[zk] = _make(m, inv, 1)
+            self.unit_inv[_neg(zk)] = _make(m, _neg(inv), 1)
+
+
+def _neg(v) -> tuple:
+    return tuple([-x for x in v])
 
 
 _FIELD_CACHE: dict = {}
@@ -114,44 +134,107 @@ def _field(m: int) -> _FieldData:
     return data
 
 
+_new = object.__new__
+
+
+def _make(m: int, n, d: int) -> "CycScalar":
+    """The scalar n/d, already canonical: d > 0 and gcd(d, *n) == 1."""
+    out = _new(CycScalar)
+    out.m = m
+    out.n = n
+    out.d = d
+    return out
+
+
+def _reduced(m: int, n, d: int) -> "CycScalar":
+    """The scalar n/d for d > 0, with the common factor divided out."""
+    g = gcd(d, *n)
+    if g != 1:
+        return _make(m, tuple([x // g for x in n]), d // g)
+    return _make(m, tuple(n), d)
+
+
+def _product(fd: _FieldData, a, b) -> list:
+    """Numerators of a*b reduced mod Phi_m, for numerator tuples a, b."""
+    phi = fd.phi
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    for k, row in enumerate(fd.red, phi):
+        ck = conv[k]
+        if ck:
+            for i, r in row:
+                conv[i] += ck * r
+    del conv[phi:]
+    return conv
+
+
+def _conjugate(rows, a) -> list:
+    """sigma_k(a) for the Galois automorphism whose row table is rows."""
+    out = [0] * len(a)
+    for x, row in zip(a, rows):
+        if x:
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += x * r
+    return out
+
+
+def _scale(a: "CycScalar", p: int, q: int) -> "CycScalar":
+    """a * p/q for a rational p/q in lowest terms with q > 0."""
+    if not p:
+        return _make(a.m, (0,) * len(a.n), 1)
+    if p == 1 and q == 1:
+        return a
+    return _reduced(a.m, [x * p for x in a.n], a.d * q)
+
+
 class CycScalar:
     """An element of Q(zeta_m) in reduced power-basis form.
 
-    Values are immutable; all arithmetic returns new objects in canonical
-    form, so ``==`` on coefficient vectors decides field equality.
+    Values are immutable; all arithmetic returns objects in canonical
+    form, so ``==`` on (m, numerators, denominator) decides field equality.
     """
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "n", "d")
 
     def __init__(self, m: int, coeffs):
+        coeffs = [Fraction(x) for x in coeffs]
+        d = lcm(*(x.denominator for x in coeffs))
         self.m = m
-        self.c = tuple(coeffs)
+        # with d the lcm of reduced denominators, gcd(d, *n) == 1
+        self.n = tuple(x.numerator * (d // x.denominator) for x in coeffs)
+        self.d = d
+
+    @property
+    def c(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(m: int) -> "CycScalar":
-        return CycScalar(m, (_ZERO,) * _field(m).phi)
+        return _make(m, (0,) * _field(m).phi, 1)
 
     @staticmethod
     def one(m: int) -> "CycScalar":
-        return CycScalar.from_rational(m, 1)
+        return _make(m, _field(m).zpow[0], 1)
 
     @staticmethod
     def from_rational(m: int, value) -> "CycScalar":
-        phi = _field(m).phi
-        coeffs = [_ZERO] * phi
-        coeffs[0] = Fraction(value)
-        return CycScalar(m, coeffs)
+        value = Fraction(value)
+        return _make(m, (value.numerator,) + (0,) * (_field(m).phi - 1),
+                     value.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "CycScalar":
         """zeta_m^k, reduced."""
-        fd = _field(m)
-        k %= m
-        coeffs = [_ZERO] * max(fd.phi, k + 1)
-        coeffs[k] = _ONE
-        return CycScalar(m, _reduce(fd, coeffs))
+        return _make(m, _field(m).zpow[k % m], 1)
 
     # -- helpers ------------------------------------------------------
 
@@ -168,18 +251,19 @@ class CycScalar:
     # -- predicates ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.n)
 
     def is_one(self) -> bool:
-        return self.c[0] == 1 and not any(self.c[1:])
+        n = self.n
+        return n[0] == 1 and self.d == 1 and not any(n[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.n[1:])
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if any(self.n[1:]):
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -187,18 +271,28 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycScalar(self.m, tuple(a + b for a, b in zip(self.c, other.c)))
+        ad, bd = self.d, other.d
+        if ad == bd:
+            return _reduced(self.m, [x + y for x, y in zip(self.n, other.n)],
+                            ad)
+        return _reduced(self.m, [x * bd + y * ad
+                                 for x, y in zip(self.n, other.n)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.m, tuple(-a for a in self.c))
+        return _make(self.m, _neg(self.n), self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycScalar(self.m, tuple(a - b for a, b in zip(self.c, other.c)))
+        ad, bd = self.d, other.d
+        if ad == bd:
+            return _reduced(self.m, [x - y for x, y in zip(self.n, other.n)],
+                            ad)
+        return _reduced(self.m, [x * bd - y * ad
+                                 for x, y in zip(self.n, other.n)], ad * bd)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -210,50 +304,38 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
-        n = len(a)
+        a, b = self.n, other.n
         # fast paths: rational factors
         if not any(b[1:]):
-            s = b[0]
-            if not s:
-                return CycScalar.zero(self.m)
-            return CycScalar(self.m, tuple(x * s for x in a))
+            return _scale(self, b[0], other.d)
         if not any(a[1:]):
-            s = a[0]
-            if not s:
-                return CycScalar.zero(self.m)
-            return CycScalar(self.m, tuple(x * s for x in b))
-        conv = [_ZERO] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycScalar(self.m, _reduce(_field(self.m), conv))
+            return _scale(other, a[0], self.d)
+        return _reduced(self.m, _product(_field(self.m), a, b),
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse via extended Euclid in Q[t] mod Phi_m."""
-        if not self:
+        """Multiplicative inverse: conjugates over the norm."""
+        n, d, m = self.n, self.d, self.m
+        if not any(n):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if self.is_rational():
-            return CycScalar.from_rational(self.m, 1 / self.c[0])
-        fd = _field(self.m)
-        phi_coeffs = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        r0, r1 = phi_coeffs, list(self.c)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [x * inv for x in s1] + [_ZERO] * fd.phi
-                return CycScalar(self.m, _reduce(fd, coeffs[: 2 * fd.phi - 1]))
-            q, r = _polydiv_frac(r0, r1)
-            s = _polysub(s0, _polymul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
+        if not any(n[1:]):
+            p = n[0]
+            return _make(m, (d if p > 0 else -d,) + n[1:], abs(p))
+        fd = _field(m)
+        if d == 1:
+            hit = fd.unit_inv.get(n)
+            if hit is not None:
+                return hit
+        conj = _conjugate(fd.conj[0], n)
+        for rows in fd.conj[1:]:
+            conj = _product(fd, conj, _conjugate(rows, n))
+        norm = _product(fd, n, conj)
+        assert norm[0] and not any(norm[1:]), "norm is not a nonzero rational"
+        if norm[0] < 0:
+            return _reduced(m, [-d * x for x in conj], -norm[0])
+        return _reduced(m, [d * x for x in conj], norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -303,13 +385,15 @@ class CycScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c[0] == other
+            n = self.n
+            return (not any(n[1:])
+                    and n[0] * other.denominator == other.numerator * self.d)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.m == other.m and self.c == other.c
+        return self.m == other.m and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.m, self.c))
+        return hash((self.m, self.n, self.d))
 
     def __repr__(self):
         return f"CycScalar({self.m}, {self.to_string()!r})"
@@ -336,47 +420,3 @@ class CycScalar:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def _reduce(fd: _FieldData, conv) -> tuple:
-    phi = fd.phi
-    out = list(conv[:phi]) + [_ZERO] * (phi - len(conv))
-    for k in range(phi, len(conv)):
-        ck = conv[k]
-        if ck:
-            row = fd.red[k - phi]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += ck * row[i]
-    return tuple(out[:phi])
-
-
-def _polydiv_frac(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    q = [_ZERO] * max(1, len(num) - dn)
-    inv = 1 / den[-1]
-    for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn] * inv
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, num[:dn] or [_ZERO]
-
-
-def _polymul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

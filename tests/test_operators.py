@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 from skewci.colorcore import RingSpec
 from skewci.operators import (
@@ -258,7 +260,7 @@ def _compose_columns(m2, m1):
 
 def test_slice_symbols_match_brute_force_enumeration():
     # chi-weights up to a cap far beyond every X-part's homological range
-    from skewci.operators import _chi_weights, _symkey
+    from skewci.operators import _chi_weights
 
     for spec in fixture_rings():
         k = ModulePresentation.residue_field(spec)
@@ -275,8 +277,20 @@ def test_slice_symbols_match_brute_force_enumeration():
                             shift = sum(a * d for a, d in zip(w, spec.df))
                             brute += [(w, xsym) for xsym in opcx.x.symbols(
                                 2 * size - i, shift - j)]
-                    assert opcx.slice_symbols(i, j) == \
-                        sorted(brute, key=_symkey), (opcx.description, i, j)
+                    assert opcx.slice_symbols(i, j) == sorted(brute), \
+                        (opcx.description, i, j)
+
+
+def test_ext_actions_match_golden_m5():
+    # Ext_R(k, k) with chi and x actions over Q(zeta_5); the file pins
+    # every exact entry and its printing, so a change to either fails here
+    spec = RingSpec(2, 5, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"])
+    k = ModulePresentation.residue_field(spec)
+    table = homology_bigraded(
+        build_operator_complex(finite_koszul_resolution(k), k), 5, 8)
+    text = json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "data" / "ext_actions_m5.json"
+    assert text == golden.read_text()
 
 
 def test_braided_hh_example_ring():

@@ -219,6 +219,33 @@ def test_minimalize_presentation_chained_unit_eliminations():
     }
 
 
+def test_minimalize_presentation_substitutes_only_mentioning_columns():
+    ring = commutative_ring(2)
+    one = CycScalar.one(1)
+    columns = [
+        {((0, 0), 1): one, ((1, 0), 2): -one},   # g1 = t1 g2, eliminated 1st
+        {((0, 1), 1): one, ((1, 0), 3): one},    # gains g2 from g1
+        {((1, 0), 1): one, ((2, 0), 2): -one},   # t1 * first: becomes empty
+        {((0, 0), 2): one, ((0, 1), 0): -one},   # g2 = t2 g0, eliminated 2nd
+        {((0, 1), 2): one, ((0, 1), 4): one},    # left alone by the 1st
+    ]
+    kept, cols, proj = minimalize_presentation(5, columns, ring)
+    assert kept == [0, 3, 4]
+    # t2 g1 + t1 g3 -> t1 g3 + t1 t2 g2 -> t1 g3 + t1 t2^2 g0
+    # t2 g2 + t2 g4 -> t2 g4 + t2^2 g0
+    assert [list(col.items()) for col in cols] == [
+        [(((1, 0), 3), one), (((1, 2), 0), one)],
+        [(((0, 1), 4), one), (((0, 2), 0), one)],
+    ]
+    assert proj == {
+        0: {((0, 0), 0): one},
+        1: {((1, 1), 0): one},
+        2: {((0, 1), 0): one},
+        3: {((0, 0), 3): one},
+        4: {((0, 0), 4): one},
+    }
+
+
 def test_minimal_free_resolution_koszul():
     # k over k[t1,t2]: Koszul resolution with ranks 1, 2, 1
     ring = commutative_ring(2)

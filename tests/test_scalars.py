@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -124,3 +125,121 @@ def test_string_roundtrip_rendering():
     val = 2 + z - 3 * z ** 3
     assert val.to_string() == "2 + z - 3*z^3"
     assert CycScalar.zero(4).to_string() == "0"
+
+
+# -- fields of degree phi(m) > 2 --------------------------------------------
+
+LARGE_PHI = (5, 7, 9, 12, 15)
+
+
+def _schoolbook_product(m, a, b):
+    """Fraction coefficients of a*b mod Phi_m by polynomial long division."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, phi - 1, -1):
+        top = prod[k]
+        for i, p in enumerate(poly):
+            prod[k - phi + i] -= top * p
+    return tuple(prod[:phi])
+
+
+def _assert_canonical(s):
+    assert all(type(x) is int for x in s.n) and type(s.d) is int
+    assert s.d > 0
+    assert gcd(s.d, *s.n) == 1
+
+
+def _nonzero_scalar(rng, m):
+    while True:
+        a = _random_scalar(rng, m)
+        if a:
+            return a
+
+
+def test_inverse_round_trip_large_phi():
+    rng = random.Random(31337)
+    for m in LARGE_PHI:
+        for _ in range(15):
+            a, b = _nonzero_scalar(rng, m), _nonzero_scalar(rng, m)
+            inv = b.inverse()
+            _assert_canonical(inv)
+            assert (a * b) * inv == a
+            assert a * a.inverse() == 1
+            assert a / b == a * inv
+
+
+def test_products_match_schoolbook_large_phi():
+    rng = random.Random(4711)
+    for m in LARGE_PHI:
+        for _ in range(15):
+            a, b = _random_scalar(rng, m), _random_scalar(rng, m)
+            prod = a * b
+            _assert_canonical(prod)
+            assert prod.c == _schoolbook_product(m, a.c, b.c)
+            assert (a + b).c == tuple(x + y for x, y in zip(a.c, b.c))
+            assert (a - b).c == tuple(x - y for x, y in zip(a.c, b.c))
+
+
+def test_one_value_by_different_routes_large_phi():
+    rng = random.Random(99)
+    for m in LARGE_PHI:
+        phi = euler_phi(m)
+        rest = [0] * (phi - 2)
+        a = CycScalar(m, [Fraction(2, 4), Fraction(-6, 9)] + rest)
+        b = _random_scalar(rng, m)
+        routes = [
+            a,
+            CycScalar(m, [Fraction(1, 2), Fraction(-2, 3)] + rest),
+            (a + b) - b,
+            b + (a - b),
+            CycScalar(m, a.c),
+        ]
+        for r in routes:
+            _assert_canonical(r)
+            assert r == a and hash(r) == hash(a) and r.c == a.c
+        assert (a.n, a.d) == ((3, -4) + (0,) * (phi - 2), 6)
+        half = [CycScalar(m, [Fraction(2, 4)] + [0] * (phi - 1)),
+                CycScalar.from_rational(m, Fraction(1, 2)),
+                (b + Fraction(1, 2)) - b,
+                CycScalar.one(m) / 2]
+        for r in half:
+            _assert_canonical(r)
+            assert r == half[0] and hash(r) == hash(half[0])
+            assert r == Fraction(1, 2) and r.as_fraction() == Fraction(1, 2)
+        zero = b - b
+        _assert_canonical(zero)
+        assert zero == CycScalar.zero(m) and zero.d == 1 and not zero
+
+
+def test_zeta_powers_and_root_of_unity_inverses_large_phi():
+    for m in LARGE_PHI:
+        z = CycScalar.zeta(m)
+        for k in range(-m, 2 * m):
+            zk = CycScalar.zeta(m, k)
+            assert zk == z ** (k % m)
+            assert zk.inverse() == CycScalar.zeta(m, -k)
+            assert (-zk).inverse() == -CycScalar.zeta(m, -k)
+            # a multiple of zeta^k takes the conjugate route
+            assert (3 * zk).inverse() == CycScalar.zeta(m, -k) / 3
+            assert zk * zk.inverse() == 1
+
+
+def test_errors_large_phi():
+    for m in LARGE_PHI:
+        zero = CycScalar.zero(m)
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            CycScalar.zeta(m) / zero
+        with pytest.raises(ZeroDivisionError):
+            zero.unit_order()
+    with pytest.raises(ConductorMismatch):
+        CycScalar.zeta(5) * CycScalar.zeta(7)
+    with pytest.raises(ConductorMismatch):
+        CycScalar.zeta(12) - CycScalar.zeta(15)
+    with pytest.raises(ConductorMismatch):
+        CycScalar.zeta(9) / CycScalar.zeta(5)

@@ -1,29 +1,23 @@
 """Batch front end: parse a job config, run one command, emit reports.
 
 One self-describing JSON config per run; results go to a JSON report plus
-an aligned text summary on stdout.  Resolutions are cached on disk keyed
-by a content hash of (ring, module, parameters); corrupt entries are
-detected by hash and recomputed.
+an aligned text summary on stdout.  Resolutions and theta modules come
+from a ``store.ResolutionCache``, on disk under ``--cache``, keyed by a
+content hash of (ring, module); corrupt entries are detected by hash and
+recomputed.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 
 from .colorcore import RingSpec, validate_ring
 from .dualpowers import verify_appendix
 from .koszul import verify_diagonal_resolution
 from .operators import braided_hh, build_operator_complex, homology_bigraded
-from .resolve import (
-    KoszulComplex,
-    ModulePresentation,
-    finite_koszul_resolution,
-    minimal_R_resolution,
-)
+from .resolve import ModulePresentation, TruncationError, minimal_R_resolution
 from .support import (
     RationalityError,
     arc_check,
@@ -34,67 +28,11 @@ from .support import (
     support_variety,
     support_variety_full,
 )
-
-CACHE_VERSION = 1
+from .store import ResolutionCache, current, using
 
 
 class JobError(RuntimeError):
     pass
-
-
-class ResolutionCache:
-    """Content-addressed store of finite Koszul resolutions."""
-
-    def __init__(self, directory):
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-
-    def _key(self, module: ModulePresentation):
-        payload = json.dumps(
-            {"v": CACHE_VERSION, **module.cache_key_data()}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def get_or_build(self, module: ModulePresentation) -> KoszulComplex:
-        if not self.directory:
-            self.misses += 1
-            return finite_koszul_resolution(module)
-        key = self._key(module)
-        path = os.path.join(self.directory, f"res-{key}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as handle:
-                    doc = json.load(handle)
-                payload = json.dumps(doc["payload"], sort_keys=True)
-                digest = hashlib.sha256(payload.encode()).hexdigest()
-                if doc.get("sha256") == digest and doc.get("key") == key:
-                    cx = KoszulComplex.from_json(doc["payload"])
-                    self.hits += 1
-                    return cx
-                self.corrupt += 1
-            except (json.JSONDecodeError, KeyError, ValueError):
-                self.corrupt += 1
-        self.misses += 1
-        cx = finite_koszul_resolution(module)
-        payload = cx.to_json()
-        text = json.dumps(payload, sort_keys=True)
-        doc = {
-            "key": key,
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            "payload": payload,
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle, sort_keys=True)
-        os.replace(tmp, path)
-        return cx
-
-    def stats(self):
-        return {"hits": self.hits, "misses": self.misses,
-                "corrupt": self.corrupt}
 
 
 def _parse_window(text):
@@ -181,13 +119,14 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
         raise JobError(f"unknown command {command!r}; expected one of "
                        + ", ".join(sorted(_COMMANDS)))
     try:
-        ok, result, extra_lines = handler(spec, config, params, cache,
-                                          semantics)
-    except RationalityError as exc:
+        with using(cache):
+            ok, result, extra_lines = handler(spec, config, params, semantics)
+    except (RationalityError, TruncationError, AssertionError) as exc:
+        code, prefix = _failure(exc)
         report["ok"] = False
-        report["error"] = f"window too small: {exc}"
+        report["error"] = f"{prefix}: " + " ".join(str(exc).splitlines())
         lines.append(report["error"])
-        return 3, report, "\n".join(lines)
+        return code, report, "\n".join(lines)
     report["ok"] = ok
     report["result"] = result
     report["cache"] = cache.stats()
@@ -197,7 +136,17 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
     return (0 if ok else 1), report, "\n".join(lines)
 
 
-def _cmd_check(spec, config, params, cache, semantics):
+def _failure(exc):
+    """Exit code and error prefix of a job that failed with a typed error:
+    a window or bound too small to certify (3), a failed certificate (1)."""
+    if isinstance(exc, RationalityError):
+        return 3, "window too small"
+    if isinstance(exc, TruncationError):
+        return 3, "bound too small"
+    return 1, "certificate failed"
+
+
+def _cmd_check(spec, config, params, semantics):
     cutoff = params.get("dmax")
     result = validate_ring(spec, cutoff).to_json()
     result["t"] = compute_t(spec)
@@ -215,9 +164,9 @@ def _cmd_check(spec, config, params, cache, semantics):
     return True, result, lines
 
 
-def _cmd_resolve(spec, config, params, cache, semantics):
+def _cmd_resolve(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
-    cx = cache.get_or_build(mod)
+    cx = current().get_or_build(mod)
     errors = cx.verify_invariants() + cx.verify_exactness()
     result = {
         "module": mod.name,
@@ -231,7 +180,7 @@ def _cmd_resolve(spec, config, params, cache, semantics):
     return not errors, result, lines
 
 
-def _cmd_betti(spec, config, params, cache, semantics):
+def _cmd_betti(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     imax = params.get("imax", params.get("cmax", 6))
     dmax = params.get("dmax", 2 * sum(spec.df) + imax)
@@ -255,11 +204,10 @@ def _format_betti(table, imax):
     return "\n".join(rows)
 
 
-def _cmd_ext(spec, config, params, cache, semantics):
+def _cmd_ext(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     other = _module(spec, config, params.get("other", "k"), "other")
-    cx = cache.get_or_build(mod)
-    opcx = build_operator_complex(cx, other)
+    opcx = build_operator_complex(current().get_or_build(mod), other)
     cmax = params.get("cmax", 6)
     dmax = params.get("dmax", 8)
     jmin = params.get("jmin", -dmax)
@@ -288,7 +236,7 @@ def _format_ext_table(table, cmax):
     return "\n".join(rows)
 
 
-def _cmd_hh(spec, config, params, cache, semantics):
+def _cmd_hh(spec, config, params, semantics):
     cmax = params.get("cmax", 6)
     dmax = params.get("dmax", 8)
     rep = braided_hh(spec, cmax, dmax)
@@ -300,7 +248,7 @@ def _cmd_hh(spec, config, params, cache, semantics):
     return rep.ok, result, lines
 
 
-def _cmd_support(spec, config, params, cache, semantics):
+def _cmd_support(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     other_name = params.get("other", "k")
     if semantics == "full":
@@ -308,13 +256,8 @@ def _cmd_support(spec, config, params, cache, semantics):
             mod, degree_cap=params.get("degree_cap", 8),
             imax=params.get("cmax", 6), jmax=params.get("dmax", 8))
     else:
-        other = _module(spec, config, other_name, "other")
-        cx = cache.get_or_build(mod)
-        cx_other = None
-        if not (other.is_residue_field() or mod.is_residue_field()):
-            cx_other = cache.get_or_build(other)
-        report = support_variety(mod, other, resolution=cx,
-                                 resolution_other=cx_other)
+        report = support_variety(
+            mod, _module(spec, config, other_name, "other"))
     result = report.to_json()
     gens = ", ".join(report.ideal) or "0"
     lines = [
@@ -328,26 +271,24 @@ def _cmd_support(spec, config, params, cache, semantics):
     return True, result, lines
 
 
-def _cmd_complexity(spec, config, params, cache, semantics):
+def _cmd_complexity(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     other = _module(spec, config, params.get("other", "k"), "other")
     window = {k: params[k] for k in ("cmax", "dmax") if k in params}
-    res = complexity(mod, other, window=window or None,
-                     resolution=cache.get_or_build(mod))
+    res = complexity(mod, other, window=window or None)
     result = res.to_json()
     lines = [f"cx_R({mod.name}, {other.name}) = {res.value} "
              f"({res.certificate['method']})"]
     return True, result, lines
 
 
-def _cmd_poincare(spec, config, params, cache, semantics):
+def _cmd_poincare(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     other_name = params.get("other", "k")
     other = _module(spec, config, other_name, "other") \
         if other_name != "k" else "k"
     window = {k: params[k] for k in ("cmax", "dmax") if k in params}
-    series = poincare_series(mod, other, window=window or None,
-                             resolution=cache.get_or_build(mod))
+    series = poincare_series(mod, other, window=window or None)
     result = series.to_json()
     result["coefficients"] = series.coefficients(params.get("cmax", 10))
     lines = [f"P^R_({mod.name}) = {series!r}   [{series.method}]",
@@ -355,20 +296,19 @@ def _cmd_poincare(spec, config, params, cache, semantics):
     return True, result, lines
 
 
-def _cmd_perfect(spec, config, params, cache, semantics):
+def _cmd_perfect(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
-    value = is_perfect(mod, resolution=cache.get_or_build(mod))
+    value = is_perfect(mod)
     result = {"module": mod.name, "perfect": value}
     lines = [f"{mod.name} perfect over R: {value}"]
     return True, result, lines
 
 
-def _cmd_arc(spec, config, params, cache, semantics):
+def _cmd_arc(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     r = params.get("r", 0)
     window = params.get("window", params.get("cmax", r + 4))
-    report = arc_check(mod, r, window,
-                       resolution=cache.get_or_build(mod))
+    report = arc_check(mod, r, window)
     result = report.to_json()
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "
              f"{report.verdict}",
@@ -376,7 +316,7 @@ def _cmd_arc(spec, config, params, cache, semantics):
     return report.verdict != "fail", result, lines
 
 
-def _cmd_selftest_appendix(spec, config, params, cache, semantics):
+def _cmd_selftest_appendix(spec, config, params, semantics):
     bound = params.get("bound", 4)
     rep = verify_appendix(spec, bound)
     result = rep.to_json()
@@ -410,7 +350,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True,
                         help="path to the JSON job configuration")
     parser.add_argument("--cache", default=None,
-                        help="cache directory for resolutions")
+                        help="cache directory for resolutions and theta "
+                             "modules")
     parser.add_argument("--out", default=None,
                         help="path for the JSON report")
     parser.add_argument("--window", default=None,

@@ -59,6 +59,7 @@ class ModuleBasis:
         self.gb = buchberger(cols, ring)
         self.leads = [m for m, _ in self.gb.leads]
         self._basis_cache = {}
+        self._nf_cache = {}
 
     def gens(self):
         return self.module.gens
@@ -82,9 +83,19 @@ class ModuleBasis:
                 return True
         return False
 
-    def normal_form(self, vec):
-        nf, _ = self.gb.normal_form(vec)
-        return nf
+    def term_normal_form(self, key, coeff):
+        """Normal form in N of coeff * key, key = (exps, comp), as a fresh
+        dict.
+
+        Reduction is linear and exact, so scaling the memoised normal form
+        of the unit term gives the same terms, in the same order, as
+        reducing coeff * key itself.
+        """
+        nf = self._nf_cache.get(key)
+        if nf is None:
+            nf, _ = self.gb.normal_form({key: CycScalar.one(self.spec.m)})
+            self._nf_cache[key] = nf
+        return {k: v * coeff for k, v in nf.items()}
 
     def key_color(self, key):
         exps, comp = key
@@ -147,9 +158,9 @@ class _HomIntoModule:
             for exps, c in poly.items():
                 scal = c * ring.chi(sigma, ring.color(exps))
                 # value entry * nkey, reduced in N
-                moved = {( tuple(a + e for a, e in zip(exps, nkey[0])),
-                           nkey[1]): scal * ring.cpair(exps, nkey[0])}
-                nf = self.nb.normal_form(moved)
+                nf = self.nb.term_normal_form(
+                    (tuple(a + e for a, e in zip(exps, nkey[0])), nkey[1]),
+                    scal * ring.cpair(exps, nkey[0]))
                 for k2, c2 in nf.items():
                     add_term(out, (source_layer, col, k2), c2)
         return out
@@ -185,9 +196,9 @@ class _HomIntoModule:
         p, b, nkey = sym
         delta = tuple(1 if k == l else 0 for k in range(self.spec.n))
         ring = self.spec.qring
-        moved = {(tuple(a + e for a, e in zip(delta, nkey[0])), nkey[1]):
-                 ring.cpair(delta, nkey[0])}
-        nf = self.nb.normal_form(moved)
+        nf = self.nb.term_normal_form(
+            (tuple(a + e for a, e in zip(delta, nkey[0])), nkey[1]),
+            ring.cpair(delta, nkey[0]))
         return {(p, b, k2): c2 for k2, c2 in nf.items()}
 
 
@@ -861,41 +872,52 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
                     col[k2] -= wv[i] * v
             gen_colors[gid] = tuple(col)
 
+    def by_source(entries):
+        """{src: [(dst, c), ...]} keeping the order of the entries."""
+        out = {}
+        for (dst, src), c in entries.items():
+            out.setdefault(src, []).append((dst, c))
+        return out
+
     zero_t = tring.zero_exp()
+    t0_from = by_source(t0)
+    ti_from = [by_source(ti[i]) for i in range(spec.c)]
+    # chi^w chi_i = u theta^texps chi^w2, per (i, w) with a nonzero T_i
+    shifts = {}
+    for i in range(spec.c):
+        if not ti[i]:
+            continue
+        for wv in weights:
+            u = one
+            for jj in range(i + 1, spec.c):
+                if wv[jj]:
+                    u = u * ring.chi(spec.cf[jj], spec.cf[i]) ** wv[jj]
+            w2 = list(wv)
+            w2[i] += 1
+            texps = list(zero_t)
+            if w2[i] == t:
+                # chi^{..t..} = s theta_i chi^{w'}
+                for jj in range(i):
+                    if wv[jj]:
+                        u = u * ring.chi(spec.cf[jj],
+                                         spec.cf[i]) ** (t * wv[jj])
+                w2[i] = 0
+                texps[i] = 1
+            shifts[(i, wv)] = (u, tuple(texps), tuple(w2))
+
     columns = [dict() for _ in range(ngen)]
     for li in range(len(labels)):
         for wv in weights:
-            gid = gen_id(li, wv)
-            col = columns[gid]
+            col = columns[gen_id(li, wv)]
             # T0 part: same w
-            for (dst, src), c in t0.items():
-                if src != li:
-                    continue
+            for dst, c in t0_from.get(li, ()):
                 add_term(col, (zero_t, gen_id(dst, wv)), c)
-            for i in range(spec.c):
-                if not ti[i]:
+            for i, from_src in enumerate(ti_from):
+                entries = from_src.get(li)
+                if not entries:
                     continue
-                # chi^w chi_i = u chi^{w + delta_i}
-                u = one
-                for jj in range(i + 1, spec.c):
-                    if wv[jj]:
-                        u = u * ring.chi(spec.cf[jj], spec.cf[i]) ** wv[jj]
-                w2 = list(wv)
-                w2[i] += 1
-                texps = list(zero_t)
-                if w2[i] == t:
-                    # chi^{..t..} = s theta_i chi^{w'}
-                    for jj in range(i):
-                        if wv[jj]:
-                            u = u * ring.chi(spec.cf[jj],
-                                             spec.cf[i]) ** (t * wv[jj])
-                    w2[i] = 0
-                    texps[i] = 1
-                w2 = tuple(w2)
-                texps = tuple(texps)
-                for (dst, src), c in ti[i].items():
-                    if src != li:
-                        continue
+                u, texps, w2 = shifts[(i, wv)]
+                for dst, c in entries:
                     add_term(col, (texps, gen_id(dst, w2)), c * u)
 
     # homology presentation per color class (theta shifts color by -t cf_i)

@@ -678,6 +678,8 @@ class BettiTable:
 
 
 def _r_basis_per_degree(spec, dmax):
+    """Standard monomials of R, as lists per degree 0..dmax, each in the
+    order of ``monomials_of_degree``."""
     from .koszul import monomials_of_degree
 
     out = []
@@ -711,7 +713,6 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
     Independent of the Groebner/operator path: R-arithmetic is monomial
     normal forms, kernels are exact echelon computations per degree.
     """
-    from .koszul import monomials_of_degree
     from .linalg import kernel_basis
 
     spec = module.spec
@@ -720,6 +721,13 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
     entries = {}
 
     gen_degs = [d for d, _ in module.gens]
+    # a monomial factor has degree at most dmax minus the lowest generator
+    # degree; reducible factors only ever give zero, so they are skipped
+    rbasis = _r_basis_per_degree(spec, dmax - min(gen_degs + [0]))
+
+    def r_basis(d):
+        return rbasis[d] if d >= 0 else ()
+
     for j in gen_degs:
         if j <= dmax:
             entries[(0, j)] = entries.get((0, j), 0) + 1
@@ -739,7 +747,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
                 vecs = []
                 for col in curr_columns:
                     cdeg = _col_degree(spec, col, gen_degs)
-                    for delta in monomials_of_degree(spec.qring, d - cdeg):
+                    for delta in r_basis(d - cdeg):
                         moved = _mult_into_slice(spec, delta, col)
                         if moved:
                             piv, _ = ech.add(dict(moved))
@@ -750,9 +758,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
             for d in range(dmax + 1):
                 cols_d, keys_d = [], []
                 for comp, cd in enumerate(curr_degs):
-                    for mono in monomials_of_degree(spec.qring, d - cd):
-                        if _reducible(spec, mono):
-                            continue
+                    for mono in r_basis(d - cd):
                         cols_d.append(
                             _mult_into_slice(spec, mono, curr_columns[comp]))
                         keys_d.append((mono, comp))

@@ -18,18 +18,15 @@ from math import gcd
 
 from .colorcore import Poly, RingSpec, poly_to_string
 from .operators import (
+    ModuleBasis,
     _theta_ring,
     build_operator_complex,
-    ext_over_theta,
     homology_bigraded,
 )
 from .qgrobner import Order, interreduce_ideal, monomial_dimension
-from .resolve import (
-    ModulePresentation,
-    finite_koszul_resolution,
-    minimal_R_resolution,
-)
+from .resolve import ModulePresentation, minimal_R_resolution
 from .sparse import add_scaled
+from .store import current
 
 __all__ = [
     "ThetaAlgebra",
@@ -293,10 +290,15 @@ class SupportReport:
                 f"semantics={self.semantics})")
 
 
-def _theta_data(module: ModulePresentation, t, resolution=None):
-    cx = resolution if resolution is not None \
-        else finite_koszul_resolution(module)
-    tm = ext_over_theta(cx, t)
+def _is_k(n):
+    """Is the second module of a pair the residue field: None, "k", or a
+    presentation of k?"""
+    return n is None or (isinstance(n, str) and n == "k") or (
+        isinstance(n, ModulePresentation) and n.is_residue_field())
+
+
+def _theta_data(module: ModulePresentation, t):
+    tm = current().theta_module(module, t)
     ann = tm.annihilator()
     dim = tm.dimension()
     # internal consistency: the Krull dimension equals the pole order of
@@ -329,8 +331,7 @@ def _pole_order_at_one(num_dict, c, t):
     return max(c - mult, 0)
 
 
-def support_variety(m: ModulePresentation, n, t=None,
-                    resolution=None, resolution_other=None) -> SupportReport:
+def support_variety(m: ModulePresentation, n, t=None) -> SupportReport:
     """V_R(M, N) in the fiber semantics.
 
     For N = k (or M = k, using symmetry) the support is exact: the
@@ -339,22 +340,19 @@ def support_variety(m: ModulePresentation, n, t=None,
     """
     spec = m.spec
     t = compute_t(spec) if t is None else t
-    n_is_k = isinstance(n, str) and n == "k" or (
-        isinstance(n, ModulePresentation) and n.is_residue_field())
+    n_is_k = _is_k(n)
     m_is_k = m.is_residue_field()
     if n_is_k or m_is_k:
-        base = m if n_is_k else (n if isinstance(n, ModulePresentation)
-                                 else ModulePresentation.residue_field(spec))
-        base_res = resolution if base is m else resolution_other
-        _tm, ann, dim = _theta_data(base, t, base_res)
+        base = m if n_is_k else n
+        _tm, ann, dim = _theta_data(base, t)
         labels = {"pair": [base.name, "k"]}
         if m_is_k and not n_is_k:
             labels["note"] = "computed as V(N,k) = V(k,N) by symmetry"
         return SupportReport(spec, t, ann, max(dim, 0), "fiber",
                              {"exact": True}, labels)
     # general pair: fiber-intersection V(M,k) cap V(N,k)
-    _tm, ann_m, _ = _theta_data(m, t, resolution)
-    _tm2, ann_n, _ = _theta_data(n, t, resolution_other)
+    _tm, ann_m, _ = _theta_data(m, t)
+    _tm2, ann_n, _ = _theta_data(n, t)
     ring = _theta_ring(spec, t)
     combined = interreduce_ideal(list(ann_m) + list(ann_n), ring)
     order = Order(ring)
@@ -376,9 +374,8 @@ def support_variety_full(m: ModulePresentation, degree_cap=6, t=None,
     """
     spec = m.spec
     t = compute_t(spec) if t is None else t
-    cx = finite_koszul_resolution(m)
     k = ModulePresentation.residue_field(spec)
-    opcx = build_operator_complex(cx, k)
+    opcx = build_operator_complex(current().get_or_build(m), k)
     table = homology_bigraded(opcx, imax, jmax)
     ring = _theta_ring(spec, t)
     ann_gens = []
@@ -481,8 +478,8 @@ class ComplexityResult:
         return {"value": self.value, "certificate": self.certificate}
 
 
-def poincare_series(m: ModulePresentation, n=None, window=None,
-                    resolution=None) -> PoincareSeries:
+def poincare_series(m: ModulePresentation, n=None,
+                    window=None) -> PoincareSeries:
     """P^R_{M,N}(t) = sum dim(Ext^i (x)_R k) t^i as p(t)/(1-t^2)^c'.
 
     Exact via the theta-module Hilbert series when N = k; otherwise a
@@ -490,12 +487,10 @@ def poincare_series(m: ModulePresentation, n=None, window=None,
     """
     spec = m.spec
     t = compute_t(spec)
-    n_is_k = n is None or (isinstance(n, str) and n == "k") or (
-        isinstance(n, ModulePresentation) and n.is_residue_field())
-    if n_is_k:
-        tm, _ann, _dim = _theta_data(m, t, resolution)
+    if _is_k(n):
+        tm, _ann, _dim = _theta_data(m, t)
         return _series_from_theta(tm, spec, t)
-    coeffs, win = _tensor_k_series(m, n, window, resolution)
+    coeffs, win = _tensor_k_series(m, n, window)
     return _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
 
 
@@ -510,16 +505,13 @@ def _series_from_theta(tm, spec, t):
                                "exact-theta", {"t": t})
 
 
-def _tensor_k_series(m, n, window, resolution=None):
+def _tensor_k_series(m, n, window):
     """Window dims of Ext^i(M,N) (x)_R k, with j-complete windows when the
     target is finite dimensional (then only the i-truncation remains and
     the caller's tail validation covers it)."""
-    from .operators import ModuleBasis
-
     spec = m.spec
     imax = (window or {}).get("cmax", 8)
-    cx = resolution if resolution is not None \
-        else finite_koszul_resolution(m)
+    cx = current().get_or_build(m)
     top_deg = max(d for layer in cx.basis for d, _c in layer)
     low_deg = min(d for layer in cx.basis for d, _c in layer)
     nb = ModuleBasis(n)
@@ -553,7 +545,7 @@ def _tensor_k_series(m, n, window, resolution=None):
 
 
 def complexity(m: ModulePresentation, n=None, window=None,
-               resolution=None, force_fit=False) -> ComplexityResult:
+               force_fit=False) -> ComplexityResult:
     """cx_R(M, N): Krull dimension of the theta support when N = k (exact),
     pole order of the validated rational fit otherwise.
 
@@ -562,38 +554,31 @@ def complexity(m: ModulePresentation, n=None, window=None,
     """
     spec = m.spec
     t = compute_t(spec)
-    n_is_k = n is None or (isinstance(n, str) and n == "k") or (
-        isinstance(n, ModulePresentation) and n.is_residue_field())
+    n_is_k = _is_k(n)
     m_is_k = m.is_residue_field()
     if force_fit:
         if n_is_k:
             n = ModulePresentation.residue_field(spec)
         n_is_k = m_is_k = False
     if n_is_k or m_is_k:
-        base = m if n_is_k else n
-        if isinstance(base, str):
-            base = ModulePresentation.residue_field(spec)
-        res = resolution if (n_is_k and resolution is not None) else None
-        tm, _ann, dim = _theta_data(base, t, res)
+        tm, _ann, dim = _theta_data(m if n_is_k else n, t)
         series = _series_from_theta(tm, spec, t)
         value = max(dim, 0)
         if series.cprime != value:
             raise AssertionError(
                 f"complexity mismatch: dim {value} vs pole {series.cprime}")
         return ComplexityResult(value, {"method": "theta-dimension", "t": t})
-    coeffs, win = _tensor_k_series(m, n, window,
-                                   resolution if not force_fit else None)
+    coeffs, win = _tensor_k_series(m, n, window)
     series = _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
     return ComplexityResult(series.cprime,
                             {"method": "rational-fit", **win})
 
 
-def is_perfect(m: ModulePresentation, oracle_window=None,
-               resolution=None) -> bool:
+def is_perfect(m: ModulePresentation, oracle_window=None) -> bool:
     """True iff the support over k is empty in Proj; cross-checked against
     Betti vanishing in the oracle window."""
     spec = m.spec
-    report = support_variety(m, "k", resolution=resolution)
+    report = support_variety(m, "k")
     empty = report.proj_empty
     imax = (oracle_window or {}).get("imax", spec.n + spec.c + 3)
     dmax = (oracle_window or {}).get("dmax", 3 * (sum(spec.df) + 2))
@@ -621,7 +606,7 @@ class ArcReport:
 
 
 def arc_check(m: ModulePresentation, r: int, window: int,
-              jmin=None, jmax=None, resolution=None) -> ArcReport:
+              jmin=None, jmax=None) -> ArcReport:
     """Vanishing criterion for projective dimension.
 
     Verifies Ext^i(M, M + R) = 0 for r < i <= window; when the hypothesis
@@ -631,7 +616,7 @@ def arc_check(m: ModulePresentation, r: int, window: int,
     spec = m.spec
     if window <= r:
         raise ValueError("window must exceed r")
-    cx = resolution if resolution is not None else finite_koszul_resolution(m)
+    cx = current().get_or_build(m)
     free = ModulePresentation.free(spec)
     top_basis_deg = max(d for layer in cx.basis for d, _c in layer)
     if jmax is None:

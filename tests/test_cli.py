@@ -231,3 +231,50 @@ def test_window_too_small_exit_code():
     code, report, text = run(config)
     assert code == 3
     assert "window too small" in report["error"]
+
+
+def _main_with_report(tmp_path, capsys, config):
+    config_path = tmp_path / "job.json"
+    out_path = tmp_path / "report.json"
+    with open(config_path, "w") as handle:
+        json.dump(config, handle)
+    code = main(["--config", str(config_path), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    with open(out_path) as handle:
+        return code, json.load(handle), captured
+
+
+def test_truncation_error_exit_code(tmp_path, capsys, monkeypatch):
+    from skewci import resolve
+
+    def truncated(module, *args, **kwargs):
+        raise resolve.TruncationError(
+            "no free cokernel reached up to homological degree 4; "
+            "increase hmax")
+
+    monkeypatch.setattr(resolve, "finite_koszul_resolution", truncated)
+    code, report, captured = _main_with_report(
+        tmp_path, capsys, example_config("support", {"module": "M"}))
+    assert code == 3
+    assert report["ok"] is False
+    assert report["error"] == ("bound too small: no free cokernel reached "
+                               "up to homological degree 4; increase hmax")
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out.count(report["error"]) == 1
+
+
+def test_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from skewci import operators
+
+    def uncertified(cx, t, *args, **kwargs):
+        raise AssertionError("image vector outside the kernel module")
+
+    monkeypatch.setattr(operators, "ext_over_theta", uncertified)
+    code, report, captured = _main_with_report(
+        tmp_path, capsys, example_config("complexity", {"module": "M"}))
+    assert code == 1
+    assert report["ok"] is False
+    assert report["error"] == ("certificate failed: image vector outside "
+                               "the kernel module")
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out.count(report["error"]) == 1

@@ -210,6 +210,38 @@ def test_differential_returns_a_fresh_dict():
                 assert opcx.differential(sym) == expected
 
 
+def test_term_normal_form_matches_reduction_and_is_fresh():
+    from skewci.koszul import monomials_of_degree
+    from skewci.operators import ModuleBasis
+    from skewci.scalars import CycScalar
+
+    spec = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                    relations=["x1^2", "x2^2"])
+    # x3 g0 + x1 g1 + x2 g2 = 0: a leading term reduces to two terms
+    mod = ModulePresentation.from_json(spec, {
+        "gens": [{"degree": 0, "color": [1, 1, 0]},
+                 {"degree": 0, "color": [0, 1, 1]},
+                 {"degree": 0, "color": [1, 0, 1]}],
+        "relations": [["x3", "x1", "x2"]]})
+    nb = ModuleBasis(mod)
+    coeff = CycScalar(5, [1, 0, 2, -1]) * CycScalar.zeta(5, 3)
+    multi = 0
+    for d in range(4):
+        for exps in monomials_of_degree(spec.qring, d):
+            for comp in range(3):
+                key = (exps, comp)
+                for c in (coeff, spec.one()):
+                    direct, _ = nb.gb.normal_form({key: c})
+                    first = nb.term_normal_form(key, c)
+                    assert list(first.items()) == list(direct.items())
+                    multi += len(first) > 1
+                    first.clear()
+                    first[key] = c
+                    second = nb.term_normal_form(key, c)
+                    assert list(second.items()) == list(direct.items())
+    assert multi
+
+
 def test_differential_parts_belong_to_one_complex():
     spec = example_ring()
     cxm = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))

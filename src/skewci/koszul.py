@@ -169,11 +169,6 @@ class DGAlgebra:
                 add_term(out, (exps, s1 | s2, hvec), coeff)
         return out
 
-    def scale(self, u, s):
-        if not s:
-            return {}
-        return {k: c * s for k, c in u.items()}
-
     def diff(self, u):
         """Color Leibniz differential."""
         chi = self.ring.chi
@@ -268,10 +263,27 @@ def _bits(mask):
 
 def monomials_of_degree(ring, deg):
     """All exponent vectors of weighted internal degree exactly deg."""
+    return standard_monomials(ring, deg, ())
+
+
+def standard_monomials(ring, deg, leads):
+    """Exponent vectors of weighted degree deg that no lead divides, in
+    ascending lexicographic order.
+
+    Each lead is tested at the last coordinate of its support: once the
+    fixed prefix is divisible by it, so is every completion and every larger
+    value of that coordinate, so the walk leaves the coordinate there.
+    """
     out = []
     if deg < 0:
         return out
     n = ring.nvars
+    closing = [[] for _ in range(n)]
+    for lead in leads:
+        support = [k for k, e in enumerate(lead) if e]
+        if not support:
+            return out
+        closing[support[-1]].append(lead)
     exps = [0] * n
 
     def walk(i, rem):
@@ -282,6 +294,9 @@ def monomials_of_degree(ring, deg):
         e = 0
         while e * ring.degs[i] <= rem:
             exps[i] = e
+            if closing[i] and any(all(a >= b for a, b in zip(exps, lead))
+                                  for lead in closing[i]):
+                break
             walk(i + 1, rem - e * ring.degs[i])
             e += 1
         exps[i] = 0

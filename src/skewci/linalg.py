@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .sparse import add_scaled
 
-__all__ = ["Echelon", "kernel_basis", "rank", "solve_in_span"]
+__all__ = ["Echelon", "kernel_basis", "rank"]
 
 
 class Echelon:
@@ -78,14 +78,3 @@ def kernel_basis(columns, one):
             ech.pivots[min(residual)] = (residual, trace)
     return out
 
-
-def solve_in_span(ech_with_track: Echelon, target):
-    """Coefficients c with sum c_j input_j == target, or None if outside.
-
-    ``ech_with_track`` must have been built with track=True by adding the
-    candidate spanning vectors.
-    """
-    residual, trace = ech_with_track.reduce(dict(target), {})
-    if residual:
-        return None
-    return {k: -v for k, v in trace.items()}

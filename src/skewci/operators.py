@@ -18,8 +18,10 @@ the (i, j) layout of graded Betti tables.
 
 from __future__ import annotations
 
+import itertools
+
 from .colorcore import RingSpec
-from .koszul import koszul_algebra, monomials_of_degree
+from .koszul import koszul_algebra, monomials_of_degree, standard_monomials
 from .linalg import Echelon, kernel_basis, rank
 from .qgrobner import (
     buchberger,
@@ -57,7 +59,9 @@ class ModuleBasis:
             for g in range(len(self.module.gens)):
                 cols.append({(e, g): c for e, c in f.terms.items()})
         self.gb = buchberger(cols, ring)
-        self.leads = [m for m, _ in self.gb.leads]
+        self._leads = [[] for _ in self.module.gens]
+        for (exps, comp), _ in self.gb.leads:
+            self._leads[comp].append(exps)
         self._basis_cache = {}
         self._nf_cache = {}
 
@@ -68,20 +72,13 @@ class ModuleBasis:
         """Standard monomials (exps, comp) of internal degree d."""
         if d in self._basis_cache:
             return self._basis_cache[d]
-        out = []
-        for comp, (gd, _c) in enumerate(self.module.gens):
-            for exps in monomials_of_degree(self.spec.qring, d - gd):
-                if not self._reducible(exps, comp):
-                    out.append((exps, comp))
+        out = [(exps, comp)
+               for comp, (gd, _c) in enumerate(self.module.gens)
+               for exps in standard_monomials(self.spec.qring, d - gd,
+                                              self._leads[comp])]
         out.sort()
         self._basis_cache[d] = out
         return out
-
-    def _reducible(self, exps, comp):
-        for lexps, lcomp in self.leads:
-            if lcomp == comp and all(e >= le for e, le in zip(exps, lexps)):
-                return True
-        return False
 
     def term_normal_form(self, key, coeff):
         """Normal form in N of coeff * key, key = (exps, comp), as a fresh
@@ -786,145 +783,67 @@ def _theta_ring(spec, t):
                  [[0] * c for _ in range(c)])
 
 
-def ext_over_theta(resolution: KoszulComplex, t: int,
-                   minimalize=True) -> ThetaModule:
+def ext_over_theta(resolution: KoszulComplex, t: int) -> ThetaModule:
     """Presentation of H(E_{F,k}) over k[theta_i = chi_i^t].
 
-    The operator complex for the residue field is a finite free module over
-    the chi-ring; restricting along theta_i = chi_i^t (free of rank t^c)
-    and taking homology by commutative syzygies yields the presentation.
+    The operator complex of Hom(F, k) is a finite free module over the
+    chi-ring; restricting along theta_i = chi_i^t (free of rank t^c on
+    chi^w, 0 <= w_i < t) and taking homology by commutative syzygies yields
+    the presentation.  The restricted differential reads its X-parts and
+    twists from that complex, so it shares every convention of ``ext``.
     """
     spec = resolution.spec
-    ring = spec.qring
-    one = CycScalar.one(spec.m)
     tring = _theta_ring(spec, t)
+    x = _HomIntoModule(resolution,
+                       ModuleBasis(ModulePresentation.residue_field(spec)))
+    opcx = OperatorComplex(spec, x, "Hom(F,k)")
+    xsyms = sorted(sym for p, layer in enumerate(resolution.basis)
+                   for bd in {d for d, _c in layer}
+                   for sym in x.symbols(-p, -bd))
+    weights = list(itertools.product(range(t), repeat=spec.c))
+    # chi^w adds 2|w| to the degree and -sum_i w_i cf_i to the color
+    wshifts = [(2 * sum(w), tuple(sum(wi * cf[k] for wi, cf in zip(w, spec.cf))
+                                  for k in range(spec.n)))
+               for w in weights]
+    xindex = {xsym: i for i, xsym in enumerate(xsyms)}
+    windex = {w: i for i, w in enumerate(weights)}
 
-    # scalar matrices over the chi-ring: D = T0 + sum chi_i Ti
-    nlayers = len(resolution.basis)
-    labels = []
-    for p in range(nlayers):
-        for b in range(len(resolution.basis[p])):
-            labels.append((p, b))
-    lindex = {lab: i for i, lab in enumerate(labels)}
-
-    def const_entries(matrix):
-        out = {}
-        if not matrix:
-            return out
-        zero = ring.zero_exp()
-        for (row, col), poly in matrix.items():
-            c = poly.get(zero)
-            if c:
-                out[(row, col)] = c
-        return out
-
-    t0 = {}
-    ti = [dict() for _ in range(spec.c)]
-    for p in range(nlayers):
-        # alpha_b for b in layer p; d alpha lands on layer p+1 duals
-        if p + 1 < nlayers:
-            ents = const_entries(resolution.diff[p + 1])
-            sign = -one if p % 2 == 0 else one
-            for (row, col), c in ents.items():
-                # alpha_{(p,row)} o dF gives alpha_{(p+1,col)}
-                t0[(lindex[(p + 1, col)], lindex[(p, row)])] = c * sign
-        if p - 1 >= 0:
-            for i in range(spec.c):
-                ents = const_entries(resolution.eact[i][p - 1])
-                for (row, col), c in ents.items():
-                    src = lindex[(p, row)]
-                    colr = resolution.basis[p][row][1]
-                    scal = ring.chi(spec.cf[i], colr).inverse() * c
-                    if p % 2 == 1:
-                        scal = -scal
-                    add_term(ti[i], (lindex[(p - 1, col)], src), scal)
-
-    # theta expansion on basis (label, w), 0 <= w_i < t
-    weights = []
-    w = [0] * spec.c
-
-    def walk(idx):
-        if idx == spec.c:
-            weights.append(tuple(w))
-            return
-        for e in range(t):
-            w[idx] = e
-            walk(idx + 1)
-        w[idx] = 0
-
-    walk(0)
-    windex = {wv: i for i, wv in enumerate(weights)}
-    ngen = len(labels) * len(weights)
-
-    def gen_id(lab_i, wv):
-        return lab_i * len(weights) + windex[wv]
-
-    gen_degs = [0] * ngen
-    gen_colors = [None] * ngen
-    for li, (p, b) in enumerate(labels):
-        bcol = resolution.basis[p][b][1]
-        for wv in weights:
-            gid = gen_id(li, wv)
-            gen_degs[gid] = p + 2 * sum(wv)
-            col = [-x for x in bcol]
-            for i in range(spec.c):
-                for k2, v in enumerate(spec.cf[i]):
-                    col[k2] -= wv[i] * v
-            gen_colors[gid] = tuple(col)
-
-    def by_source(entries):
-        """{src: [(dst, c), ...]} keeping the order of the entries."""
-        out = {}
-        for (dst, src), c in entries.items():
-            out.setdefault(src, []).append((dst, c))
-        return out
+    def gen_id(xsym, w):
+        return xindex[xsym] * len(weights) + windex[w]
 
     zero_t = tring.zero_exp()
-    t0_from = by_source(t0)
-    ti_from = [by_source(ti[i]) for i in range(spec.c)]
-    # chi^w chi_i = u theta^texps chi^w2, per (i, w) with a nonzero T_i
-    shifts = {}
-    for i in range(spec.c):
-        if not ti[i]:
-            continue
-        for wv in weights:
-            u = one
-            for jj in range(i + 1, spec.c):
-                if wv[jj]:
-                    u = u * ring.chi(spec.cf[jj], spec.cf[i]) ** wv[jj]
-            w2 = list(wv)
-            w2[i] += 1
-            texps = list(zero_t)
-            if w2[i] == t:
-                # chi^{..t..} = s theta_i chi^{w'}
-                for jj in range(i):
-                    if wv[jj]:
-                        u = u * ring.chi(spec.cf[jj],
-                                         spec.cf[i]) ** (t * wv[jj])
-                w2[i] = 0
-                texps[i] = 1
-            shifts[(i, wv)] = (u, tuple(texps), tuple(w2))
-
-    columns = [dict() for _ in range(ngen)]
-    for li in range(len(labels)):
-        for wv in weights:
-            col = columns[gen_id(li, wv)]
-            # T0 part: same w
-            for dst, c in t0_from.get(li, ()):
-                add_term(col, (zero_t, gen_id(dst, wv)), c)
-            for i, from_src in enumerate(ti_from):
-                entries = from_src.get(li)
-                if not entries:
+    gen_degs, gen_colors, columns = [], [], []
+    for xsym in xsyms:
+        dx, ops = opcx._xpart(xsym)
+        sigma = x._sigma(xsym)
+        for w, (wdeg, wcolor) in zip(weights, wshifts):
+            gen_degs.append(wdeg - x.hdeg(xsym))
+            gen_colors.append(tuple(s - v for s, v in zip(sigma, wcolor)))
+            col = {(zero_t, gen_id(xk, w)): c for xk, c in dx.items()}
+            for i, op in enumerate(ops):
+                if not op:
                     continue
-                u, texps, w2 = shifts[(i, wv)]
-                for dst, c in entries:
-                    add_term(col, (texps, gen_id(dst, w2)), c * u)
+                # chi^w chi_i = u chi^w2 with u the "d" twist; when w2_i
+                # reaches t, chi^w2 = theta_i chi^w' times the "chi" twist
+                # to the power -t
+                u = opcx._w_scalar("d", i, w)
+                w2 = w[:i] + (w[i] + 1,) + w[i + 1:]
+                texps = zero_t
+                if w2[i] == t:
+                    wrap = opcx._w_scalar("chi", i, w)
+                    if wrap is not None:
+                        wrap = wrap ** -t
+                        u = wrap if u is None else u * wrap
+                    w2 = w[:i] + (0,) + w[i + 1:]
+                    texps = zero_t[:i] + (1,) + zero_t[i + 1:]
+                for xk, c in op.items():
+                    col[(texps, gen_id(xk, w2))] = c if u is None else c * u
+            columns.append(col)
 
     # homology presentation per color class (theta shifts color by -t cf_i)
     classes = {}
-    for gid in range(ngen):
-        cls = _color_class(gen_colors[gid], spec, t)
-        classes.setdefault(cls, []).append(gid)
+    for gid, color in enumerate(gen_colors):
+        classes.setdefault(_color_class(color, spec, t), []).append(gid)
 
     out_degs = []
     out_cols = []
@@ -944,13 +863,11 @@ def ext_over_theta(resolution: KoszulComplex, t: int,
             out_cols.append({(e, base + cc): v
                              for (e, cc), v in colv.items()})
 
-    if minimalize:
-        kept, cols2, _ = minimalize_presentation(
-            len(out_degs), out_cols, tring)
-        remap = {old: new for new, old in enumerate(kept)}
-        out_degs = [out_degs[k] for k in kept]
-        out_cols = [{(e, remap[c]): v for (e, c), v in col.items()}
-                    for col in cols2]
+    kept, cols2, _ = minimalize_presentation(len(out_degs), out_cols, tring)
+    remap = {old: new for new, old in enumerate(kept)}
+    out_degs = [out_degs[k] for k in kept]
+    out_cols = [{(e, remap[c]): v for (e, c), v in col.items()}
+                for col in cols2]
 
     return ThetaModule(spec, t, out_degs, out_cols)
 

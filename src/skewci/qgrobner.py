@@ -29,7 +29,6 @@ __all__ = [
     "minimal_free_resolution",
     "annihilator_ideal",
     "interreduce_ideal",
-    "quotient_dims",
     "hilbert_numerator",
     "monomial_dimension",
 ]
@@ -479,61 +478,7 @@ def _is_unit_ideal(gens, ring):
     return any((zero_exp, 0) in g and len(g) == 1 for g in gens)
 
 
-# -- serialization ------------------------------------------------------------
-
-def gb_to_json(gb: GroebnerBasis, ncomps: int):
-    """Order descriptor plus element list in the polynomial grammar."""
-    from .colorcore import Poly, poly_to_string
-
-    ring = gb.ring
-    elements = []
-    for vec in gb.elements:
-        entries = []
-        for comp in range(ncomps):
-            terms = {exps: c for (exps, cc), c in vec.items() if cc == comp}
-            entries.append(poly_to_string(Poly(ring, terms)))
-        elements.append(entries)
-    return {
-        "order": {"terms": "degrevlex", "modules": "position-over-term",
-                  "weights": list(ring.degs)},
-        "ncomps": ncomps,
-        "elements": elements,
-    }
-
-
-def gb_from_json(doc, ring) -> GroebnerBasis:
-    from .colorcore import parse_poly
-
-    elements = []
-    for entries in doc["elements"]:
-        vec = {}
-        for comp, text in enumerate(entries):
-            p = parse_poly(ring, text)
-            for exps, c in p.terms.items():
-                vec[(exps, comp)] = c
-        elements.append(vec)
-    return GroebnerBasis(ring, Order(ring), elements)
-
-
 # -- Hilbert data ------------------------------------------------------------
-
-def quotient_dims(ring, shifts, lead_monos, cutoff):
-    """dim_k per degree of (free module on shifts)/(monomial lead module)."""
-    from .colorcore import count_standard_monomials
-
-    dims = [0] * (cutoff + 1)
-    by_comp = {}
-    for exps, comp in lead_monos:
-        by_comp.setdefault(comp, []).append(exps)
-    for comp, shift in enumerate(shifts):
-        if shift > cutoff:
-            continue
-        local = count_standard_monomials(
-            ring.nvars, ring.degs, by_comp.get(comp, []), cutoff - shift)
-        for d, v in enumerate(local):
-            dims[d + shift] += v
-    return dims
-
 
 def hilbert_numerator(lead_exps, weights):
     """Numerator N with HS(k[v]/I) = N(t)/prod(1-t^w) for monomial I.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .colorcore import Poly, RingSpec, parse_poly, poly_to_string
-from .koszul import koszul_algebra
+from .koszul import koszul_algebra, standard_monomials
 from .linalg import Echelon
 from .qgrobner import (
     buchberger,
@@ -680,14 +680,8 @@ class BettiTable:
 def _r_basis_per_degree(spec, dmax):
     """Standard monomials of R, as lists per degree 0..dmax, each in the
     order of ``monomials_of_degree``."""
-    from .koszul import monomials_of_degree
-
-    out = []
-    for d in range(dmax + 1):
-        monos = [e for e in monomials_of_degree(spec.qring, d)
-                 if not _reducible(spec, e)]
-        out.append(monos)
-    return out
+    return [standard_monomials(spec.qring, d, spec.rel_exps)
+            for d in range(dmax + 1)]
 
 
 def _reducible(spec, exps):

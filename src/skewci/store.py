@@ -6,6 +6,9 @@ the module presentation:
 * the certified finite Koszul resolution (``KoszulComplex``) of a module;
 * the presentation of Ext_R(M, k) over k[theta] (``ThetaModule``) at a t.
 
+The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
+builds, one per ring.
+
 A store keeps an in-memory layer and, when it has a directory, a disk
 layer of hash-verified JSON files written atomically; a corrupt file is
 counted and its object rebuilt.  ``current()`` is the store in use:
@@ -99,6 +102,16 @@ class ResolutionCache:
             "theta", self._key(module, kind="theta", t=t),
             lambda: operators.ext_over_theta(self.get_or_build(module), t),
             _theta_to_json, lambda doc: _theta_from_json(module.spec, doc))
+
+    def module_basis(self, module: ModulePresentation):
+        """Standard-monomial data of module, kept in memory only: one
+        Buchberger run rebuilds it, and it is the same for every resolution
+        over the ring."""
+        key = self._key(module, kind="basis")
+        basis = self._memory.get(key)
+        if basis is None:
+            basis = self._memory[key] = operators.ModuleBasis(module)
+        return basis
 
     def _get(self, prefix, key, build, dump, load):
         obj = self._memory.get(key)

@@ -278,3 +278,36 @@ def test_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
                                "the kernel module")
     assert "Traceback" not in captured.err + captured.out
     assert captured.out.count(report["error"]) == 1
+
+
+def test_default_windows_are_reported():
+    # each command reports the windows it ran with, defaults included
+    cases = [
+        ("ext", {"module": "M"}, {"cmax": 6, "dmax": 8, "jmin": -8}),
+        ("hh", {}, {"cmax": 6, "dmax": 8}),
+        ("betti", {"module": "M"}, {"imax": 6, "dmax": 14}),
+        ("arc", {"module": "M"}, {"r": 0, "window": 4}),
+        ("ext", {"module": "M", "cmax": 3, "dmax": 2},
+         {"cmax": 3, "dmax": 2, "jmin": -2}),
+    ]
+    for command, params, windows in cases:
+        code, report, _ = run(example_config(command, params))
+        assert code == 0, command
+        assert report["windows"] == windows, (command, params)
+
+
+def test_importing_the_cli_leaves_dualpowers_unloaded():
+    import subprocess
+    import sys
+
+    import skewci
+
+    src = os.path.dirname(os.path.dirname(skewci.__file__))
+    code = ("import sys, skewci.cli; "
+            "assert 'skewci.dualpowers' not in sys.modules; "
+            "from skewci import verify_appendix; "
+            "assert 'skewci.dualpowers' in sys.modules")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ import json
 import random
 from pathlib import Path
 
-from skewci.colorcore import RingSpec
+from skewci.colorcore import RingSpec, validate_ring
 from skewci.operators import (
     build_operator_complex,
     braided_hh,
@@ -533,3 +533,144 @@ def test_theta_hilbert_series_matches_slice_homology():
             table = homology_bigraded(build_operator_complex(cx, k), imax,
                                       jmax, want_actions=False)
             assert table.ext_dims(imax) == series, (spec.m, mod.name)
+
+
+def _closed_form_rings():
+    """Five shapes for the _SelfE closed forms: m in {5, 7, 9, 12}, c <= 3,
+    one cubic relation."""
+    specs = [
+        RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                 relations=["x1^2", "x2^2", "x3^2"]),
+        RingSpec(3, 7, [[0, 1, 3], [-1, 0, 2], [-3, -2, 0]],
+                 relations=["x1^2", "x3^2"]),
+        RingSpec(2, 9, [[0, 2], [-2, 0]], relations=["x1^3", "x2^2"]),
+        RingSpec(4, 12, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 1],
+                         [-3, -5, -1, 0]],
+                 relations=["x1^2", "x2^2", "x3^2"]),
+        RingSpec(3, 12, [[0, 5, 3], [-5, 0, 4], [-3, -4, 0]],
+                 relations=["x2^2"]),
+    ]
+    for spec in specs:
+        assert validate_ring(spec).ok, spec
+    return specs
+
+
+def _generic_self_e(ctx, spec, sym):
+    """dx, lam_i, lamp_i and x_l-multiplication of u = x^alpha e_S through
+    the generic DGAlgebra.mul/diff, as ordered item lists."""
+    one = spec.one()
+    u = {(sym[0], sym[1], ()): one}
+
+    def strip(elt):
+        return [((e, s), c) for (e, s, _h), c in elt.items()]
+
+    out = {"dx": strip(ctx.diff(u))}
+    ucolor = ctx.term_color((sym[0], sym[1], ()))
+    for i in range(spec.c):
+        # (1 (x) e_i) . u = (-1)^{|u|} chi(f_i, u) u e_i
+        scal = spec.qring.chi(spec.cf[i], ucolor)
+        if bin(sym[1]).count("1") % 2:
+            scal = -scal
+        prod = ctx.mul(u, ctx.term(smask=1 << i))
+        out[("lam", i)] = strip({k: v * scal for k, v in prod.items()})
+        out[("lamp", i)] = strip(ctx.mul(ctx.term(smask=1 << i), u))
+    for l in range(spec.n):
+        delta = tuple(1 if k == l else 0 for k in range(spec.n))
+        out[("xmul", l)] = strip(ctx.mul(ctx.term(exps=delta), u))
+    return out
+
+
+def test_self_e_closed_forms_match_generic_products():
+    from skewci.operators import _SelfE
+
+    total = 0
+    for spec in _closed_form_rings():
+        x = _SelfE(spec)
+        ctx = x.ctx
+        nontrivial = 0
+        for hx in range(spec.c + 1):
+            for ideg in range(8):
+                for sym in x.symbols(hx, ideg):
+                    got = {"dx": list(x.dx(sym).items())}
+                    for i in range(spec.c):
+                        got[("lam", i)] = list(x.lam(i, sym).items())
+                        got[("lamp", i)] = list(x.lamp(i, sym).items())
+                    for l in range(spec.n):
+                        got[("xmul", l)] = list(x.xmul(l, sym).items())
+                    want = _generic_self_e(ctx, spec, sym)
+                    assert got == want, (spec, sym)
+                    nontrivial += any(not c.is_rational()
+                                      for part in want.values()
+                                      for _k, c in part)
+                    total += 1
+        assert nontrivial, spec
+    assert total > 1500
+
+
+def _scan_compose(x, sym, matrix, layer):
+    """alpha o matrix by a scan of every matrix entry, each term twisted by
+    chi(sigma, x^beta) C(x^beta, x^nexps) and reduced in N."""
+    p, b, (nexps, comp) = sym
+    ring = x.spec.qring
+    sigma = x._sigma(sym)
+    out = {}
+    for (row, col), poly in matrix.items():
+        if row != b:
+            continue
+        for exps, c in poly.items():
+            scal = (c * ring.chi(sigma, ring.color(exps))
+                    * ring.cpair(exps, nexps))
+            key = (tuple(a + e for a, e in zip(exps, nexps)), comp)
+            for k2, c2 in x.nb.term_normal_form(key, scal).items():
+                add_term(out, (layer, col, k2), c2)
+    return out
+
+
+def test_row_indexed_compose_matches_matrix_scan():
+    from skewci.operators import _HomIntoModule, ModuleBasis
+
+    m5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                  relations=["x1^2", "x2^2"])
+    # x3 g0 + x1 g1 + x2 g2 = 0: normal forms with two terms
+    tangled = ModulePresentation.from_json(m5, {
+        "gens": [{"degree": 0, "color": [1, 1, 0]},
+                 {"degree": 0, "color": [0, 1, 1]},
+                 {"degree": 0, "color": [1, 0, 1]}],
+        "relations": [["x3", "x1", "x2"]]})
+    cases = []
+    for spec in fixture_rings() + [m5]:
+        k = ModulePresentation.residue_field(spec)
+        rx = ModulePresentation.cyclic(spec, ["x1"])
+        targets = [k, rx] + ([tangled] if spec is m5 else [])
+        for source in (k, rx):
+            cx = finite_koszul_resolution(source)
+            cases += [(cx, target) for target in targets]
+    seen = {"dx": 0, "lam": 0, "twisted": 0}
+    for cx, target in cases:
+        spec = cx.spec
+        x = _HomIntoModule(cx, ModuleBasis(target))
+        for p in range(len(cx.basis)):
+            for idegx in range(-8, 5):
+                for sym in x.symbols(-p, idegx):
+                    sigma = x._sigma(sym)
+                    want = {}
+                    if p + 1 < len(cx.basis) and cx.diff[p + 1]:
+                        sign = -spec.one() if p % 2 == 0 else spec.one()
+                        want = {k: v * sign for k, v in _scan_compose(
+                            x, sym, cx.diff[p + 1], p + 1).items()}
+                    assert list(x.dx(sym).items()) == list(want.items())
+                    seen["dx"] += bool(want)
+                    for i in range(spec.c):
+                        want = {}
+                        if p >= 1 and cx.eact[i][p - 1]:
+                            scal = spec.qring.chi(spec.cf[i], sigma)
+                            if p % 2:
+                                scal = -scal
+                            want = {k: v * scal for k, v in _scan_compose(
+                                x, sym, cx.eact[i][p - 1], p - 1).items()}
+                        assert list(x.lam(i, sym).items()) \
+                            == list(want.items())
+                        seen["lam"] += bool(want)
+                        seen["twisted"] += any(not c.is_rational()
+                                               for c in want.values())
+    assert all(seen.values()), seen

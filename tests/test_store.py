@@ -185,3 +185,22 @@ def test_unreadable_entry_counts_as_corrupt(tmp_path, kind):
     else:
         cache.theta_module(mod, t)
     assert cache.stats()["corrupt"] == 1
+
+
+def test_one_residue_field_basis_per_ring_within_a_store(monkeypatch):
+    built = []
+
+    class CountedBasis(operators.ModuleBasis):
+        def __init__(self, module):
+            built.append(module.name)
+            super().__init__(module)
+
+    monkeypatch.setattr(operators, "ModuleBasis", CountedBasis)
+    spec = example_ring()
+    t = compute_t(spec)
+    cache = ResolutionCache(None)
+    with store.using(cache):
+        for quotient in (["x1"], ["x2"], ["x1", "x2"]):
+            cache.theta_module(ModulePresentation.cyclic(spec, quotient), t)
+    assert built == ["k"]
+    assert cache.stats()["misses"] == 6

@@ -38,12 +38,12 @@ def _parse_window(text):
     out = {}
     if not text:
         return out
-    mapping = {"c": "cmax", "D": "dmax", "h": "hmax", "j": "jmin"}
+    mapping = {"c": "cmax", "D": "dmax", "j": "jmin"}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in mapping:
-            raise JobError(f"unknown window key {key!r} (use c=, D=, h=)")
+            raise JobError(f"unknown window key {key!r} (use c=, D=, j=)")
         try:
             out[mapping[key]] = int(value)
         except ValueError:
@@ -100,7 +100,7 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
         "ring": spec.to_json(),
         "semantics": semantics,
         "windows": {k: v for k, v in params.items()
-                    if k in ("cmax", "dmax", "hmax", "imax", "jmin",
+                    if k in ("cmax", "dmax", "imax", "jmin",
                              "window", "bound", "r")},
     }
     lines = [f"ring: {spec!r}", f"command: {command}"]

@@ -517,29 +517,48 @@ def _series_coeffs(numer_factors, denom_factors, cutoff):
     return coeffs
 
 
-def count_standard_monomials(n, degs, lead_exps, cutoff):
-    """dim_k of Q/(monomial ideal) per degree 0..cutoff."""
-    dims = [0] * (cutoff + 1)
+def monomials_of_degree(ring, deg):
+    """All exponent vectors of weighted internal degree exactly deg."""
+    return standard_monomials(ring, deg, ())
+
+
+def standard_monomials(ring, deg, leads):
+    """Exponent vectors of weighted degree deg that no lead divides, in
+    ascending lexicographic order.
+
+    Each lead is tested at the last coordinate of its support: once the
+    fixed prefix is divisible by it, so is every completion and every larger
+    value of that coordinate, so the walk leaves the coordinate there.
+    """
+    out = []
+    if deg < 0:
+        return out
+    n = ring.nvars
+    closing = [[] for _ in range(n)]
+    for lead in leads:
+        support = [k for k, e in enumerate(lead) if e]
+        if not support:
+            return out
+        closing[support[-1]].append(lead)
     exps = [0] * n
 
-    def rec(i, deg):
-        if deg > cutoff:
-            return
+    def walk(i, rem):
         if i == n:
-            for lead in lead_exps:
-                if all(exps[k] >= lead[k] for k in range(n)):
-                    return
-            dims[deg] += 1
+            if rem == 0:
+                out.append(tuple(exps))
             return
         e = 0
-        while deg + e * degs[i] <= cutoff:
+        while e * ring.degs[i] <= rem:
             exps[i] = e
-            rec(i + 1, deg + e * degs[i])
+            if closing[i] and any(all(a >= b for a, b in zip(exps, lead))
+                                  for lead in closing[i]):
+                break
+            walk(i + 1, rem - e * ring.degs[i])
             e += 1
         exps[i] = 0
 
-    rec(0, 0)
-    return dims
+    walk(0, deg)
+    return out
 
 
 def validate_ring(spec: RingSpec, cutoff=None) -> ValidationReport:
@@ -568,8 +587,8 @@ def validate_ring(spec: RingSpec, cutoff=None) -> ValidationReport:
     if cutoff is None:
         cutoff = 2 * sum(spec.df) if spec.c else 2
     expected = _series_coeffs(spec.df, spec.degrees, cutoff)
-    actual = count_standard_monomials(
-        spec.n, spec.degrees, spec.rel_exps, cutoff)
+    actual = [len(standard_monomials(spec.qring, d, spec.rel_exps))
+              for d in range(cutoff + 1)]
     for d in range(cutoff + 1):
         if expected[d] != actual[d]:
             messages.append(

@@ -257,7 +257,7 @@ class AppendixReport:
 
 
 def _exps_up_to(spec, bound):
-    from .koszul import monomials_of_degree
+    from .colorcore import monomials_of_degree
 
     out = []
     for d in range(bound + 1):

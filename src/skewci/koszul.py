@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .colorcore import RingSpec, count_standard_monomials
+from .colorcore import RingSpec, monomials_of_degree, standard_monomials
 from .linalg import Echelon
 from .scalars import CycScalar
 from .sparse import add_scaled, add_term
@@ -261,50 +261,6 @@ def _bits(mask):
     return out
 
 
-def monomials_of_degree(ring, deg):
-    """All exponent vectors of weighted internal degree exactly deg."""
-    return standard_monomials(ring, deg, ())
-
-
-def standard_monomials(ring, deg, leads):
-    """Exponent vectors of weighted degree deg that no lead divides, in
-    ascending lexicographic order.
-
-    Each lead is tested at the last coordinate of its support: once the
-    fixed prefix is divisible by it, so is every completion and every larger
-    value of that coordinate, so the walk leaves the coordinate there.
-    """
-    out = []
-    if deg < 0:
-        return out
-    n = ring.nvars
-    closing = [[] for _ in range(n)]
-    for lead in leads:
-        support = [k for k, e in enumerate(lead) if e]
-        if not support:
-            return out
-        closing[support[-1]].append(lead)
-    exps = [0] * n
-
-    def walk(i, rem):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(exps))
-            return
-        e = 0
-        while e * ring.degs[i] <= rem:
-            exps[i] = e
-            if closing[i] and any(all(a >= b for a, b in zip(exps, lead))
-                                  for lead in closing[i]):
-                break
-            walk(i + 1, rem - e * ring.degs[i])
-            e += 1
-        exps[i] = 0
-
-    walk(0, deg)
-    return out
-
-
 # -- the standard contexts ---------------------------------------------------
 
 def koszul_algebra(spec: RingSpec) -> DGAlgebra:
@@ -462,7 +418,8 @@ def verify_diagonal_resolution(spec: RingSpec, dmax: int,
     # internal degree bounds homological degree: every e, e', y carries
     # internal degree >= min(df) and homological degree <= 2 per unit
     hmax = (2 * dmax) // min(spec.df) if spec.c else 0
-    r_dims = count_standard_monomials(spec.n, spec.degrees, spec.rel_exps, dmax)
+    r_dims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
+              for d in range(dmax + 1)]
     dims = homology_dims_of_context(ctx, hmax, dmax)
     failures = []
     for (h, d), v in sorted(dims.items()):

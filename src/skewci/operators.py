@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 
-from .colorcore import RingSpec
-from .koszul import koszul_algebra, monomials_of_degree, standard_monomials
+from .colorcore import RingSpec, monomials_of_degree, standard_monomials
+from .koszul import koszul_algebra
 from .linalg import Echelon, kernel_basis, rank
 from .qgrobner import (
     buchberger,
@@ -471,12 +471,11 @@ class OperatorComplex:
         """(dx, [lam_i - lam_i' for each i]) of one X-symbol, zeros dropped."""
         part = self._xparts.get(xsym)
         if part is None:
-            dx = {}
-            add_scaled(dx, self.x.dx(xsym))
+            # every X interface returns fresh dicts without zero entries
+            dx = self.x.dx(xsym)
             ops = []
             for i in range(self.spec.c):
-                op = {}
-                add_scaled(op, self.x.lam(i, xsym))
+                op = self.x.lam(i, xsym)
                 for xk, c in self.x.lamp(i, xsym).items():
                     add_term(op, xk, -c)
                 ops.append(op)
@@ -771,8 +770,6 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
     The expected bigraded dimension at (i, j) is the number of pairs
     (w, monomial of R) with 2|w| = i and deg = sum w df - j.
     """
-    from .colorcore import count_standard_monomials
-
     opcx = build_operator_complex(spec, "self-E")
     maxdf = max(spec.df) if spec.c else 0
     jmax = (cmax // 2 + spec.c) * maxdf
@@ -781,8 +778,8 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
     table = homology_bigraded(opcx, cmax, jmax, imin=imin, jmin=jmin,
                               want_actions=False)
     rcut = jmax + dmax
-    rdims = count_standard_monomials(spec.n, spec.degrees, spec.rel_exps,
-                                     rcut)
+    rdims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
+             for d in range(rcut + 1)]
     mismatches = []
     for i in range(imin, cmax + 1):
         for j in range(jmin, jmax + 1):

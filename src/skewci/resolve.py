@@ -20,8 +20,14 @@ from __future__ import annotations
 
 import json
 
-from .colorcore import Poly, RingSpec, parse_poly, poly_to_string
-from .koszul import koszul_algebra, standard_monomials
+from .colorcore import (
+    Poly,
+    RingSpec,
+    parse_poly,
+    poly_to_string,
+    standard_monomials,
+)
+from .koszul import koszul_algebra
 from .linalg import Echelon
 from .qgrobner import (
     buchberger,
@@ -177,15 +183,21 @@ class ModulePresentation:
 class SemifreeResolution:
     """F = (+) E.g over the generators, with d(g) recorded per generator.
 
-    F-elements are dicts {(exps, odd bitmask, gen index): scalar}.
+    F-elements are dicts {(exps, odd bitmask, gen index): scalar}.  Starts
+    with the degree-0 generators of the normalized module; each ``stage``
+    adjoins the generators of the next homological degree.
+    ``images[h]`` (h >= 1) holds d of each ``basis(h)`` label as a Q-vector
+    over ``basis(h - 1)``, in ``basis(h)`` order.
     """
 
-    def __init__(self, spec, module: ModulePresentation):
-        self.spec = spec
-        self.module = module
-        self.ctx = koszul_algebra(spec)
-        self.gens = []    # (hdeg, ideg, color)
-        self.dgen = []    # F-element, one per generator
+    def __init__(self, module: ModulePresentation):
+        self.module = module.normalized()
+        self.spec = module.spec
+        self.ctx = koszul_algebra(self.spec)
+        # (hdeg, ideg, color) and the F-element d(g), one per generator
+        self.gens = [(0, d, c) for d, c in self.module.gens]
+        self.dgen = [{} for _ in self.gens]
+        self.images = [None]
 
     # -- element operations ----------------------------------------------
 
@@ -250,93 +262,76 @@ class SemifreeResolution:
         return sorted(out, key=lambda t: (t[1], t[0]))
 
     def label_data(self, smask, g):
-        hdeg = self.gens[g][0] + bin(smask).count("1")
+        """(internal degree, color) of a basis label."""
         key = (self.spec.qring.zero_exp(), smask, g)
-        return hdeg, self.term_ideg(key), self.term_color(key)
+        return self.term_ideg(key), self.term_color(key)
 
-    def to_qvec(self, felt, index):
-        """Rewrite an F-element over components from the index map."""
-        out = {}
-        for (alpha, smask, g), c in felt.items():
-            comp = index[(smask, g)]
-            out[(alpha, comp)] = c
-        return out
-
-    def from_qvec(self, qvec, basis_list):
-        out = {}
-        for (alpha, comp), c in qvec.items():
+    def _vec_ideg_color(self, qvec, basis_list):
+        data = set()
+        for (alpha, comp), _ in qvec.items():
             smask, g = basis_list[comp]
-            out[(alpha, smask, g)] = c
-        return out
+            key = (alpha, smask, g)
+            data.add((self.term_ideg(key), self.term_color(key)))
+        if len(data) != 1:
+            raise ValueError("inhomogeneous cycle encountered")
+        return data.pop()
 
+    # -- the degreewise construction ---------------------------------------
 
-def _vec_ideg_color(res: SemifreeResolution, qvec, basis_list):
-    data = set()
-    for (alpha, comp), _ in qvec.items():
-        smask, g = basis_list[comp]
-        key = (alpha, smask, g)
-        data.add((res.term_ideg(key), res.term_color(key)))
-    if len(data) != 1:
-        raise ValueError("inhomogeneous cycle encountered")
-    return data.pop()
+    def stage(self):
+        """Adjoin the generators of degree p + 1, p the stages run so far.
 
-
-def semifree_resolution(module: ModulePresentation, hmax: int,
-                        spec=None) -> SemifreeResolution:
-    """E-semifree resolution of the module, built through degree hmax.
-
-    At each homological stage the kernel is computed exactly (syzygies over
-    Q) and a minimal generating set of the homology is adjoined in the next
-    degree, cycle representatives sorted by internal degree then position.
-    """
-    spec = spec or module.spec
-    module = module.normalized()
-    res = SemifreeResolution(spec, module)
-    ring = spec.qring
-    one = CycScalar.one(spec.m)
-    for d, c in module.gens:
-        res.gens.append((0, d, c))
-        res.dgen.append({})
-
-    for p in range(hmax):
-        basis_p = res.basis(p)
+        The cycles at p (the module relations and boundaries when p = 0) are
+        computed exactly (syzygies over Q), and a minimal generating set of
+        the homology is adjoined, cycle representatives sorted by internal
+        degree then position.  Each label's image is computed here once.
+        """
+        ring = self.spec.qring
+        zero, one = ring.zero_exp(), CycScalar.one(self.spec.m)
+        p = len(self.images) - 1
+        basis_p = self.basis(p)
         index_p = {lab: i for i, lab in enumerate(basis_p)}
-        basis_p1 = res.basis(p + 1)
-        bcols = []
-        for smask, g in basis_p1:
-            img = res.fdiff({(ring.zero_exp(), smask, g): one})
-            bcols.append(res.to_qvec(img, index_p))
+        # labels of degree p + 1 over the generators already present
+        images = []
+        for smask, g in self.basis(p + 1):
+            img = self.fdiff({(zero, smask, g): one})
+            images.append({(alpha, index_p[(tmask, tg)]): c
+                           for (alpha, tmask, tg), c in img.items()})
         if p == 0:
-            zcols = [dict(col) for col in module.relations]
-            zcols += [dict(col) for col in bcols]
+            zcols = self.module.relations + images
         else:
-            basis_pm1 = res.basis(p - 1)
-            index_pm1 = {lab: i for i, lab in enumerate(basis_pm1)}
-            dcols = []
-            for smask, g in basis_p:
-                img = res.fdiff({(ring.zero_exp(), smask, g): one})
-                dcols.append(res.to_qvec(img, index_pm1))
-            zcols = syzygy_module(dcols, ring)
-        if not zcols:
-            continue
-        zcols = sorted(
-            zcols,
-            key=lambda v: (_vec_ideg_color(res, v, basis_p)[0],
-                           sorted(v.keys())))
-        gb = buchberger(zcols, ring, want_lifts=True, want_syzygies=True)
-        rel_cols = []
-        for b in bcols:
-            lift = gb.lift_to_inputs(b)
-            if lift is None:
-                raise AssertionError("boundary outside the cycle module")
-            rel_cols.append(lift)
-        rel_cols += [dict(s) for s in gb.syzygies]
-        kept, _cols, _proj = minimalize_presentation(
-            len(zcols), rel_cols, ring)
-        for k in kept:
-            ideg, color = _vec_ideg_color(res, zcols[k], basis_p)
-            res.gens.append((p + 1, ideg, color))
-            res.dgen.append(res.from_qvec(zcols[k], basis_p))
+            zcols = syzygy_module(self.images[p], ring)
+        if zcols:
+            zcols = sorted(
+                zcols,
+                key=lambda v: (self._vec_ideg_color(v, basis_p)[0],
+                               sorted(v.keys())))
+            gb = buchberger(zcols, ring, want_lifts=True, want_syzygies=True)
+            rel_cols = []
+            for b in images:
+                lift = gb.lift_to_inputs(b)
+                if lift is None:
+                    raise AssertionError("boundary outside the cycle module")
+                rel_cols.append(lift)
+            rel_cols += gb.syzygies
+            kept, _cols, _proj = minimalize_presentation(
+                len(zcols), rel_cols, ring)
+            for k in kept:
+                ideg, color = self._vec_ideg_color(zcols[k], basis_p)
+                self.gens.append((p + 1, ideg, color))
+                self.dgen.append({(alpha, *basis_p[comp]): c
+                                  for (alpha, comp), c in zcols[k].items()})
+                # a new generator's label sorts after every older one
+                images.append(zcols[k])
+        self.images.append(images)
+
+
+def semifree_resolution(module: ModulePresentation,
+                        hmax: int) -> SemifreeResolution:
+    """E-semifree resolution of the module, built through degree hmax."""
+    res = SemifreeResolution(module)
+    for _ in range(hmax):
+        res.stage()
     return res
 
 
@@ -383,7 +378,7 @@ class KoszulComplex:
 
     # -- applying matrices with color bookkeeping -------------------------
 
-    def apply_matrix(self, matrix, map_color, vec, ncols_basis=None):
+    def apply_matrix(self, matrix, map_color, vec):
         """Apply a matrix of a color-homogeneous map to a Q-vector.
 
         vec: {(exps, col): scalar}; a map of color sigma satisfies
@@ -551,65 +546,56 @@ class TruncationError(RuntimeError):
     """Raised when no free cokernel is reached inside the allowed range."""
 
 
-def finite_koszul_resolution(module: ModulePresentation, hmax=None,
-                             verify=True) -> KoszulComplex:
+def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
     """Bounded complex of finite free Q-modules, strict E-action, = M.
 
-    Builds the semifree resolution far enough, truncates at the first
-    homological degree where the cokernel of the incoming differential is
-    Q-free (certified by presentation minimalization), and re-verifies all
-    structure identities and exactness on the finite object.
+    Builds the semifree resolution one degree at a time and truncates at the
+    first homological degree where the cokernel of the incoming differential
+    is Q-free (certified by presentation minimalization), then re-verifies
+    all structure identities and exactness on the finite object.
     """
-    spec = module.spec
-    module = module.normalized()
-    if hmax is None:
-        hmax = spec.n + 2
-    res = semifree_resolution(module, hmax)
-    ring = spec.qring
-    one = CycScalar.one(spec.m)
-
-    for cut in range(1, hmax):
-        basis_cut = res.basis(cut)
-        index_cut = {lab: i for i, lab in enumerate(basis_cut)}
-        above = res.basis(cut + 1)
-        bcols = []
-        for smask, g in above:
-            img = res.fdiff({(ring.zero_exp(), smask, g): one})
-            bcols.append(res.to_qvec(img, index_cut))
+    res = SemifreeResolution(module)
+    ring = res.spec.qring
+    top = res.spec.n + 2
+    res.stage()
+    for cut in range(1, top):
+        res.stage()
         kept, leftover, proj = minimalize_presentation(
-            len(basis_cut), bcols, ring)
+            len(res.basis(cut)), res.images[cut + 1], ring)
         if any(leftover):
             continue
         complex_ = _assemble_truncation(res, cut, kept, proj)
-        if verify:
-            errors = complex_.verify_invariants()
-            errors += complex_.verify_exactness()
-            if errors:
-                raise AssertionError(
-                    f"truncation at {cut} failed certification: {errors}")
+        errors = complex_.verify_invariants() + complex_.verify_exactness()
+        if errors:
+            raise AssertionError(
+                f"truncation at {cut} failed certification: {errors}")
         return complex_
     raise TruncationError(
-        f"no free cokernel reached up to homological degree {hmax}; "
-        "increase hmax")
+        f"no free cokernel reached up to homological degree {top}")
+
+
+def _matrix(columns):
+    """{(row, col): poly terms} from Q-vector columns {(exps, row): scalar}."""
+    mat = {}
+    for cidx, vec in enumerate(columns):
+        for (alpha, row), c in vec.items():
+            add_term(mat.setdefault((row, cidx), {}), alpha, c)
+    return {k: v for k, v in mat.items() if v}
 
 
 def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
+    """F_0 .. F_cut with F_cut replaced by the free cokernel on ``kept``;
+    ``proj`` writes each F_cut component over the kept ones."""
     spec = res.spec
     ring = spec.qring
     one = CycScalar.one(spec.m)
-    layers = []
-    labels = []
-    for h in range(cut):
-        bas = res.basis(h)
-        labels.append(bas)
-        layers.append([res.label_data(s, g)[1:] for s, g in bas])
     top_basis = res.basis(cut)
-    top_index = {lab: i for i, lab in enumerate(top_basis)}
-    top_labels = [top_basis[k] for k in kept]
-    labels.append(top_labels)
-    layers.append([res.label_data(s, g)[1:] for s, g in top_labels])
-
-    index = [{lab: i for i, lab in enumerate(layer)} for layer in labels]
+    labels = [res.basis(h) for h in range(cut)]
+    labels.append([top_basis[k] for k in kept])
+    layers = [[res.label_data(s, g) for s, g in bas] for bas in labels]
+    # the top layer is indexed over all of F_cut, then projected
+    index = [{lab: i for i, lab in enumerate(bas)}
+             for bas in labels[:cut] + [top_basis]]
     remap_top = {orig: new for new, orig in enumerate(kept)}
 
     def project_top(qvec):
@@ -619,39 +605,22 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
             add_scaled(out, poly_mul_vector(ring, {alpha: c}, proj[comp]))
         return {(e, remap_top[comp]): v for (e, comp), v in out.items()}
 
-    diff = [None]
-    for h in range(1, cut + 1):
-        mat = {}
-        source = labels[h]
-        target_index = index[h - 1]
-        for cidx, (smask, g) in enumerate(source):
-            img = res.fdiff({(ring.zero_exp(), smask, g): one})
-            for (alpha, tmask, tg), c in img.items():
-                row = target_index[(tmask, tg)]
-                add_term(mat.setdefault((row, cidx), {}), alpha, c)
-        diff.append({k: v for k, v in mat.items() if v})
+    diff = [None] + [_matrix(res.images[h]) for h in range(1, cut)]
+    diff.append(_matrix([res.images[cut][k] for k in kept]))
 
     eact = []
     for i in range(spec.c):
         family = []
-        for h in range(cut + 1):
-            if h + 1 > cut:
-                family.append(None)
-                continue
-            mat = {}
-            source = labels[h]
-            # the top layer is indexed over all of F_cut, then projected
-            tindex = top_index if h + 1 == cut else index[h + 1]
-            for cidx, (smask, g) in enumerate(source):
+        for h in range(cut):
+            columns = []
+            for smask, g in labels[h]:
                 img = res.emul(res.ctx.term(smask=1 << i),
                                {(ring.zero_exp(), smask, g): one})
-                qvec = {(alpha, tindex[(tmask, tg)]): c
+                qvec = {(alpha, index[h + 1][(tmask, tg)]): c
                         for (alpha, tmask, tg), c in img.items()}
-                if h + 1 == cut:
-                    qvec = project_top(qvec)
-                for (alpha, row), c in qvec.items():
-                    add_term(mat.setdefault((row, cidx), {}), alpha, c)
-            family.append({k: v for k, v in mat.items() if v})
+                columns.append(project_top(qvec) if h + 1 == cut else qvec)
+            family.append(_matrix(columns))
+        family.append(None)
         eact.append(family)
 
     return KoszulComplex(spec, layers, diff, eact, res.module)

@@ -22,9 +22,13 @@ def example_config(command, params=None, modules=None):
 
 
 def test_window_parsing():
-    assert _parse_window("c=6,D=8,h=4") == {"cmax": 6, "dmax": 8, "hmax": 4}
+    assert _parse_window("c=6,D=8,j=-2") == {"cmax": 6, "dmax": 8, "jmin": -2}
     with pytest.raises(JobError):
         _parse_window("q=3")
+    # no construction bound is configurable: the resolution loop always
+    # stops at its first free cokernel
+    with pytest.raises(JobError):
+        _parse_window("h=4")
 
 
 def test_window_value_not_integer_exit_code(tmp_path, capsys):

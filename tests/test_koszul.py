@@ -1,16 +1,19 @@
 import itertools
 import random
 
-from skewci.colorcore import RingSpec, parse_poly
+from skewci.colorcore import (
+    RingSpec,
+    monomials_of_degree,
+    parse_poly,
+    standard_monomials,
+)
 from skewci.koszul import (
     diagonal_context,
     enveloping_algebra,
     koszul_algebra,
     koszul_diff,
     koszul_mul,
-    monomials_of_degree,
     phi_expand,
-    standard_monomials,
     verify_diagonal_resolution,
 )
 from skewci.scalars import CycScalar

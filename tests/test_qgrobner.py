@@ -4,9 +4,9 @@ from skewci.colorcore import (
     Poly,
     QRing,
     RingSpec,
-    count_standard_monomials,
     parse_poly,
     poly_to_string,
+    standard_monomials,
 )
 from skewci.linalg import rank
 from skewci.qgrobner import (
@@ -42,8 +42,9 @@ def quotient_dims(ring, shifts, lead_monos, cutoff):
     for comp, shift in enumerate(shifts):
         if shift > cutoff:
             continue
-        local = count_standard_monomials(
-            ring.nvars, ring.degs, by_comp.get(comp, []), cutoff - shift)
+        leads = by_comp.get(comp, [])
+        local = [len(standard_monomials(ring, d, leads))
+                 for d in range(cutoff - shift + 1)]
         for d, v in enumerate(local):
             dims[d + shift] += v
     return dims

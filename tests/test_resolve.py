@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from skewci.colorcore import RingSpec
 from skewci.resolve import (
     KoszulComplex,
     ModulePresentation,
@@ -194,3 +197,74 @@ def test_direct_sum_additivity_of_generator_counts():
     ca, cb, cd = counts(a), counts(b), counts(direct)
     for h in range(hmax + 1):
         assert cd.get(h, 0) == ca.get(h, 0) + cb.get(h, 0)
+
+
+_GOLDEN_RINGS = {
+    "n3c3m5": RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                       relations=["x1^2", "x2^2", "x3^2"]),
+    "n4c2m12": RingSpec(4, 12, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 1],
+                                [-3, -5, -1, 0]], relations=["x1^2", "x2^2"]),
+    "n3c3m1": RingSpec(3, 1, [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                       relations=["x1^2", "x2^2", "x3^2"]),
+    "n2c2m9": RingSpec(2, 9, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"]),
+}
+
+
+def _golden_modules(spec):
+    return (ModulePresentation.residue_field(spec),
+            ModulePresentation.cyclic(spec, ["x1"]),
+            ModulePresentation.cyclic(spec, ["x1*x2"]))
+
+
+def test_finite_resolutions_match_golden():
+    # the canonical JSON of F for k, R/(x1) and R/(x1x2) on four rings, one
+    # over Q(zeta_9); any change to a generator, its order or a matrix entry
+    # fails here
+    doc = {}
+    for name, spec in _GOLDEN_RINGS.items():
+        for mod in _golden_modules(spec):
+            cx = finite_koszul_resolution(mod)
+            doc[f"{name} {mod.name}"] = json.loads(cx.canonical_json())
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "data" / "resolutions.json"
+    assert text == golden.read_text()
+
+
+def test_each_label_differential_computed_once(monkeypatch):
+    # every basis label's image d(label) is shared by the cycle step, the
+    # cut test and the assembled complex, so fdiff sees each label once
+    from skewci import resolve
+
+    seen = []
+    fdiff = resolve.SemifreeResolution.fdiff
+
+    def recording(self, felt):
+        seen.append((id(self), tuple(sorted(felt))))
+        return fdiff(self, felt)
+
+    monkeypatch.setattr(resolve.SemifreeResolution, "fdiff", recording)
+    for spec in (example_ring(), three_var_ring(), _GOLDEN_RINGS["n3c3m5"]):
+        for mod in _golden_modules(spec):
+            seen.clear()
+            finite_koszul_resolution(mod)
+            assert seen and len(set(seen)) == len(seen), mod.name
+
+
+def test_no_semifree_stage_past_the_cut(monkeypatch):
+    # the cut at degree h needs the generators of degree h + 1 and no more
+    from skewci import resolve
+
+    built = []
+    assemble = resolve._assemble_truncation
+
+    def recording(res, cut, kept, proj):
+        built.append(res)
+        return assemble(res, cut, kept, proj)
+
+    monkeypatch.setattr(resolve, "_assemble_truncation", recording)
+    for spec in (example_ring(), three_var_ring(), _GOLDEN_RINGS["n3c3m5"]):
+        for mod in _golden_modules(spec):
+            built.clear()
+            cx = finite_koszul_resolution(mod)
+            top = max(h for h, _d, _c in built[0].gens)
+            assert top <= cx.length + 1, (mod.name, top, cx.length)

@@ -314,7 +314,8 @@ def _cmd_arc(spec, config, params, semantics):
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "
              f"{report.verdict}",
              f"  detail: {report.detail}"]
-    windows = {"r": r, "window": window}
+    jmin, jmax = report.jrange
+    windows = {"r": r, "window": window, "jmin": jmin, "jmax": jmax}
     return report.verdict != "fail", result, lines, windows
 
 
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="path for the JSON report")
     parser.add_argument("--window", default=None,
-                        help="window bounds, e.g. c=6,D=8,h=4")
+                        help="window bounds, e.g. c=6,D=8,j=-8")
     parser.add_argument("--semantics", choices=("fiber", "full"),
                         default="fiber",
                         help="support semantics (full is a flagged "

@@ -231,13 +231,6 @@ class Poly:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def internal_degree(self):
-        """Degree if homogeneous, else None."""
-        degs = {self.ring.deg(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def color(self):
         """Color vector if G-homogeneous, else None."""
         cols = {self.ring.color(e) for e in self.terms}

@@ -47,7 +47,10 @@ __all__ = [
 
 
 class ModuleBasis:
-    """Standard-monomial data for a finitely presented R-module N."""
+    """Standard-monomial data for a finitely presented R-module N, as a
+    Hom(F, -) target with one homological layer."""
+
+    top = 0
 
     def __init__(self, module: ModulePresentation):
         self.spec = module.spec
@@ -109,6 +112,78 @@ class ModuleBasis:
         exps, comp = key
         return self.spec.qring.deg(exps) + self.module.gens[comp][0]
 
+    def key_layer(self, key):
+        return 0
+
+
+class ComplexBasis:
+    """A complex G of free Q-modules as a Hom(F, -) target.
+
+    Keys are (gamma, g) meaning x^gamma g, where g numbers the labels of
+    every layer of G in turn; they are already normal forms.
+    """
+
+    def __init__(self, cx: KoszulComplex):
+        self.cx = cx
+        self.spec = cx.spec
+        self.top = len(cx.basis) - 1
+        self.labels = [(h, b) for h, layer in enumerate(cx.basis)
+                       for b in range(len(layer))]
+        self._index = {label: g for g, label in enumerate(self.labels)}
+        self._basis_cache = {}
+
+    def _label(self, g):
+        h, b = self.labels[g]
+        return self.cx.basis[h][b]
+
+    def basis_of_degree(self, d):
+        """Keys (gamma, g) of internal degree d, sorted."""
+        if d in self._basis_cache:
+            return self._basis_cache[d]
+        ring = self.spec.qring
+        out = sorted((gamma, g) for g in range(len(self.labels))
+                     for gamma in monomials_of_degree(
+                         ring, d - self._label(g)[0]))
+        self._basis_cache[d] = out
+        return out
+
+    def unit_normal_form(self, key):
+        return {key: CycScalar.one(self.spec.m)}
+
+    def term_normal_form(self, key, coeff):
+        return {key: coeff}
+
+    def key_color(self, key):
+        gamma, g = key
+        mono = self.spec.qring.color(gamma)
+        return tuple(a + b for a, b in zip(mono, self._label(g)[1]))
+
+    def key_ideg(self, key):
+        gamma, g = key
+        return self.spec.qring.deg(gamma) + self._label(g)[0]
+
+    def key_layer(self, key):
+        return self.labels[key[1]][0]
+
+    def apply_map(self, key, i):
+        """d_G (i None) or e_i^G applied to x^gamma g, which twists by
+        chi(f_i, gamma), as {key: scalar}."""
+        gamma, g = key
+        h, b = self.labels[g]
+        cx = self.cx
+        if i is None:
+            h2, color = h - 1, None
+            matrix = cx.diff[h] if h else None
+        else:
+            h2, color = h + 1, self.spec.cf[i]
+            matrix = cx.eact[i][h] if h < self.top else None
+        if not matrix:
+            return {}
+        out = cx.apply_matrix(matrix, color,
+                              {(gamma, b): CycScalar.one(self.spec.m)})
+        return {(exps, self._index[(h2, row)]): c
+                for (exps, row), c in out.items()}
+
 
 # -- X interfaces -------------------------------------------------------------
 # Each interface gives symbols, their degrees, dx, the two e-actions lam and
@@ -116,39 +191,47 @@ class ModuleBasis:
 # occupy, from which slices enumerate exactly the chi-weights that can occur.
 
 class _HomIntoModule:
-    """X = Hom_Q(F, N): symbols (p, b, nkey) meaning b* tensor nkey."""
+    """X = Hom_Q(F, T): symbols (p, b, key) meaning b* tensor key.
 
-    def __init__(self, cx: KoszulComplex, nbasis: ModuleBasis):
+    The target T is a ModuleBasis (a module N in layer 0) or a
+    ComplexBasis (a complex G in layers 0..top); a symbol has homological
+    degree layer(key) - p.  A target with top 0 has no maps: d_T and each
+    e_i^T are zero.
+    """
+
+    def __init__(self, cx: KoszulComplex, nbasis):
         self.cx = cx
         self.nb = nbasis
         self.spec = cx.spec
-        self.hx_range = (1 - len(cx.basis), 0)
+        self.hx_range = (1 - len(cx.basis), nbasis.top)
         self._units = _signed_zeta_powers(cx.spec.qring)
-        self._key_twists = {}     # nkey -> _twist_part of its color
+        self._key_twists = {}     # key -> _twist_part of its color
         self._label_twists = {}   # (p, b) -> _twist_part of its color
 
     def symbols(self, hx, idegx):
-        # hx = -p; idegx = ideg(nkey) - ideg(b)
-        p = -hx
-        if p < 0 or p >= len(self.cx.basis):
-            return []
+        # hx = layer(key) - p; idegx = ideg(key) - ideg(b)
+        nb = self.nb
         out = []
-        for b, (bd, _bc) in enumerate(self.cx.basis[p]):
-            for nkey in self.nb.basis_of_degree(idegx + bd):
-                out.append((p, b, nkey))
+        for p, labels in enumerate(self.cx.basis):
+            if not 0 <= hx + p <= nb.top:
+                continue
+            for b, (bd, _bc) in enumerate(labels):
+                out.extend((p, b, key)
+                           for key in nb.basis_of_degree(idegx + bd)
+                           if nb.key_layer(key) == hx + p)
         return out
 
     def hdeg(self, sym):
-        return -sym[0]
+        return self.nb.key_layer(sym[2]) - sym[0]
 
     def ideg(self, sym):
-        p, b, nkey = sym
-        return self.nb.key_ideg(nkey) - self.cx.basis[p][b][0]
+        p, b, key = sym
+        return self.nb.key_ideg(key) - self.cx.basis[p][b][0]
 
     def _sigma(self, sym):
-        p, b, nkey = sym
+        p, b, key = sym
         bc = self.cx.basis[p][b][1]
-        nc = self.nb.key_color(nkey)
+        nc = self.nb.key_color(key)
         return tuple(a - v for a, v in zip(nc, bc))
 
     def _twist_part(self, color, nexps):
@@ -162,18 +245,18 @@ class _HomIntoModule:
                 + tuple(ring.chi_exp(cf, color) for cf in self.spec.cf))
 
     def _twists(self, sym):
-        """Integer zeta-exponents t of the twists of sym = (p, b, nkey).
+        """Integer zeta-exponents t of the twists of sym = (p, b, key).
 
         A matrix term x^beta picks up chi(sigma, x^beta) C(x^beta, x^nexps)
         = zeta^(t[:n] . beta), and lam_i the factor chi(f_i, sigma) =
-        zeta^t[n + i].  Both are linear in sigma = color(nkey) - color(b),
-        so t is a part memoised per nkey minus one memoised per label b.
+        zeta^t[n + i].  Both are linear in sigma = color(key) - color(b),
+        so t is a part memoised per key minus one memoised per label b.
         """
-        p, b, nkey = sym
-        plus = self._key_twists.get(nkey)
+        p, b, key = sym
+        plus = self._key_twists.get(key)
         if plus is None:
-            plus = self._key_twists[nkey] = self._twist_part(
-                self.nb.key_color(nkey), nkey[0])
+            plus = self._key_twists[key] = self._twist_part(
+                self.nb.key_color(key), key[0])
         minus = self._label_twists.get((p, b))
         if minus is None:
             minus = self._label_twists[(p, b)] = self._twist_part(
@@ -192,7 +275,7 @@ class _HomIntoModule:
         out = {}
         for col, poly in self.cx.rows(h, i).get(b, ()):
             for exps, c in poly.items():
-                # value entry * nkey, reduced in N
+                # value entry * key, reduced in the target
                 nf = unit_nf((tuple(a + e for a, e in zip(exps, nexps)), comp))
                 if not nf:
                     continue
@@ -203,138 +286,40 @@ class _HomIntoModule:
                     add_term(out, (h, col, k2), c2 * scal)
         return out
 
-    def dx(self, sym):
-        p = sym[0]
-        if p + 1 >= len(self.cx.basis) or self.cx.diff[p + 1] is None:
+    def _postcompose(self, sym, i):
+        """d_T o alpha (i None) or e_i^T o alpha."""
+        if not self.nb.top:
             return {}
-        # d(alpha) = -(-1)^{|alpha|} alpha o dF with |alpha| = -p
-        return self._compose(sym, p + 1, None, p % 2 == 0)
+        p, b, key = sym
+        return {(p, b, k2): c for k2, c in self.nb.apply_map(key, i).items()}
+
+    def dx(self, sym):
+        # d(alpha) = d_T o alpha - (-1)^{|alpha|} alpha o dF
+        p = sym[0]
+        out = {}
+        if p + 1 < len(self.cx.basis) and self.cx.diff[p + 1] is not None:
+            out = self._compose(sym, p + 1, None, self.hdeg(sym) % 2 == 0)
+        add_scaled(out, self._postcompose(sym, None))
+        return out
 
     def lam(self, i, sym):
         p = sym[0]
         if p - 1 < 0 or not self.cx.eact[i][p - 1]:
             return {}
-        # (-1)^p chi(f_i, sigma) alpha o e_i
-        return self._compose(sym, p - 1, i, p % 2 == 1)
+        # (-1)^{|alpha|} chi(f_i, sigma) alpha o e_i
+        return self._compose(sym, p - 1, i, self.hdeg(sym) % 2 == 1)
 
     def lamp(self, i, sym):
-        return {}
+        return self._postcompose(sym, i)
 
     def xmul(self, l, sym):
-        p, b, nkey = sym
+        p, b, key = sym
         delta = tuple(1 if k == l else 0 for k in range(self.spec.n))
         ring = self.spec.qring
         nf = self.nb.term_normal_form(
-            (tuple(a + e for a, e in zip(delta, nkey[0])), nkey[1]),
-            ring.cpair(delta, nkey[0]))
+            (tuple(a + e for a, e in zip(delta, key[0])), key[1]),
+            ring.cpair(delta, key[0]))
         return {(p, b, k2): c2 for k2, c2 in nf.items()}
-
-
-class _HomIntoComplex:
-    """X = Hom_Q(F, G): symbols (pF, bF, pG, bG, gamma)."""
-
-    def __init__(self, cxf: KoszulComplex, cxg: KoszulComplex):
-        self.f = cxf
-        self.g = cxg
-        self.spec = cxf.spec
-        self.hx_range = (1 - len(cxf.basis), len(cxg.basis) - 1)
-
-    def symbols(self, hx, idegx):
-        ring = self.spec.qring
-        out = []
-        for pf in range(len(self.f.basis)):
-            pg = hx + pf
-            if pg < 0 or pg >= len(self.g.basis):
-                continue
-            for bf, (fd, _fc) in enumerate(self.f.basis[pf]):
-                for bg, (gd, _gc) in enumerate(self.g.basis[pg]):
-                    rem = idegx + fd - gd
-                    for gamma in monomials_of_degree(ring, rem):
-                        out.append((pf, bf, pg, bg, gamma))
-        return out
-
-    def hdeg(self, sym):
-        return sym[2] - sym[0]
-
-    def ideg(self, sym):
-        pf, bf, pg, bg, gamma = sym
-        return (self.g.basis[pg][bg][0] + self.spec.qring.deg(gamma)
-                - self.f.basis[pf][bf][0])
-
-    def _sigma(self, sym):
-        pf, bf, pg, bg, gamma = sym
-        fc = self.f.basis[pf][bf][1]
-        gc = self.g.basis[pg][bg][1]
-        mono = self.spec.qring.color(gamma)
-        return tuple(g + m - f for g, m, f in zip(gc, mono, fc))
-
-    def _postcompose(self, sym, matrix, new_pg, map_color):
-        """(matrix o alpha): apply a G-side map to the value."""
-        pf, bf, pg, bg, gamma = sym
-        vec = {(gamma, bg): CycScalar.one(self.spec.m)}
-        out = self.g.apply_matrix(matrix, map_color, vec)
-        return {(pf, bf, new_pg, nbg, nexps): c
-                for (nexps, nbg), c in out.items()}
-
-    def _precompose(self, sym, matrix, new_pf):
-        """(alpha o matrix) for matrix: F_new -> F_pf."""
-        pf, bf, pg, bg, gamma = sym
-        ring = self.spec.qring
-        sigma = self._sigma(sym)
-        out = {}
-        for (row, col), poly in matrix.items():
-            if row != bf:
-                continue
-            for exps, c in poly.items():
-                scal = c * ring.chi(sigma, ring.color(exps))
-                s, prod = ring.mono_mul(exps, gamma)
-                add_term(out, (new_pf, col, pg, bg, prod), scal * s)
-        return out
-
-    def dx(self, sym):
-        pf, bf, pg, bg, gamma = sym
-        spec = self.spec
-        out = {}
-        if 1 <= pg < len(self.g.diff) and self.g.diff[pg]:
-            out = self._postcompose(sym, self.g.diff[pg], pg - 1, None)
-        hx = pg - pf
-        if pf + 1 < len(self.f.basis) and self.f.diff[pf + 1]:
-            # d(alpha) = dG o alpha - (-1)^{|alpha|} alpha o dF
-            sign = -CycScalar.one(spec.m) if hx % 2 == 0 \
-                else CycScalar.one(spec.m)
-            add_scaled(out, self._precompose(sym, self.f.diff[pf + 1],
-                                             pf + 1), sign)
-        return out
-
-    def lam(self, i, sym):
-        pf, bf, pg, bg, gamma = sym
-        if pf - 1 < 0:
-            return {}
-        mat = self.f.eact[i][pf - 1]
-        if not mat:
-            return {}
-        hx = pg - pf
-        scal = self.spec.qring.chi(self.spec.cf[i], self._sigma(sym))
-        if hx % 2 == 1:
-            scal = -scal
-        out = self._precompose(sym, mat, pf - 1)
-        return {k: v * scal for k, v in out.items()}
-
-    def lamp(self, i, sym):
-        pf, bf, pg, bg, gamma = sym
-        if pg + 1 >= len(self.g.basis):
-            return {}
-        mat = self.g.eact[i][pg]
-        if not mat:
-            return {}
-        return self._postcompose(sym, mat, pg + 1, self.spec.cf[i])
-
-    def xmul(self, l, sym):
-        pf, bf, pg, bg, gamma = sym
-        ring = self.spec.qring
-        delta = tuple(1 if k == l else 0 for k in range(self.spec.n))
-        s, prod = ring.mono_mul(delta, gamma)
-        return {(pf, bf, pg, bg, prod): s}
 
 
 class _SelfE:
@@ -487,7 +472,8 @@ class OperatorComplex:
 
         kind "d": the chi_i term of the differential, prod_{t>i}
         chi(f_t, f_i)^w_t; "chi": left chi_i-multiplication, prod_{t<i}
-        chi(f_i, f_t)^w_t; "x": x_i moved past chi^w, prod_t chi(f_t, e_i)^-w_t.
+        chi(f_i, f_t)^w_t; "x": x_i moved past chi^w, prod_t
+        chi(f_t, e_i)^w_t, since chi^w has color -sum_t w_t cf_t.
         """
         key = (kind, i, w)
         if key in self._scalars:
@@ -502,8 +488,8 @@ class OperatorComplex:
             e = sum(w[t] * ring.chi_exp(cf[i], cf[t]) for t in range(i) if w[t])
         else:
             el = tuple(1 if k == i else 0 for k in range(spec.n))
-            e = -sum(w[t] * ring.chi_exp(cf[t], el)
-                     for t in range(spec.c) if w[t])
+            e = sum(w[t] * ring.chi_exp(cf[t], el)
+                    for t in range(spec.c) if w[t])
         scal = ring.zeta_pow(e) if e % spec.m else None
         self._scalars[key] = scal
         return scal
@@ -566,8 +552,8 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
         iface = _HomIntoModule(cx, ModuleBasis(target))
         return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
     if isinstance(target, KoszulComplex):
-        return OperatorComplex(cx.spec, _HomIntoComplex(cx, target),
-                               "Hom(F,G)")
+        iface = _HomIntoModule(cx, ComplexBasis(target))
+        return OperatorComplex(cx.spec, iface, "Hom(F,G)")
     raise TypeError(f"unsupported target {target!r}")
 
 

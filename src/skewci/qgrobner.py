@@ -42,9 +42,6 @@ class Order:
     def __init__(self, ring: QRing):
         self.ring = ring
 
-    def key_exps(self, exps):
-        return (self.ring.deg(exps), tuple(-e for e in reversed(exps)))
-
     def key(self, mono):
         exps, comp = mono
         return (-comp, self.ring.deg(exps), tuple(-e for e in reversed(exps)))
@@ -153,7 +150,7 @@ def _reduce_full(ring, order, vec, elements, leads, want_lift):
             return vec, None
 
 
-def buchberger(gens, ring, order=None, want_lifts=False, want_syzygies=False):
+def buchberger(gens, ring, want_lifts=False, want_syzygies=False):
     """Left Groebner basis of the module generated by gens.
 
     Terminates by Dickson's lemma; no pair-skipping criteria are applied
@@ -161,7 +158,7 @@ def buchberger(gens, ring, order=None, want_lifts=False, want_syzygies=False):
     """
     import heapq
 
-    order = order or Order(ring)
+    order = Order(ring)
     track = want_lifts or want_syzygies
     elements, lifts, leads = [], [], []
     zero_exp = ring.zero_exp()
@@ -247,10 +244,10 @@ def _s_poly(ring, order, elements, leads, lifts, i, j):
     return spoly, slift
 
 
-def syzygy_module(gens, ring, order=None):
+def syzygy_module(gens, ring):
     """Generators of the left syzygy module of gens (Schreyer-style)."""
     gens = list(gens)
-    gb = buchberger(gens, ring, order, want_syzygies=True)
+    gb = buchberger(gens, ring, want_syzygies=True)
     out = [s for s in gb.syzygies if s]
     return sorted(out, key=_canonical_vec_key)
 
@@ -342,15 +339,13 @@ def minimalize_presentation(ncomps, columns, ring):
     return kept, list(cols.values()), proj
 
 
-def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32,
-                            order=None):
+def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32):
     """Minimal graded free resolution of coker(columns) by iterated syzygies.
 
     Returns a list of (shifts_i, matrix_i) pairs where matrix_i is the list
     of relation columns over the previous step's components; stops when the
     syzygy module vanishes or after max_steps.
     """
-    order = order or Order(ring)
     kept, cols, _ = minimalize_presentation(ncomps, columns, ring)
     remap = {old: new for new, old in enumerate(kept)}
     cols = [{(e, remap[c]): v for (e, c), v in col.items()} for col in cols]
@@ -360,7 +355,7 @@ def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32,
     while current and len(steps) <= max_steps:
         degs = [_column_degree(col, steps[-1][0], ring) for col in current]
         steps.append((degs, current))
-        syz = syzygy_module(current, ring, order)
+        syz = syzygy_module(current, ring)
         kept2, syz_cols, _ = minimalize_presentation(len(current), syz, ring)
         remap2 = {old: new for new, old in enumerate(kept2)}
         keptset = set(kept2)
@@ -388,10 +383,10 @@ def _column_degree(col, shifts, ring):
 
 # -- ideal arithmetic (used over the commutative theta ring) ----------------
 
-def interreduce_ideal(gens, ring, order=None):
+def interreduce_ideal(gens, ring):
     """Reduced Groebner basis of the ideal generated by gens (component 0)."""
-    order = order or Order(ring)
-    gb = buchberger([g for g in gens if g], ring, order)
+    order = Order(ring)
+    gb = buchberger([g for g in gens if g], ring)
     # a minimal basis: one element per minimal leading monomial
     lead_exps = [exps for (exps, _comp), _ in gb.leads]
     keep = [i for i, e in enumerate(lead_exps)
@@ -409,12 +404,12 @@ def interreduce_ideal(gens, ring, order=None):
     return sorted(final, key=_canonical_vec_key)
 
 
-def colon_ideal(columns, ring, comp, order=None):
+def colon_ideal(columns, ring, comp):
     """(N : e_comp) for the submodule N spanned by columns."""
     zero_exp = ring.zero_exp()
     one = CycScalar.one(ring.m)
     gens = [{(zero_exp, comp): one}] + list(columns)
-    syz = syzygy_module(gens, ring, order)
+    syz = syzygy_module(gens, ring)
     out = []
     for s in syz:
         poly = {exps: c for (exps, idx), c in s.items() if idx == 0}
@@ -423,14 +418,14 @@ def colon_ideal(columns, ring, comp, order=None):
     return out
 
 
-def ideal_intersect(igens, jgens, ring, order=None):
+def ideal_intersect(igens, jgens, ring):
     """I cap J via syzygies of the concatenated generator list."""
     if not igens:
         return []
     if not jgens:
         return []
     gens = list(igens) + list(jgens)
-    syz = syzygy_module(gens, ring, order)
+    syz = syzygy_module(gens, ring)
     ni = len(igens)
     out = []
     for s in syz:
@@ -440,16 +435,15 @@ def ideal_intersect(igens, jgens, ring, order=None):
                 add_scaled(elt, poly_mul_vector(ring, {exps: c}, igens[idx]))
         if elt:
             out.append(elt)
-    return interreduce_ideal(out, ring, order)
+    return interreduce_ideal(out, ring)
 
 
-def annihilator_ideal(columns, ncomps, ring, order=None):
+def annihilator_ideal(columns, ncomps, ring):
     """Annihilator of coker(columns) in a free module with ncomps components.
 
     Returns a reduced Groebner basis (component-0 vectors).  The zero module
     (ncomps == 0) has unit annihilator.
     """
-    order = order or Order(ring)
     one = CycScalar.one(ring.m)
     if ncomps == 0:
         return [{(ring.zero_exp(), 0): one}]
@@ -457,7 +451,7 @@ def annihilator_ideal(columns, ncomps, ring, order=None):
     for comp in range(ncomps):
         cols = [c for c in columns if c]
         per_comp.append(interreduce_ideal(
-            colon_ideal(cols, ring, comp, order), ring, order))
+            colon_ideal(cols, ring, comp), ring))
     result = per_comp[0]
     for nxt in per_comp[1:]:
         if not result:
@@ -469,8 +463,8 @@ def annihilator_ideal(columns, ncomps, ring, order=None):
             return []
         if _is_unit_ideal(nxt, ring):
             continue
-        result = ideal_intersect(result, nxt, ring, order)
-    return interreduce_ideal(result, ring, order)
+        result = ideal_intersect(result, nxt, ring)
+    return interreduce_ideal(result, ring)
 
 
 def _is_unit_ideal(gens, ring):

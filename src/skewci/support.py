@@ -109,16 +109,6 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_divexact(num, den):
     """num / den in Z[t] or None if not exact."""
     num = list(num)
@@ -324,7 +314,7 @@ def _pole_order_at_one(num_dict, c, t):
     return c - mult
 
 
-def support_variety(m: ModulePresentation, n, t=None) -> SupportReport:
+def support_variety(m: ModulePresentation, n) -> SupportReport:
     """V_R(M, N) in the fiber semantics.
 
     For N = k (or M = k, using symmetry) the support is exact: the
@@ -332,7 +322,7 @@ def support_variety(m: ModulePresentation, n, t=None) -> SupportReport:
     intersection V(M,k) cap V(N,k), labeled as fiber semantics.
     """
     spec = m.spec
-    t = compute_t(spec) if t is None else t
+    t = compute_t(spec)
     n_is_k = _is_k(n)
     m_is_k = m.is_residue_field()
     if n_is_k or m_is_k:
@@ -357,8 +347,8 @@ def support_variety(m: ModulePresentation, n, t=None) -> SupportReport:
                           "note": "fiber intersection V(M,k) cap V(N,k)"})
 
 
-def support_variety_full(m: ModulePresentation, degree_cap=6, t=None,
-                         imax=6, jmax=8) -> SupportReport:
+def support_variety_full(m: ModulePresentation, degree_cap=6, imax=6,
+                         jmax=8) -> SupportReport:
     """Annihilator-up-to-degree estimate over the full operator subalgebra.
 
     Collects the monomials theta^v (x^t)^u of cohomological degree at most
@@ -366,7 +356,7 @@ def support_variety_full(m: ModulePresentation, degree_cap=6, t=None,
     as the truncated-full semantics it is.
     """
     spec = m.spec
-    t = compute_t(spec) if t is None else t
+    t = compute_t(spec)
     k = ModulePresentation.residue_field(spec)
     opcx = build_operator_complex(current().get_or_build(m), k)
     table = homology_bigraded(opcx, imax, jmax)
@@ -567,15 +557,14 @@ def complexity(m: ModulePresentation, n=None, window=None,
                             {"method": "rational-fit", **win})
 
 
-def is_perfect(m: ModulePresentation, oracle_window=None) -> bool:
+def is_perfect(m: ModulePresentation) -> bool:
     """True iff the support over k is empty in Proj; cross-checked against
     Betti vanishing in the oracle window."""
     spec = m.spec
     report = support_variety(m, "k")
     empty = report.proj_empty
-    imax = (oracle_window or {}).get("imax", spec.n + spec.c + 3)
-    dmax = (oracle_window or {}).get("dmax", 3 * (sum(spec.df) + 2))
-    betti = minimal_R_resolution(m, imax, dmax)
+    betti = minimal_R_resolution(m, spec.n + spec.c + 3,
+                                 3 * (sum(spec.df) + 2))
     pd = betti.projective_dimension()
     if empty and pd is None:
         raise AssertionError(
@@ -587,9 +576,13 @@ def is_perfect(m: ModulePresentation, oracle_window=None) -> bool:
 
 
 class ArcReport:
-    def __init__(self, verdict, detail):
+    """A verdict with its detail; ``jrange`` is the (jmin, jmax) of the
+    internal-degree window the Ext tables were computed on."""
+
+    def __init__(self, verdict, detail, jrange):
         self.verdict = verdict
         self.detail = detail
+        self.jrange = jrange
 
     def __repr__(self):
         return f"ArcReport({self.verdict}: {self.detail})"
@@ -598,8 +591,7 @@ class ArcReport:
         return {"verdict": self.verdict, **self.detail}
 
 
-def arc_check(m: ModulePresentation, r: int, window: int,
-              jmin=None, jmax=None) -> ArcReport:
+def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
     """Vanishing criterion for projective dimension.
 
     Verifies Ext^i(M, M + R) = 0 for r < i <= window; when the hypothesis
@@ -612,10 +604,8 @@ def arc_check(m: ModulePresentation, r: int, window: int,
     cx = current().get_or_build(m)
     free = ModulePresentation.free(spec)
     top_basis_deg = max(d for layer in cx.basis for d, _c in layer)
-    if jmax is None:
-        jmax = (window // 2 + 1) * max(spec.df) + top_basis_deg
-    if jmin is None:
-        jmin = -jmax
+    jmax = (window // 2 + 1) * max(spec.df) + top_basis_deg
+    jmin = -jmax
     table_m = homology_bigraded(
         build_operator_complex(cx, m), window, jmax, jmin=jmin,
         want_actions=False)
@@ -627,14 +617,14 @@ def arc_check(m: ModulePresentation, r: int, window: int,
     if failures:
         return ArcReport("hypothesis not satisfied",
                          {"first_nonvanishing": failures[0],
-                          "window": window})
+                          "window": window}, (jmin, jmax))
     betti = minimal_R_resolution(m, window, jmax)
     pd = betti.projective_dimension()
     if pd is None:
         return ArcReport("fail", {"reason": "oracle Betti numbers persist",
-                                  "window": window})
+                                  "window": window}, (jmin, jmax))
     ext_r_sup = max((i for i in range(window + 1) if table_r.ext_dim(i)),
                     default=0)
     ok = pd <= r and pd == ext_r_sup
     detail = {"pd": pd, "r": r, "sup_ext_R": ext_r_sup, "window": window}
-    return ArcReport("pass" if ok else "fail", detail)
+    return ArcReport("pass" if ok else "fail", detail, (jmin, jmax))

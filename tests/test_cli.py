@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -29,6 +30,13 @@ def test_window_parsing():
     # stops at its first free cokernel
     with pytest.raises(JobError):
         _parse_window("h=4")
+
+
+def test_window_example_in_help_parses(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    example = re.search(r"e\.g\.\s+(\S+)", capsys.readouterr().out).group(1)
+    assert _parse_window(example)
 
 
 def test_window_value_not_integer_exit_code(tmp_path, capsys):
@@ -290,7 +298,7 @@ def test_default_windows_are_reported():
         ("ext", {"module": "M"}, {"cmax": 6, "dmax": 8, "jmin": -8}),
         ("hh", {}, {"cmax": 6, "dmax": 8}),
         ("betti", {"module": "M"}, {"imax": 6, "dmax": 14}),
-        ("arc", {"module": "M"}, {"r": 0, "window": 4}),
+        ("arc", {"module": "M"}, {"r": 0, "window": 4, "jmin": -9, "jmax": 9}),
         ("ext", {"module": "M", "cmax": 3, "dmax": 2},
          {"cmax": 3, "dmax": 2, "jmin": -2}),
     ]

@@ -25,6 +25,9 @@ from fixtures import (
 )
 
 
+M5 = RingSpec(2, 5, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"])
+
+
 def paper_display_complex(spec):
     """The length-2 complex resolving R/(x) with explicit e-actions.
 
@@ -137,18 +140,19 @@ def test_ext_of_free_module_is_target():
 
 
 def test_resolution_independence_of_target():
-    spec = example_ring()
-    m = ModulePresentation.cyclic(spec, ["x1"])
-    n = ModulePresentation.cyclic(spec, ["x2"])
-    cxm = finite_koszul_resolution(m)
-    cxn = finite_koszul_resolution(n)
-    op_module = build_operator_complex(cxm, n)
-    op_complex = build_operator_complex(cxm, cxn)
-    t1 = homology_bigraded(op_module, 4, 6, jmin=-4, want_actions=False)
-    t2 = homology_bigraded(op_complex, 4, 6, jmin=-4, want_actions=False)
-    for i in range(5):
-        for j in range(-4, 7):
-            assert t1.dim(i, j) == t2.dim(i, j), (i, j)
+    # the m = 5 ring has twists that are not +-1
+    for spec in (example_ring(), M5):
+        m = ModulePresentation.cyclic(spec, ["x1"])
+        n = ModulePresentation.cyclic(spec, ["x2"])
+        cxm = finite_koszul_resolution(m)
+        cxn = finite_koszul_resolution(n)
+        op_module = build_operator_complex(cxm, n)
+        op_complex = build_operator_complex(cxm, cxn)
+        t1 = homology_bigraded(op_module, 4, 6, jmin=-4, want_actions=False)
+        t2 = homology_bigraded(op_complex, 4, 6, jmin=-4, want_actions=False)
+        for i in range(5):
+            for j in range(-4, 7):
+                assert t1.dim(i, j) == t2.dim(i, j), (spec.m, i, j)
 
 
 def test_rank_only_dims_match_action_path():
@@ -675,3 +679,62 @@ def test_row_indexed_compose_matches_matrix_scan():
                         seen["twisted"] += any(not c.is_rational()
                                                for c in want.values())
     assert all(seen.values()), seen
+
+
+def _apply(op, vec):
+    """A linear map op on symbols, extended to a vector of symbols."""
+    out = {}
+    for sym, c in vec.items():
+        add_scaled(out, op(sym), c)
+    return out
+
+
+def test_actions_are_chain_maps():
+    # x_l and chi_i commute with d on every symbol of a small window, for a
+    # module target, a complex target and S (x) E.  chi(f_t, x_l)^2 != 1
+    # over Q(zeta_5), so a wrong sign of the twist of x_l past chi^w shows.
+    rx = ModulePresentation.cyclic(N3C3M5, ["x1"])
+    cx = finite_koszul_resolution(rx)
+    fm5 = finite_koszul_resolution(ModulePresentation.cyclic(M5, ["x1"]))
+    cases = [build_operator_complex(cx, ModulePresentation.residue_field(
+                 N3C3M5)),
+             build_operator_complex(cx, rx),
+             build_operator_complex(N3C3M5, "self-E"),
+             build_operator_complex(fm5, fm5)]
+    for opcx in cases:
+        spec = opcx.spec
+        ops = [lambda s, l=l: opcx.x_action(l, s) for l in range(spec.n)]
+        ops += [lambda s, i=i: opcx.chi_action(i, s) for i in range(spec.c)]
+        checked = 0
+        for i in range(-2, 3):
+            for j in range(-3, 3):
+                for sym in opcx.slice_symbols(i, j):
+                    dsym = opcx.differential(sym)
+                    for op in ops:
+                        assert (_apply(opcx.differential, op(sym))
+                                == _apply(op, dsym)), (opcx.description, sym)
+                    checked += bool(dsym)
+        assert checked, opcx.description
+
+
+def test_complex_target_actions_match_golden_m5():
+    # Ext_R(F, F) for F resolving R/(x1) over Q(zeta_5), with the chi
+    # actions of to_json() and the x actions in the same dense layout
+    fm5 = finite_koszul_resolution(ModulePresentation.cyclic(M5, ["x1"]))
+    table = homology_bigraded(build_operator_complex(fm5, fm5), 3, 3,
+                              jmin=-3)
+    dims_only = homology_bigraded(build_operator_complex(fm5, fm5), 3, 3,
+                                  jmin=-3, want_actions=False)
+    assert table.dims == dims_only.dims
+    doc = table.to_json()
+    doc["x_actions"] = {
+        f"x{l + 1}": [
+            [list(src), list(mat["target"]),
+             [[col[r].to_string() if r in col else "0"
+               for col in mat["columns"]]
+              for r in range(table.dims[mat["target"]])]]
+            for src, mat in sorted(x_table.items())]
+        for l, x_table in enumerate(table.x_actions)}
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "data" / "ext_actions_ff_m5.json"
+    assert text == golden.read_text()

@@ -73,7 +73,10 @@ def _module(spec, config, name, params_key="module", default=None):
     if label is None:
         raise JobError(f"missing module reference {params_key!r}")
     if isinstance(label, str) and label in modules:
-        mod = ModulePresentation.from_json(spec, modules[label])
+        try:
+            mod = ModulePresentation.from_json(spec, modules[label])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JobError(f"invalid module {label!r}: {exc}") from None
         mod.name = label
         return mod
     if label in ("k", "R"):
@@ -81,10 +84,19 @@ def _module(spec, config, name, params_key="module", default=None):
     raise JobError(f"module {label!r} is not defined in the config")
 
 
+# the params that docs/config.schema.json types
+_PARAM_TYPES = {
+    **dict.fromkeys(("cmax", "dmax", "imax", "jmin", "r", "window", "bound",
+                     "degree_cap", "diagonal_dmax"), int),
+    **dict.fromkeys(("module", "other", "cache"), str),
+}
+
+
 def run(config, cache_dir=None, semantics="fiber", window_override=None):
     """Execute one job; returns (exit_code, report dict, text summary)."""
-    if "ring" not in config or "command" not in config:
-        raise JobError("config must contain 'ring' and 'command'")
+    if not (isinstance(config, dict) and "ring" in config
+            and "command" in config):
+        raise JobError("config must be an object with 'ring' and 'command'")
     try:
         spec = RingSpec.from_json(config["ring"])
     except KeyError as exc:
@@ -92,8 +104,16 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
     except (TypeError, ValueError) as exc:
         raise JobError(f"invalid ring: {exc}") from None
     command = config["command"]
-    params = dict(config.get("params", {}))
-    params.update(window_override or {})
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise JobError("params must be an object")
+    params = {**params, **(window_override or {})}
+    for key, value in params.items():
+        want = _PARAM_TYPES.get(key)
+        # type(), not isinstance(): JSON true is not an integer
+        if want is not None and type(value) is not want:
+            raise JobError(f"params.{key} must be of type {want.__name__}, "
+                           f"got {value!r}")
     cache = ResolutionCache(cache_dir or params.get("cache"))
     report = {
         "command": command,
@@ -113,7 +133,7 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
         report["ok"] = False
         return 2, report, "\n".join(lines)
 
-    handler = _COMMANDS.get(command)
+    handler = _COMMANDS.get(command) if isinstance(command, str) else None
     if handler is None:
         raise JobError(f"unknown command {command!r}; expected one of "
                        + ", ".join(sorted(_COMMANDS)))
@@ -309,6 +329,8 @@ def _cmd_arc(spec, config, params, semantics):
     mod = _module(spec, config, params.get("module"))
     r = params.get("r", 0)
     window = params.get("window", params.get("cmax", r + 4))
+    if window <= r:
+        raise JobError(f"arc window {window} must exceed r = {r}")
     report = arc_check(mod, r, window)
     result = report.to_json()
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "

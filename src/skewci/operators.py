@@ -22,7 +22,7 @@ import itertools
 
 from .colorcore import RingSpec, monomials_of_degree, standard_monomials
 from .koszul import koszul_algebra
-from .linalg import Echelon, kernel_basis, rank
+from .linalg import Echelon, kernel_basis
 from .qgrobner import (
     buchberger,
     hilbert_numerator,
@@ -112,9 +112,6 @@ class ModuleBasis:
         exps, comp = key
         return self.spec.qring.deg(exps) + self.module.gens[comp][0]
 
-    def key_layer(self, key):
-        return 0
-
 
 class ComplexBasis:
     """A complex G of free Q-modules as a Hom(F, -) target.
@@ -191,12 +188,13 @@ class ComplexBasis:
 # occupy, from which slices enumerate exactly the chi-weights that can occur.
 
 class _HomIntoModule:
-    """X = Hom_Q(F, T): symbols (p, b, key) meaning b* tensor key.
+    """X = Hom_Q(F, N) for a target N with one homological layer: symbols
+    (p, b, key) meaning b* tensor key, of homological degree -p.
 
-    The target T is a ModuleBasis (a module N in layer 0) or a
-    ComplexBasis (a complex G in layers 0..top); a symbol has homological
-    degree layer(key) - p.  A target with top 0 has no maps: d_T and each
-    e_i^T are zero.
+    N is a ModuleBasis, or a ComplexBasis of a complex with top 0.  Either
+    way d_N and each e_i^N are zero, so dx and lam only precompose and
+    lam' is zero; ``_HomIntoComplex`` adds the layers and maps of a longer
+    complex.
     """
 
     def __init__(self, cx: KoszulComplex, nbasis):
@@ -209,20 +207,15 @@ class _HomIntoModule:
         self._label_twists = {}   # (p, b) -> _twist_part of its color
 
     def symbols(self, hx, idegx):
-        # hx = layer(key) - p; idegx = ideg(key) - ideg(b)
-        nb = self.nb
-        out = []
-        for p, labels in enumerate(self.cx.basis):
-            if not 0 <= hx + p <= nb.top:
-                continue
-            for b, (bd, _bc) in enumerate(labels):
-                out.extend((p, b, key)
-                           for key in nb.basis_of_degree(idegx + bd)
-                           if nb.key_layer(key) == hx + p)
-        return out
+        # hx = -p; idegx = ideg(key) - ideg(b)
+        p = -hx
+        if not 0 <= p < len(self.cx.basis):
+            return []
+        return [(p, b, key) for b, (bd, _bc) in enumerate(self.cx.basis[p])
+                for key in self.nb.basis_of_degree(idegx + bd)]
 
     def hdeg(self, sym):
-        return self.nb.key_layer(sym[2]) - sym[0]
+        return -sym[0]
 
     def ideg(self, sym):
         p, b, key = sym
@@ -286,21 +279,12 @@ class _HomIntoModule:
                     add_term(out, (h, col, k2), c2 * scal)
         return out
 
-    def _postcompose(self, sym, i):
-        """d_T o alpha (i None) or e_i^T o alpha."""
-        if not self.nb.top:
-            return {}
-        p, b, key = sym
-        return {(p, b, k2): c for k2, c in self.nb.apply_map(key, i).items()}
-
     def dx(self, sym):
-        # d(alpha) = d_T o alpha - (-1)^{|alpha|} alpha o dF
+        # d(alpha) = -(-1)^{|alpha|} alpha o dF
         p = sym[0]
-        out = {}
         if p + 1 < len(self.cx.basis) and self.cx.diff[p + 1] is not None:
-            out = self._compose(sym, p + 1, None, self.hdeg(sym) % 2 == 0)
-        add_scaled(out, self._postcompose(sym, None))
-        return out
+            return self._compose(sym, p + 1, None, self.hdeg(sym) % 2 == 0)
+        return {}
 
     def lam(self, i, sym):
         p = sym[0]
@@ -310,7 +294,7 @@ class _HomIntoModule:
         return self._compose(sym, p - 1, i, self.hdeg(sym) % 2 == 1)
 
     def lamp(self, i, sym):
-        return self._postcompose(sym, i)
+        return {}
 
     def xmul(self, l, sym):
         p, b, key = sym
@@ -320,6 +304,42 @@ class _HomIntoModule:
             (tuple(a + e for a, e in zip(delta, key[0])), key[1]),
             ring.cpair(delta, key[0]))
         return {(p, b, k2): c2 for k2, c2 in nf.items()}
+
+
+class _HomIntoComplex(_HomIntoModule):
+    """X = Hom_Q(F, G) for a ComplexBasis G in layers 0..top, top > 0: a
+    symbol has homological degree layer(key) - p, and d_G and each e_i^G
+    postcompose."""
+
+    def symbols(self, hx, idegx):
+        # hx = layer(key) - p; idegx = ideg(key) - ideg(b)
+        nb = self.nb
+        out = []
+        for p, labels in enumerate(self.cx.basis):
+            if not 0 <= hx + p <= nb.top:
+                continue
+            for b, (bd, _bc) in enumerate(labels):
+                out.extend((p, b, key)
+                           for key in nb.basis_of_degree(idegx + bd)
+                           if nb.key_layer(key) == hx + p)
+        return out
+
+    def hdeg(self, sym):
+        return self.nb.key_layer(sym[2]) - sym[0]
+
+    def _postcompose(self, sym, i):
+        """d_G o alpha (i None) or e_i^G o alpha."""
+        p, b, key = sym
+        return {(p, b, k2): c for k2, c in self.nb.apply_map(key, i).items()}
+
+    def dx(self, sym):
+        # d(alpha) = d_G o alpha - (-1)^{|alpha|} alpha o dF
+        out = super().dx(sym)
+        add_scaled(out, self._postcompose(sym, None))
+        return out
+
+    def lamp(self, i, sym):
+        return self._postcompose(sym, i)
 
 
 class _SelfE:
@@ -552,8 +572,9 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
         iface = _HomIntoModule(cx, ModuleBasis(target))
         return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
     if isinstance(target, KoszulComplex):
-        iface = _HomIntoModule(cx, ComplexBasis(target))
-        return OperatorComplex(cx.spec, iface, "Hom(F,G)")
+        gbasis = ComplexBasis(target)
+        hom = _HomIntoComplex if gbasis.top else _HomIntoModule
+        return OperatorComplex(cx.spec, hom(cx, gbasis), "Hom(F,G)")
     raise TypeError(f"unsupported target {target!r}")
 
 
@@ -622,9 +643,16 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
     """Exact dims of H in the (cohomological, internal) window, with the
     chi_i and x_l action matrices on pivot-chosen homology bases.
 
-    Without actions the dims come from ranks alone, one untracked
-    elimination per slice matrix.
+    Without actions the dims come from ranks alone: for each j, i runs
+    upward, the columns of d(i, j) go into one untracked elimination as
+    they are built, and only the next slice's symbols and the previous
+    rank are kept, so memory scales with one slice, not with the window.
+    With actions every slice's kernel data is kept for the action tables.
     """
+    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
+    if not want_actions:
+        return ExtTable(_homology_dims(opcx, imax, jmax, imin, jmin), {}, [],
+                        window)
     spec = opcx.spec
     one = CycScalar.one(spec.m)
 
@@ -634,39 +662,12 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
             syms = opcx.slice_symbols(i, j)
             slices[(i, j)] = {sym: idx for idx, sym in enumerate(syms)}
 
-    def as_vector(mapping, index):
-        out = {}
-        for sym, c in mapping.items():
-            idx = index.get(sym)
-            if idx is None:
-                if c:
-                    raise AssertionError(
-                        f"differential escapes the enumerated slice: {sym}")
-                continue
-            add_term(out, idx, c)
-        return out
-
     dmat = {}
     for i in range(imin - 1, imax + 1):
         for j in range(jmin, jmax + 1):
-            index_to = slices.get((i + 1, j), {})
-            cols = []
-            for sym in slices[(i, j)]:
-                cols.append(as_vector(opcx.differential(sym), index_to))
-            dmat[(i, j)] = cols
-
-    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
-    if not want_actions:
-        # dim H = #cols - rank d(i,j) - rank d(i-1,j); each rank once
-        ranks = {key: rank(cols) for key, cols in dmat.items()}
-        dims = {}
-        for i in range(imin, imax + 1):
-            for j in range(jmin, jmax + 1):
-                d = len(dmat[(i, j)]) - ranks[(i, j)] - ranks[(i - 1, j)]
-                if d < 0:
-                    raise AssertionError(f"negative homology dim at {(i, j)}")
-                dims[(i, j)] = d
-        return ExtTable(dims, {}, [], window)
+            index_to = slices[(i + 1, j)]
+            dmat[(i, j)] = [_slice_vector(opcx.differential(sym), index_to)
+                            for sym in slices[(i, j)]]
 
     # homology data per slice: a combined echelon (image vectors first with
     # empty traces, then kernel vectors tracked by homology-basis index)
@@ -707,6 +708,46 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
         x_actions.append(action_table(
             lambda s: opcx.x_action(l, s), 0, -spec.degrees[l]))
     return ExtTable(dims, chi_actions, x_actions, window)
+
+
+def _homology_dims(opcx, imax, jmax, imin, jmin):
+    """{(i, j): dim H} in the window, dim H(i, j) = #cols - rank d(i, j)
+    - rank d(i-1, j), one slice matrix at a time."""
+    dims = {}
+    for j in range(jmin, jmax + 1):
+        syms = opcx.slice_symbols(imin - 1, j)
+        prev_rank = 0
+        for i in range(imin - 1, imax + 1):
+            nxt = opcx.slice_symbols(i + 1, j)
+            index = {sym: idx for idx, sym in enumerate(nxt)}
+            ech = Echelon()
+            for sym in syms:
+                col = _slice_vector(opcx.differential(sym), index)
+                if col:
+                    ech.add(col)
+            if i >= imin:
+                d = len(syms) - ech.rank - prev_rank
+                if d < 0:
+                    raise AssertionError(f"negative homology dim at {(i, j)}")
+                dims[(i, j)] = d
+            prev_rank = ech.rank
+            syms = nxt
+    return dims
+
+
+def _slice_vector(mapping, index):
+    """{symbol: scalar} as {slice index: scalar}; a nonzero term outside
+    the enumerated slice is an error."""
+    out = {}
+    for sym, c in mapping.items():
+        idx = index.get(sym)
+        if idx is None:
+            if c:
+                raise AssertionError(
+                    f"differential escapes the enumerated slice: {sym}")
+            continue
+        add_term(out, idx, c)
+    return out
 
 
 def _action_columns(act, reps, src_index, tgt_index, tgt_comb):

@@ -13,6 +13,8 @@ s-pair reductions with full lift tracking.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .colorcore import QRing
 from .scalars import CycScalar
 from .sparse import add_scaled, add_term
@@ -281,12 +283,14 @@ def minimalize_presentation(ncomps, columns, ring):
 
     Returns (kept, cols, proj): kept is the list of surviving component
     indices, cols the remaining relation columns written over the kept
-    components, and proj maps each original component index to its
-    expression over kept components (identity on kept ones).  Each step
-    eliminates the first unit entry of the first column that has one.
+    components, and proj a read-only mapping from each original component
+    index to its expression over kept components (identity on kept ones).
+    Each step eliminates the first unit entry of the first column that has
+    one.  The eliminations are recorded in order, and proj computes a
+    component's expression from that record when it is first read, so a
+    caller that never reads proj pays nothing for it.
     """
     zero_exp = ring.zero_exp()
-    one = CycScalar.one(ring.m)
 
     def has_unit(col):
         return any(exps == zero_exp for exps, _c in col)
@@ -294,13 +298,12 @@ def minimalize_presentation(ncomps, columns, ring):
     cols = {ci: dict(c) for ci, c in enumerate(columns) if c}
     units = {ci for ci, col in cols.items() if has_unit(col)}
     alive = set(range(ncomps))
-    proj = {i: {(zero_exp, i): one} for i in range(ncomps)}
-    # component -> column ids / proj keys whose vector may mention it
+    eliminations = []
+    # component -> column ids whose vector may mention it
     col_mentions = {}
     for ci, col in cols.items():
         for _e, cc in col:
             col_mentions.setdefault(cc, set()).add(ci)
-    mentioned_by = {i: {i} for i in range(ncomps)}
 
     while units:
         ci = min(units)
@@ -312,6 +315,7 @@ def minimalize_presentation(ncomps, columns, ring):
         # e_comp = -inv * (col - coeff e_comp), substituted everywhere
         expr = {m: -(c * inv) for m, c in col.items() if m != (zero_exp, comp)}
         alive.discard(comp)
+        eliminations.append((comp, expr))
         expr_comps = {cc for (_e, cc) in expr}
         for cj in col_mentions.pop(comp, ()):
             if cj not in cols:
@@ -328,15 +332,43 @@ def minimalize_presentation(ncomps, columns, ring):
                 units.add(cj)
             for cc in expr_comps:
                 col_mentions.setdefault(cc, set()).add(cj)
-        for key in mentioned_by.pop(comp, ()):
-            pvec = _substitute(proj[key], comp, expr, ring)
-            if pvec is not None:
-                proj[key] = pvec
-                for cc in expr_comps:
-                    mentioned_by.setdefault(cc, set()).add(key)
 
     kept = sorted(alive)
-    return kept, list(cols.values()), proj
+    return kept, list(cols.values()), _Projection(ncomps, eliminations, ring)
+
+
+class _Projection(Mapping):
+    """Component -> its expression over the kept components, computed on
+    first read by replaying the recorded eliminations (comp, expr) in
+    order: the substitutions made as each elimination happened."""
+
+    def __init__(self, ncomps, eliminations, ring):
+        self._ncomps = ncomps
+        self._eliminations = eliminations
+        self._ring = ring
+        self._memo = {}
+
+    def __getitem__(self, comp):
+        vec = self._memo.get(comp)
+        if vec is not None:
+            return vec
+        if comp not in range(self._ncomps):
+            raise KeyError(comp)
+        ring = self._ring
+        vec = {(ring.zero_exp(), comp): CycScalar.one(ring.m)}
+        mentioned = {comp}
+        for elim, expr in self._eliminations:
+            if elim in mentioned:
+                vec = _substitute(vec, elim, expr, ring)
+                mentioned = {cc for _e, cc in vec}
+        self._memo[comp] = vec
+        return vec
+
+    def __iter__(self):
+        return iter(range(self._ncomps))
+
+    def __len__(self):
+        return self._ncomps
 
 
 def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32):

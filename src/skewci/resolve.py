@@ -112,8 +112,11 @@ class ModulePresentation:
                 return ModulePresentation.free(spec)
             raise ValueError(f"unknown module shorthand {doc!r}")
         if "quotient" in doc:
-            return ModulePresentation.cyclic(spec, doc["quotient"],
-                                             doc.get("name"))
+            quotient = doc["quotient"]
+            if not (isinstance(quotient, list)
+                    and all(isinstance(f, str) for f in quotient)):
+                raise TypeError("quotient must be a list of strings")
+            return ModulePresentation.cyclic(spec, quotient, doc.get("name"))
         gens = [(g.get("degree", 0), tuple(g.get("color", (0,) * spec.n)))
                 for g in doc["gens"]]
         cols = []

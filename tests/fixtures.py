@@ -33,11 +33,12 @@ def fixture_rings():
     return [example_ring(), hypersurface_ring(), three_var_ring()]
 
 
-def random_ring(rng: random.Random, nmax=3, cmax=2):
-    """A random validated ring spec with monomial regular relations."""
+def random_ring(rng: random.Random, nmax=3, cmax=2, conductors=(1, 2, 3, 4)):
+    """A random validated ring spec with monomial regular relations and a
+    conductor m drawn from ``conductors``."""
     while True:
         n = rng.randint(1, nmax)
-        m = rng.choice([1, 2, 3, 4])
+        m = rng.choice(conductors)
         aexp = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):

@@ -76,6 +76,50 @@ def test_zero_conductor_exit_code(tmp_path, capsys):
     assert "conductor" in err
 
 
+def _assert_config_error(tmp_path, capsys, config, fragment):
+    code, err = _main_exit_and_stderr(tmp_path, capsys, config)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("key, value", [("cmax", "3"), ("dmax", 2.5)])
+def test_non_integer_param_exit_code(tmp_path, capsys, key, value):
+    config = example_config("ext", {"module": "M", key: value})
+    _assert_config_error(tmp_path, capsys, config, f"params.{key}")
+
+
+def test_config_not_an_object_exit_code(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, "ring command", "object")
+    config = example_config("check")
+    config["command"] = ["check"]
+    _assert_config_error(tmp_path, capsys, config, "unknown command")
+
+
+def test_params_list_exit_code(tmp_path, capsys):
+    config = example_config("check")
+    config["params"] = [["cmax", 3]]
+    _assert_config_error(tmp_path, capsys, config, "params")
+
+
+def test_quotient_with_unknown_variable_exit_code(tmp_path, capsys):
+    config = example_config("support", {"module": "M"},
+                            modules={"M": {"quotient": ["x9"]}})
+    _assert_config_error(tmp_path, capsys, config, "x9")
+
+
+def test_quotient_given_as_string_exit_code(tmp_path, capsys):
+    # a string is not parsed character by character
+    config = example_config("support", {"module": "M"},
+                            modules={"M": {"quotient": "x1"}})
+    _assert_config_error(tmp_path, capsys, config, "quotient")
+
+
+def test_arc_window_not_above_r_exit_code(tmp_path, capsys):
+    config = example_config("arc", {"module": "M", "r": 3, "window": 3})
+    _assert_config_error(tmp_path, capsys, config, "window")
+
+
 def test_check_command():
     code, report, text = run(example_config("check"))
     assert code == 0

@@ -22,6 +22,7 @@ from fixtures import (
     fixture_rings,
     hypersurface_ring,
     random_ring,
+    three_var_ring,
 )
 
 
@@ -176,6 +177,50 @@ def test_rank_only_dims_match_action_path():
         full = homology_bigraded(build(), **window)
         assert fast.dims == full.dims, window
         assert any(fast.dims.values())
+
+
+def test_dims_only_memory_scales_with_a_slice():
+    # the dims-only path keeps one slice matrix at a time; the action path
+    # keeps every slice's kernel data for the action tables
+    import tracemalloc
+
+    def traced(spec, window, want_actions):
+        tracemalloc.start()
+        try:
+            table = homology_bigraded(
+                build_operator_complex(spec, "self-E"), window, window,
+                imin=-spec.c, jmin=-window, want_actions=want_actions)
+            return table.dims, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for spec, window in ((example_ring(), 8), (three_var_ring(), 5)):
+        dims, peak = traced(spec, window, False)
+        full_dims, full_peak = traced(spec, window, True)
+        assert dims == full_dims
+        assert peak <= 0.4 * full_peak, (window, peak, full_peak)
+
+
+def test_dims_paths_and_hh_agree_on_wider_random_rings():
+    # conductors beyond {1, 2, 3, 4}, up to n = 4 and c = 3; small windows
+    rng = random.Random(12)
+    specs = [random_ring(rng, nmax=4, cmax=3, conductors=(m,))
+             for m in (5, 6, 8, 12) for _ in range(2)]
+    assert any(spec.n == 4 and spec.c == 3 for spec in specs)
+    for spec in specs:
+        k = ModulePresentation.residue_field(spec)
+        cx = finite_koszul_resolution(k)
+        cases = [
+            (lambda: build_operator_complex(cx, k), dict(imax=3, jmax=6)),
+            (lambda: build_operator_complex(spec, "self-E"),
+             dict(imax=3, jmax=3, imin=-spec.c, jmin=-3)),
+        ]
+        for build, window in cases:
+            fast = homology_bigraded(build(), want_actions=False, **window)
+            full = homology_bigraded(build(), **window)
+            assert fast.dims == full.dims, (spec.to_json(), window)
+            assert any(fast.dims.values())
+        assert braided_hh(spec, 3, 3).ok, spec.to_json()
 
 
 def _direct_differential(opcx, sym):

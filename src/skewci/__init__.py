@@ -47,7 +47,6 @@ from .support import (
     is_perfect,
     poincare_series,
     support_variety,
-    support_variety_full,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +97,6 @@ __all__ = [
     "ThetaAlgebra",
     "compute_t",
     "support_variety",
-    "support_variety_full",
     "complexity",
     "poincare_series",
     "is_perfect",

@@ -25,7 +25,6 @@ from .support import (
     is_perfect,
     poincare_series,
     support_variety,
-    support_variety_full,
 )
 from .store import ResolutionCache, current, using
 
@@ -87,12 +86,12 @@ def _module(spec, config, name, params_key="module", default=None):
 # the params that docs/config.schema.json types
 _PARAM_TYPES = {
     **dict.fromkeys(("cmax", "dmax", "imax", "jmin", "r", "window", "bound",
-                     "degree_cap", "diagonal_dmax"), int),
+                     "diagonal_dmax"), int),
     **dict.fromkeys(("module", "other", "cache"), str),
 }
 
 
-def run(config, cache_dir=None, semantics="fiber", window_override=None):
+def run(config, cache_dir=None, window_override=None):
     """Execute one job; returns (exit_code, report dict, text summary)."""
     if not (isinstance(config, dict) and "ring" in config
             and "command" in config):
@@ -115,14 +114,7 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
             raise JobError(f"params.{key} must be of type {want.__name__}, "
                            f"got {value!r}")
     cache = ResolutionCache(cache_dir or params.get("cache"))
-    report = {
-        "command": command,
-        "ring": spec.to_json(),
-        "semantics": semantics,
-        "windows": {k: v for k, v in params.items()
-                    if k in ("cmax", "dmax", "imax", "jmin",
-                             "window", "bound", "r")},
-    }
+    report = {"command": command, "ring": spec.to_json()}
     lines = [f"ring: {spec!r}", f"command: {command}"]
 
     validation = validate_ring(spec)
@@ -139,15 +131,14 @@ def run(config, cache_dir=None, semantics="fiber", window_override=None):
                        + ", ".join(sorted(_COMMANDS)))
     try:
         with using(cache):
-            ok, result, extra_lines, windows = handler(spec, config, params,
-                                                       semantics)
+            ok, result, extra_lines, windows = handler(spec, config, params)
     except (RationalityError, TruncationError, AssertionError) as exc:
         code, prefix = _failure(exc)
         report["ok"] = False
         report["error"] = f"{prefix}: " + " ".join(str(exc).splitlines())
         lines.append(report["error"])
         return code, report, "\n".join(lines)
-    report["windows"].update(windows)
+    report["windows"] = windows
     report["ok"] = ok
     report["result"] = result
     report["cache"] = cache.stats()
@@ -167,7 +158,7 @@ def _failure(exc):
     return 1, "certificate failed"
 
 
-def _cmd_check(spec, config, params, semantics):
+def _cmd_check(spec, config, params):
     cutoff = params.get("dmax")
     result = validate_ring(spec, cutoff).to_json()
     result["t"] = compute_t(spec)
@@ -175,17 +166,19 @@ def _cmd_check(spec, config, params, semantics):
     lines = [f"Hilbert function of R (to degree {result['hilbert_cutoff']}): "
              + " ".join(str(v) for v in dims),
              f"t = {result['t']}"]
+    ok = True
     dmax = params.get("diagonal_dmax")
     if dmax:
         diag = verify_diagonal_resolution(spec, dmax)
         result["diagonal_resolution"] = diag.to_json()
         lines.append(f"diagonal resolution check to degree {dmax}: "
                      + ("pass" if diag.ok else "FAIL"))
-        return diag.ok, result, lines, {}
-    return True, result, lines, {}
+        ok = diag.ok
+    windows = {k: params[k] for k in ("dmax", "diagonal_dmax") if k in params}
+    return ok, result, lines, windows
 
 
-def _cmd_resolve(spec, config, params, semantics):
+def _cmd_resolve(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     cx = current().get_or_build(mod)
     errors = cx.verify_invariants() + cx.verify_exactness()
@@ -201,7 +194,7 @@ def _cmd_resolve(spec, config, params, semantics):
     return not errors, result, lines, {}
 
 
-def _cmd_betti(spec, config, params, semantics):
+def _cmd_betti(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     imax = params.get("imax", params.get("cmax", 6))
     dmax = params.get("dmax", 2 * sum(spec.df) + imax)
@@ -225,7 +218,7 @@ def _format_betti(table, imax):
     return "\n".join(rows)
 
 
-def _cmd_ext(spec, config, params, semantics):
+def _cmd_ext(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     other = _module(spec, config, params.get("other", "k"), "other")
     opcx = build_operator_complex(current().get_or_build(mod), other)
@@ -257,7 +250,7 @@ def _format_ext_table(table, cmax):
     return "\n".join(rows)
 
 
-def _cmd_hh(spec, config, params, semantics):
+def _cmd_hh(spec, config, params):
     cmax = params.get("cmax", 6)
     dmax = params.get("dmax", 8)
     rep = braided_hh(spec, cmax, dmax)
@@ -269,21 +262,14 @@ def _cmd_hh(spec, config, params, semantics):
     return rep.ok, result, lines, {"cmax": cmax, "dmax": dmax}
 
 
-def _cmd_support(spec, config, params, semantics):
+def _cmd_support(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     other_name = params.get("other", "k")
-    if semantics == "full":
-        report = support_variety_full(
-            mod, degree_cap=params.get("degree_cap", 8),
-            imax=params.get("cmax", 6), jmax=params.get("dmax", 8))
-    else:
-        report = support_variety(
-            mod, _module(spec, config, other_name, "other"))
+    report = support_variety(mod, _module(spec, config, other_name, "other"))
     result = report.to_json()
     gens = ", ".join(report.ideal) or "0"
     lines = [
-        f"support variety of ({mod.name}, {other_name}) "
-        f"[semantics {report.semantics}]:",
+        f"support variety of ({mod.name}, {other_name}):",
         f"  ideal: ({gens})",
         f"  dimension: {report.dimension}",
         f"  t = {report.t}",
@@ -292,7 +278,7 @@ def _cmd_support(spec, config, params, semantics):
     return True, result, lines, {}
 
 
-def _cmd_complexity(spec, config, params, semantics):
+def _cmd_complexity(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     other = _module(spec, config, params.get("other", "k"), "other")
     window = {k: params[k] for k in ("cmax", "dmax") if k in params}
@@ -300,10 +286,10 @@ def _cmd_complexity(spec, config, params, semantics):
     result = res.to_json()
     lines = [f"cx_R({mod.name}, {other.name}) = {res.value} "
              f"({res.certificate['method']})"]
-    return True, result, lines, {}
+    return True, result, lines, _fit_window(res.certificate)
 
 
-def _cmd_poincare(spec, config, params, semantics):
+def _cmd_poincare(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     other_name = params.get("other", "k")
     other = _module(spec, config, other_name, "other") \
@@ -311,13 +297,21 @@ def _cmd_poincare(spec, config, params, semantics):
     window = {k: params[k] for k in ("cmax", "dmax") if k in params}
     series = poincare_series(mod, other, window=window or None)
     result = series.to_json()
-    result["coefficients"] = series.coefficients(params.get("cmax", 10))
+    cmax = params.get("cmax", 10)
+    result["coefficients"] = series.coefficients(cmax)
     lines = [f"P^R_({mod.name}) = {series!r}   [{series.method}]",
              "  coefficients: " + " ".join(map(str, result["coefficients"]))]
-    return True, result, lines, {}
+    return True, result, lines, {"cmax": cmax, **_fit_window(series.window)}
 
 
-def _cmd_perfect(spec, config, params, semantics):
+def _fit_window(data):
+    """The window a rational fit ran with, read from its certificate or
+    series window; empty when the exact theta route answered."""
+    return {k: data[k] for k in ("cmax", "dmax", "jmin", "j_complete")
+            if k in data}
+
+
+def _cmd_perfect(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     value = is_perfect(mod)
     result = {"module": mod.name, "perfect": value}
@@ -325,7 +319,7 @@ def _cmd_perfect(spec, config, params, semantics):
     return True, result, lines, {}
 
 
-def _cmd_arc(spec, config, params, semantics):
+def _cmd_arc(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     r = params.get("r", 0)
     window = params.get("window", params.get("cmax", r + 4))
@@ -341,7 +335,7 @@ def _cmd_arc(spec, config, params, semantics):
     return report.verdict != "fail", result, lines, windows
 
 
-def _cmd_selftest_appendix(spec, config, params, semantics):
+def _cmd_selftest_appendix(spec, config, params):
     from .dualpowers import verify_appendix
 
     bound = params.get("bound", 4)
@@ -351,11 +345,12 @@ def _cmd_selftest_appendix(spec, config, params, semantics):
              + ("pass" if rep.ok else "FAIL")]
     if not rep.ok:
         lines.append(f"  counterexample: {rep.counterexample}")
-    return rep.ok, result, lines, {}
+    return rep.ok, result, lines, {"bound": bound}
 
 
 # Each handler returns (ok, result, text lines, windows): windows holds the
-# window bounds it ran with, defaults included, and the report echoes them.
+# window bounds it ran with, defaults included, and is the report's only
+# source of its "windows" block.
 _COMMANDS = {
     "check": _cmd_check,
     "resolve": _cmd_resolve,
@@ -385,17 +380,12 @@ def main(argv=None) -> int:
                         help="path for the JSON report")
     parser.add_argument("--window", default=None,
                         help="window bounds, e.g. c=6,D=8,j=-8")
-    parser.add_argument("--semantics", choices=("fiber", "full"),
-                        default="fiber",
-                        help="support semantics (full is a flagged "
-                             "truncated-degree estimate)")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
         window = _parse_window(args.window)
         code, report, text = run(config, cache_dir=args.cache,
-                                 semantics=args.semantics,
                                  window_override=window)
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ __all__ = [
     "vector_scale",
     "poly_mul_vector",
     "minimalize_presentation",
-    "minimal_free_resolution",
     "annihilator_ideal",
     "interreduce_ideal",
     "hilbert_numerator",
@@ -369,48 +368,6 @@ class _Projection(Mapping):
 
     def __len__(self):
         return self._ncomps
-
-
-def minimal_free_resolution(columns, ncomps, shifts, ring, max_steps=32):
-    """Minimal graded free resolution of coker(columns) by iterated syzygies.
-
-    Returns a list of (shifts_i, matrix_i) pairs where matrix_i is the list
-    of relation columns over the previous step's components; stops when the
-    syzygy module vanishes or after max_steps.
-    """
-    kept, cols, _ = minimalize_presentation(ncomps, columns, ring)
-    remap = {old: new for new, old in enumerate(kept)}
-    cols = [{(e, remap[c]): v for (e, c), v in col.items()} for col in cols]
-    shifts = [shifts[k] for k in kept]
-    steps = [(shifts, None)]
-    current = cols
-    while current and len(steps) <= max_steps:
-        degs = [_column_degree(col, steps[-1][0], ring) for col in current]
-        steps.append((degs, current))
-        syz = syzygy_module(current, ring)
-        kept2, syz_cols, _ = minimalize_presentation(len(current), syz, ring)
-        remap2 = {old: new for new, old in enumerate(kept2)}
-        keptset = set(kept2)
-        # components eliminated from the syzygy presentation correspond to
-        # non-minimal relations; rebuild current accordingly
-        if len(kept2) != len(current):
-            current2 = [current[k] for k in kept2]
-            degs = [degs[k] for k in kept2]
-            steps[-1] = (degs, current2)
-            syz = [{(e, remap2[c]): v for (e, c), v in col.items()}
-                   for col in syz_cols]
-            current = syz
-        else:
-            current = [{(e, remap2[c]): v for (e, c), v in col.items()}
-                       for col in syz_cols]
-    return steps
-
-
-def _column_degree(col, shifts, ring):
-    degs = {ring.deg(exps) + shifts[comp] for (exps, comp) in col}
-    if len(degs) != 1:
-        raise ValueError("inhomogeneous column in graded presentation")
-    return degs.pop()
 
 
 # -- ideal arithmetic (used over the commutative theta ring) ----------------

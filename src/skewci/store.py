@@ -10,11 +10,13 @@ The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
 builds, one per ring.
 
 A store keeps an in-memory layer and, when it has a directory, a disk
-layer of hash-verified JSON files written atomically; a corrupt file is
-counted and its object rebuilt.  ``current()`` is the store in use:
-``using(store)`` selects one for a block, and outside any such block a
-process-wide store without a directory serves every caller, so objects are
-built once per process.
+layer of hash-verified JSON files written atomically.  A resolution read
+from disk must also pass the certificate a built one passed (strict
+structure identities and exactness); a file that fails either check is
+counted as corrupt and its object rebuilt.  ``current()`` is the store in
+use: ``using(store)`` selects one for a block, and outside any such block
+a process-wide store without a directory serves every caller, so objects
+are built once per process.
 
 Both kinds are made by calling ``resolve.finite_koszul_resolution`` and
 ``operators.ext_over_theta`` through their module attributes, so anything
@@ -41,6 +43,17 @@ CACHE_VERSION = 1
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _certified_resolution(doc):
+    """The resolution stored in doc, refused (as corrupt) unless it passes
+    the certificate ``finite_koszul_resolution`` applies to a built one."""
+    cx = KoszulComplex.from_json(doc)
+    errors = cx.verify_invariants() + cx.verify_exactness()
+    if errors:
+        raise ValueError(f"stored resolution fails its certificate: "
+                         f"{errors[:3]}")
+    return cx
 
 
 def _theta_to_json(tm):
@@ -94,7 +107,7 @@ class ResolutionCache:
         return self._get(
             "res", self._key(module),
             lambda: resolve.finite_koszul_resolution(module),
-            KoszulComplex.to_json, KoszulComplex.from_json)
+            KoszulComplex.to_json, _certified_resolution)
 
     def theta_module(self, module: ModulePresentation, t: int):
         """Ext_R(module, k) over k[theta_i = chi_i^t]."""

@@ -5,11 +5,11 @@ With all commutation parameters roots of unity there is a minimal t > 0
 such that the subalgebra on the t-th powers of the operators (and of the
 ring variables) is commutative: t is the least integer whose square is
 divisible by the exponent of the bicharacter's image.  Supports are
-computed in the fiber over the residue field, i.e. over
-k[theta_1..theta_c] with theta_i = chi_i^t; the reported ideal is the
-annihilator of the Ext module (same vanishing locus as the Fitting ideal,
-and canonical as a reduced Groebner basis) and the reported dimension is
-its Krull dimension, which equals the complexity of the pair.
+computed exactly, with no window, in the fiber over the residue field,
+i.e. over k[theta_1..theta_c] with theta_i = chi_i^t; the reported ideal
+is the annihilator of the Ext module (same vanishing locus as the Fitting
+ideal, and canonical as a reduced Groebner basis) and the reported
+dimension is its Krull dimension, which equals the complexity of the pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .operators import (
 )
 from .qgrobner import Order, interreduce_ideal, monomial_dimension
 from .resolve import ModulePresentation, minimal_R_resolution
-from .sparse import add_scaled
 from .store import current
 
 __all__ = [
@@ -242,14 +241,18 @@ def _series_fit(coeffs, c, validate, method, window):
 # ---------------------------------------------------------------------------
 
 class SupportReport:
-    def __init__(self, spec, t, ideal_gens, dimension, semantics, window,
-                 labels=None):
+    """A support ideal in k[theta] and its Krull dimension.
+
+    Every support is computed exactly in the fiber over k, with no window;
+    ``to_json`` records that as ``"semantics": "fiber"`` and
+    ``"window": {"exact": true}``.
+    """
+
+    def __init__(self, spec, t, ideal_gens, dimension, labels=None):
         self.spec = spec
         self.t = t
         self.ideal_gens = ideal_gens      # vectors over the theta ring
         self.dimension = dimension
-        self.semantics = semantics
-        self.window = window or {}
         self.labels = labels or {}
         self.algebra = ThetaAlgebra(spec, t)
 
@@ -266,16 +269,15 @@ class SupportReport:
             "t": self.t,
             "ideal": self.ideal,
             "dimension": self.dimension,
-            "semantics": self.semantics,
+            "semantics": "fiber",
             "proj_empty": self.proj_empty,
-            "window": self.window,
+            "window": {"exact": True},
             **self.labels,
         }
 
     def __repr__(self):
         gens = ", ".join(self.ideal) or "0"
-        return (f"SupportReport(ideal=({gens}), dim={self.dimension}, "
-                f"semantics={self.semantics})")
+        return f"SupportReport(ideal=({gens}), dim={self.dimension})"
 
 
 def _is_k(n):
@@ -315,11 +317,11 @@ def _pole_order_at_one(num_dict, c, t):
 
 
 def support_variety(m: ModulePresentation, n) -> SupportReport:
-    """V_R(M, N) in the fiber semantics.
+    """V_R(M, N) in the fiber over k.
 
-    For N = k (or M = k, using symmetry) the support is exact: the
-    annihilator of Ext over k[theta].  For a general pair the report is the
-    intersection V(M,k) cap V(N,k), labeled as fiber semantics.
+    For N = k (or M = k, using symmetry) the support is the annihilator of
+    Ext_R(M, k) over k[theta].  For a general pair the report is the
+    intersection V(M,k) cap V(N,k), and its note says so.
     """
     spec = m.spec
     t = compute_t(spec)
@@ -331,8 +333,7 @@ def support_variety(m: ModulePresentation, n) -> SupportReport:
         labels = {"pair": [base.name, "k"]}
         if m_is_k and not n_is_k:
             labels["note"] = "computed as V(N,k) = V(k,N) by symmetry"
-        return SupportReport(spec, t, ann, max(dim, 0), "fiber",
-                             {"exact": True}, labels)
+        return SupportReport(spec, t, ann, max(dim, 0), labels)
     # general pair: fiber-intersection V(M,k) cap V(N,k)
     _tm, ann_m, _ = _theta_data(m, t)
     _tm2, ann_n, _ = _theta_data(n, t)
@@ -341,98 +342,9 @@ def support_variety(m: ModulePresentation, n) -> SupportReport:
     order = Order(ring)
     exps = [max(g, key=order.key)[0] for g in combined]
     dim = monomial_dimension(exps, spec.c)
-    return SupportReport(spec, t, combined, max(dim, 0), "fiber",
-                         {"exact": True},
+    return SupportReport(spec, t, combined, max(dim, 0),
                          {"pair": [m.name, n.name],
                           "note": "fiber intersection V(M,k) cap V(N,k)"})
-
-
-def support_variety_full(m: ModulePresentation, degree_cap=6, imax=6,
-                         jmax=8) -> SupportReport:
-    """Annihilator-up-to-degree estimate over the full operator subalgebra.
-
-    Collects the monomials theta^v (x^t)^u of cohomological degree at most
-    degree_cap that annihilate every homology class in the window; labeled
-    as the truncated-full semantics it is.
-    """
-    spec = m.spec
-    t = compute_t(spec)
-    k = ModulePresentation.residue_field(spec)
-    opcx = build_operator_complex(current().get_or_build(m), k)
-    table = homology_bigraded(opcx, imax, jmax)
-    ring = _theta_ring(spec, t)
-    ann_gens = []
-    for v in _small_exponents(spec.c, degree_cap // (2 * t)):
-        if not any(v):
-            continue
-        if _theta_monomial_annihilates(table, spec, t, v, imax, jmax):
-            ann_gens.append({(v, 0): spec.one()})
-    combined = interreduce_ideal(ann_gens, ring)
-    exps = [max(g, key=lambda kk: (ring.deg(kk[0]), kk[0]))[0]
-            for g in combined]
-    dim = monomial_dimension(exps, spec.c) if combined else spec.c
-    return SupportReport(
-        spec, t, combined, max(dim, 0), "truncated-full",
-        {"degree_cap": degree_cap, "imax": imax, "jmax": jmax},
-        {"pair": [m.name, "k"],
-         "note": "annihilator estimate up to the stated degree cap"})
-
-
-def _small_exponents(c, cap):
-    out = []
-    v = [0] * c
-
-    def walk(i, rem):
-        if i == c:
-            out.append(tuple(v))
-            return
-        for e in range(rem + 1):
-            v[i] = e
-            walk(i + 1, rem - e)
-        v[i] = 0
-
-    walk(0, cap)
-    return out
-
-
-def _theta_monomial_annihilates(table, spec, t, v, imax, jmax):
-    """Does theta^v kill every homology class checkable inside the window?
-
-    Classes whose action path leaves the window are skipped; this is why
-    the full-semantics support is an estimate.
-    """
-    steps = []
-    for l in range(spec.c):
-        steps += [l] * (t * v[l])
-    for (i, j), d in table.dims.items():
-        if not d:
-            continue
-        if i + 2 * t * sum(v) > imax:
-            continue
-        mats = []
-        src = (i, j)
-        reachable = True
-        for l in steps:
-            mat = table.chi_actions[f"chi{l+1}"].get(src)
-            if mat is None:
-                reachable = False
-                break
-            mats.append(mat)
-            src = mat["target"]
-        if not reachable:
-            continue
-        for col in range(d):
-            vec = {col: spec.one()}
-            for mat in mats:
-                nxt = {}
-                for kidx, c in vec.items():
-                    add_scaled(nxt, mat["columns"][kidx], c)
-                vec = nxt
-                if not vec:
-                    break
-            if vec:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

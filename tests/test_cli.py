@@ -1,10 +1,19 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
-from skewci.cli import JobError, ResolutionCache, _parse_window, main, run
+from skewci.cli import (
+    _COMMANDS,
+    _PARAM_TYPES,
+    JobError,
+    ResolutionCache,
+    _parse_window,
+    main,
+    run,
+)
 from skewci.resolve import ModulePresentation, finite_koszul_resolution
 
 from fixtures import example_ring
@@ -251,17 +260,6 @@ def test_main_end_to_end(tmp_path, capsys):
     assert report["result"]["dimension"] == 1
 
 
-def test_main_full_semantics(tmp_path, capsys):
-    config_path = tmp_path / "job.json"
-    with open(config_path, "w") as handle:
-        json.dump(example_config(
-            "support", {"module": "M", "degree_cap": 8}), handle)
-    code = main(["--config", str(config_path), "--semantics", "full"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "truncated-full" in captured.out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(JobError):
         run(example_config("frobnicate"))
@@ -337,7 +335,9 @@ def test_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_default_windows_are_reported():
-    # each command reports the windows it ran with, defaults included
+    # each command reports the windows it ran with, defaults included, and
+    # no param it does not read
+    fit = {"cmax": 8, "dmax": 11, "jmin": -1, "j_complete": True}
     cases = [
         ("ext", {"module": "M"}, {"cmax": 6, "dmax": 8, "jmin": -8}),
         ("hh", {}, {"cmax": 6, "dmax": 8}),
@@ -345,11 +345,42 @@ def test_default_windows_are_reported():
         ("arc", {"module": "M"}, {"r": 0, "window": 4, "jmin": -9, "jmax": 9}),
         ("ext", {"module": "M", "cmax": 3, "dmax": 2},
          {"cmax": 3, "dmax": 2, "jmin": -2}),
+        # the rational fit widens jmin to the j-complete window it needs
+        ("complexity", {"module": "M", "other": "N", "jmin": -2}, fit),
+        ("poincare", {"module": "M", "other": "N"}, fit),
+        ("poincare", {"module": "k"}, {"cmax": 10}),
+        ("support", {"module": "M", "cmax": 9}, {}),
+        ("selftest-appendix", {"bound": 3}, {"bound": 3}),
+        ("check", {"diagonal_dmax": 3}, {"diagonal_dmax": 3}),
     ]
     for command, params, windows in cases:
         code, report, _ = run(example_config(command, params))
         assert code == 0, command
         assert report["windows"] == windows, (command, params)
+
+
+def _schema(name):
+    path = Path(__file__).resolve().parent.parent / "docs" / name
+    return json.loads(path.read_text())
+
+
+def test_schemas_agree_with_the_cli():
+    config = _schema("config.schema.json")["properties"]
+    json_types = {"integer": int, "string": str}
+    assert {key: json_types[prop["type"]] for key, prop
+            in config["params"]["properties"].items()} == _PARAM_TYPES
+    assert set(config["command"]["enum"]) == set(_COMMANDS)
+    # the top-level keys of a report that succeeded, of a ring that failed
+    # validation and of a job that failed with a typed error
+    invalid = example_config("check")
+    invalid["ring"]["relations"] = ["x1^2", "x1^2"]
+    too_small = example_config(
+        "poincare", {"module": "M", "other": "M", "cmax": 3, "dmax": 6})
+    keys = set()
+    for job in (example_config("check"), invalid, too_small):
+        keys |= set(run(job)[1])
+    assert {"windows", "result", "cache", "error"} <= keys
+    assert keys <= set(_schema("report.schema.json")["properties"])
 
 
 def test_importing_the_cli_leaves_dualpowers_unloaded():

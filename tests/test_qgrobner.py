@@ -16,7 +16,6 @@ from skewci.qgrobner import (
     buchberger,
     hilbert_numerator,
     interreduce_ideal,
-    minimal_free_resolution,
     minimalize_presentation,
     monomial_dimension,
     poly_mul_vector,
@@ -302,41 +301,6 @@ def test_minimalize_presentation_substitutes_only_mentioning_columns():
     }
 
 
-def test_minimal_free_resolution_koszul():
-    # k over k[t1,t2]: Koszul resolution with ranks 1, 2, 1
-    ring = commutative_ring(2)
-    cols = [poly_vec(ring, "t1"), poly_vec(ring, "t2")]
-    steps = minimal_free_resolution(cols, 1, [0], ring)
-    ranks = [len(s[0]) for s in steps]
-    assert ranks == [1, 2, 1]
-    # minimality: no unit entries anywhere
-    for shifts, matrix in steps[1:]:
-        for col in matrix:
-            for (exps, _), _c in col.items():
-                assert sum(exps) > 0
-
-
-def test_minimal_free_resolution_skew_koszul():
-    # Q/(x) over C_i[x,y]: 0 -> Q -> Q -> M
-    spec = example_ring()
-    ring = spec.qring
-    steps = minimal_free_resolution([poly_vec(ring, "x1")], 1, [0], ring)
-    ranks = [len(s[0]) for s in steps]
-    assert ranks == [1, 1]
-
-
-def test_minimal_free_resolution_mixed_degrees():
-    # Q/(x, y^2) over C_i[x,y]: Koszul complex of the sequence x, y^2
-    spec = example_ring()
-    ring = spec.qring
-    steps = minimal_free_resolution(
-        [poly_vec(ring, "x1"), poly_vec(ring, "x2^2")], 1, [0], ring)
-    ranks = [len(s[0]) for s in steps]
-    assert ranks == [1, 2, 1]
-    assert steps[1][0] == [1, 2]
-    assert steps[2][0] == [3]
-
-
 def test_annihilator_of_cyclic_module():
     ring = commutative_ring(2)
     one = CycScalar.one(1)
@@ -391,11 +355,12 @@ def test_exactness_of_resolutions_randomized():
             gens.append({(exps, 0): CycScalar.one(spec.m)})
         if not gens:
             continue
-        steps = minimal_free_resolution(gens, 1, [0], ring)
-        # composition of consecutive maps is zero
-        for i in range(2, len(steps)):
-            _, mat_prev = steps[i - 1]
-            _, mat = steps[i]
+        # iterated syzygies: each map composed with the one before is zero
+        steps = [gens]
+        while steps[-1] and len(steps) < 4:
+            steps.append(syzygy_module(steps[-1], ring))
+        for i in range(1, len(steps)):
+            mat_prev, mat = steps[i - 1], steps[i]
             for col in mat:
                 image = {}
                 for (exps, comp), coeff in col.items():

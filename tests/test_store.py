@@ -145,6 +145,35 @@ def test_warm_cli_support_serves_theta_from_disk(tmp_path, monkeypatch):
     assert warm["result"] == cold["result"]
 
 
+@pytest.mark.parametrize("command", ["ext", "support"])
+def test_resolution_failing_its_certificate_is_rebuilt(tmp_path, command):
+    # a res entry whose hash is valid but whose differential is not: one
+    # entry doubled and the hash recomputed, with no theta entry to hide it
+    config = {
+        "ring": example_ring().to_json(),
+        "modules": {"M": {"quotient": ["x1"], "name": "M"},
+                    "N": {"quotient": ["x2"], "name": "N"}},
+        "command": command,
+        "params": {"module": "M", "other": "N" if command == "ext" else "k"},
+    }
+    _code, cold, _ = run(config, cache_dir=str(tmp_path))
+    path = _only(tmp_path, "res-")
+    with open(path) as handle:
+        doc = json.load(handle)
+    entry = next(e for layer in doc["payload"]["diff"] for e in layer)
+    entry[2] = f"2*({entry[2]})"
+    doc["sha256"] = store._sha256(json.dumps(doc["payload"], sort_keys=True))
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    for name in os.listdir(tmp_path):
+        if name.startswith("theta-"):
+            os.remove(os.path.join(tmp_path, name))
+    code, warm, _ = run(config, cache_dir=str(tmp_path))
+    assert code == 0
+    assert warm["result"] == cold["result"]
+    assert warm["cache"]["corrupt"] == 1
+
+
 def _public_callables(module):
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) \
@@ -166,8 +195,8 @@ def test_support_functions_take_no_resolution():
         params = inspect.signature(fn).parameters
         assert "resolution" not in params, name
         assert "resolution_other" not in params, name
-    assert {"support_variety", "support_variety_full", "complexity",
-            "poincare_series", "is_perfect", "arc_check"} <= set(names)
+    assert {"support_variety", "complexity", "poincare_series",
+            "is_perfect", "arc_check"} <= set(names)
 
 
 @pytest.mark.parametrize("kind", ["res", "theta"])

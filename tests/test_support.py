@@ -13,7 +13,6 @@ from skewci.support import (
     is_perfect,
     poincare_series,
     support_variety,
-    support_variety_full,
 )
 
 from fixtures import (
@@ -245,14 +244,6 @@ def test_arc_check_hypothesis_fails_for_k():
     k = ModulePresentation.residue_field(spec)
     report = arc_check(k, 1, 5)
     assert report.verdict == "hypothesis not satisfied"
-
-
-def test_full_semantics_estimate():
-    spec = example_ring()
-    m = ModulePresentation.cyclic(spec, ["x1"])
-    report = support_variety_full(m, degree_cap=8)
-    assert report.semantics == "truncated-full"
-    assert "th2" in report.ideal
 
 
 def test_poincare_closed_form_on_random_rings():

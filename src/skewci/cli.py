@@ -63,12 +63,8 @@ def load_config(path):
         raise JobError(f"cannot read config: {exc}")
 
 
-def _module(spec, config, name, params_key="module", default=None):
-    target = params_key if name is None else name
+def _module(spec, config, label, params_key="module"):
     modules = config.get("modules", {})
-    label = name
-    if label is None:
-        label = config.get("params", {}).get(params_key, default)
     if label is None:
         raise JobError(f"missing module reference {params_key!r}")
     if isinstance(label, str) and label in modules:
@@ -181,7 +177,7 @@ def _cmd_check(spec, config, params):
 def _cmd_resolve(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     cx = current().get_or_build(mod)
-    errors = cx.verify_invariants() + cx.verify_exactness()
+    errors = cx.certify()
     result = {
         "module": mod.name,
         "ranks": cx.ranks(),
@@ -294,10 +290,13 @@ def _cmd_poincare(spec, config, params):
     other_name = params.get("other", "k")
     other = _module(spec, config, other_name, "other") \
         if other_name != "k" else "k"
-    window = {k: params[k] for k in ("cmax", "dmax") if k in params}
-    series = poincare_series(mod, other, window=window or None)
-    result = series.to_json()
+    # one cmax sizes both the fit window and the reported coefficients
     cmax = params.get("cmax", 10)
+    window = {"cmax": cmax}
+    if "dmax" in params:
+        window["dmax"] = params["dmax"]
+    series = poincare_series(mod, other, window=window)
+    result = series.to_json()
     result["coefficients"] = series.coefficients(cmax)
     lines = [f"P^R_({mod.name}) = {series!r}   [{series.method}]",
              "  coefficients: " + " ".join(map(str, result["coefficients"]))]

@@ -556,7 +556,9 @@ def _chi_weights(c, total):
 def build_operator_complex(resolution, target) -> OperatorComplex:
     """The operator complex for Hom(F, target), or S (x) E for "self-E".
 
-    ``resolution`` is a certified KoszulComplex (refused otherwise);
+    ``resolution`` is a KoszulComplex that passes ``certify`` (refused with
+    ValueError otherwise): one built or loaded by the store already holds
+    its certificate, any other complex is certified here, once.
     ``target`` is a ModulePresentation, another KoszulComplex, or "self-E"
     (in which case ``resolution`` may be a RingSpec).
     """
@@ -565,9 +567,9 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
             else resolution.spec
         return OperatorComplex(spec, _SelfE(spec), "self-E")
     cx = resolution
-    errors = cx.verify_invariants()
+    errors = cx.certify()
     if errors:
-        raise ValueError(f"non-strict resolution refused: {errors[:3]}")
+        raise ValueError(f"uncertified resolution refused: {errors[:3]}")
     if isinstance(target, ModulePresentation):
         iface = _HomIntoModule(cx, ModuleBasis(target))
         return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
@@ -980,7 +982,7 @@ def _homology_presentation(columns, gen_degs, tring):
     kergens = syzygy_module(columns, tring)   # in canonical order
     if not kergens:
         return [], []
-    gb = buchberger(kergens, tring, want_lifts=True, want_syzygies=True)
+    gb = buchberger(kergens, tring, want_syzygies=True)
     rels = []
     for col in columns:
         if not col:

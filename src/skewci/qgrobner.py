@@ -151,16 +151,16 @@ def _reduce_full(ring, order, vec, elements, leads, want_lift):
             return vec, None
 
 
-def buchberger(gens, ring, want_lifts=False, want_syzygies=False):
+def buchberger(gens, ring, want_syzygies=False):
     """Left Groebner basis of the module generated by gens.
 
     Terminates by Dickson's lemma; no pair-skipping criteria are applied
     because the product criterion is unsound for scaled leading terms.
+    ``want_syzygies`` also keeps each element's lift (``lift_to_inputs``).
     """
     import heapq
 
     order = Order(ring)
-    track = want_lifts or want_syzygies
     elements, lifts, leads = [], [], []
     zero_exp = ring.zero_exp()
     one = CycScalar.one(ring.m)
@@ -174,7 +174,7 @@ def buchberger(gens, ring, want_lifts=False, want_syzygies=False):
             continue
         elements.append(dict(g))
         leads.append(leading(g, order))
-        if track:
+        if want_syzygies:
             lifts.append({(zero_exp, idx): one})
 
     pairs = []
@@ -186,9 +186,10 @@ def buchberger(gens, ring, want_lifts=False, want_syzygies=False):
     while pairs:
         _, i, j = heapq.heappop(pairs)
         spoly, slift = _s_poly(ring, order, elements, leads,
-                               lifts if track else None, i, j)
-        nf, q = _reduce_full(ring, order, spoly, elements, leads, track)
-        if track:
+                               lifts if want_syzygies else None, i, j)
+        nf, q = _reduce_full(ring, order, spoly, elements, leads,
+                             want_syzygies)
+        if want_syzygies:
             for k, poly in (q or {}).items():
                 add_scaled(slift, poly_mul_vector(ring, poly, lifts[k]),
                            scale=_neg_one(ring))
@@ -196,15 +197,15 @@ def buchberger(gens, ring, want_lifts=False, want_syzygies=False):
             new_idx = len(elements)
             elements.append(nf)
             leads.append(leading(nf, order))
-            if track:
+            if want_syzygies:
                 lifts.append(slift)
             for k in range(new_idx):
                 _maybe_add_pair(pairs, leads, ring, new_idx, k, heap=True)
-        elif track and want_syzygies and slift:
+        elif want_syzygies and slift:
             syzygies.append(slift)
 
     gb = GroebnerBasis(ring, order, elements,
-                       lifts=lifts if track else None,
+                       lifts=lifts if want_syzygies else None,
                        syzygies=syzygies if want_syzygies else None)
     return gb
 

@@ -309,7 +309,7 @@ class SemifreeResolution:
                 zcols,
                 key=lambda v: (self._vec_ideg_color(v, basis_p)[0],
                                sorted(v.keys())))
-            gb = buchberger(zcols, ring, want_lifts=True, want_syzygies=True)
+            gb = buchberger(zcols, ring, want_syzygies=True)
             rel_cols = []
             for b in images:
                 lift = gb.lift_to_inputs(b)
@@ -357,6 +357,7 @@ class KoszulComplex:
         self.eact = eact
         self.module = module
         self._rows = {}
+        self._errors = None
 
     @property
     def length(self):
@@ -409,6 +410,14 @@ class KoszulComplex:
         return {(self.spec.qring.zero_exp(), col): CycScalar.one(self.spec.m)}
 
     # -- invariants --------------------------------------------------------
+
+    def certify(self):
+        """Errors of the full certificate: the strict structure identities
+        and exactness, with H_0 = ``module``.  Computed on the first call and
+        kept, since a complex is an immutable value; empty when certified."""
+        if self._errors is None:
+            self._errors = self.verify_invariants() + self.verify_exactness()
+        return self._errors
 
     def verify_invariants(self):
         """d^2 = 0, d e_i + e_i d = f_i, e_i^2 = 0, and e-commutation."""
@@ -554,8 +563,8 @@ def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
 
     Builds the semifree resolution one degree at a time and truncates at the
     first homological degree where the cokernel of the incoming differential
-    is Q-free (certified by presentation minimalization), then re-verifies
-    all structure identities and exactness on the finite object.
+    is Q-free (certified by presentation minimalization), then certifies
+    the finite object once (``KoszulComplex.certify``).
     """
     res = SemifreeResolution(module)
     ring = res.spec.qring
@@ -568,7 +577,7 @@ def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
         if any(leftover):
             continue
         complex_ = _assemble_truncation(res, cut, kept, proj)
-        errors = complex_.verify_invariants() + complex_.verify_exactness()
+        errors = complex_.certify()
         if errors:
             raise AssertionError(
                 f"truncation at {cut} failed certification: {errors}")

@@ -10,10 +10,12 @@ The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
 builds, one per ring.
 
 A store keeps an in-memory layer and, when it has a directory, a disk
-layer of hash-verified JSON files written atomically.  A resolution read
-from disk must also pass the certificate a built one passed (strict
-structure identities and exactness); a file that fails either check is
-counted as corrupt and its object rebuilt.  ``current()`` is the store in
+layer of hash-verified JSON files written atomically.  Each resolution is
+certified once (``KoszulComplex.certify``: strict structure identities and
+exactness), where it is made: when it is built, or when it is read from
+disk.  A file that fails its hash or that certificate is counted as
+corrupt and its object rebuilt; every later user of a resolution reads
+the kept certificate at no cost.  ``current()`` is the store in
 use: ``using(store)`` selects one for a block, and outside any such block
 a process-wide store without a directory serves every caller, so objects
 are built once per process.
@@ -47,9 +49,9 @@ def _sha256(text):
 
 def _certified_resolution(doc):
     """The resolution stored in doc, refused (as corrupt) unless it passes
-    the certificate ``finite_koszul_resolution`` applies to a built one."""
+    ``KoszulComplex.certify``, the certificate a built one passed."""
     cx = KoszulComplex.from_json(doc)
-    errors = cx.verify_invariants() + cx.verify_exactness()
+    errors = cx.certify()
     if errors:
         raise ValueError(f"stored resolution fails its certificate: "
                          f"{errors[:3]}")

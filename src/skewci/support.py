@@ -198,23 +198,28 @@ class RationalityError(RuntimeError):
     """The window was too small to certify the rational form."""
 
 
-def _reduce_to_poincare(numerator, denom_power, gluing, c, method, window):
-    """Turn num/(1-t^{2t})^c into p/(1-t^2)^c' with p(1) != 0.
+def _series_from_theta(tm, c, t):
+    """The Hilbert series num/(1-u^{2t})^c of a theta module as
+    p/(1-u^2)^c' with p(1) != 0; P = 0 for the zero module.
 
-    ``gluing`` is (1 - t^{2t})/(1 - t^2) as an integer polynomial; the
-    division below is exact because the series is a rational function with
-    denominator (1-t^2)^c (finite free resolution over the theta ring).
+    The divisions are exact because the series is a rational function with
+    denominator (1-u^2)^c (finite free resolution over the theta ring).
     """
-    p, glued = _divide_out(list(numerator), gluing, denom_power)
-    if glued < denom_power:
+    num = tm.hilbert_numerator()
+    if not num:
+        return PoincareSeries([0], 0, "exact-theta", {"t": t})
+    p = [num.get(d, 0) for d in range(max(num) + 1)]
+    # (1 - u^{2t})/(1 - u^2) = 1 + u^2 + ... + u^{2(t-1)}
+    gluing = [1 if d % 2 == 0 else 0 for d in range(2 * t - 1)]
+    p, glued = _divide_out(p, gluing, c)
+    if glued < c:
         raise AssertionError("theta Hilbert numerator not divisible; "
                              "rational form violated")
     p, removed = _divide_out(p, ONE_MINUS_T2, c)
-    cprime = c - removed
     if sum(p) == 0:
         raise AssertionError("numerator vanishes at t=1 after reduction; "
                              "rationality theorem violated")
-    return PoincareSeries(p, cprime, method, window)
+    return PoincareSeries(p, c - removed, "exact-theta", {"t": t})
 
 
 def _series_fit(coeffs, c, validate, method, window):
@@ -288,32 +293,16 @@ def _is_k(n):
 
 
 def _theta_data(module: ModulePresentation, t):
+    """(Ext_R(module, k) over k[theta], its dimension, its Poincare series),
+    certified once: the Krull dimension (0 for the zero module) equals the
+    pole order at 1, the c' of p/(1-t^2)^c' with p(1) != 0."""
     tm = current().theta_module(module, t)
-    ann = tm.annihilator()
-    dim = tm.dimension()
-    # internal consistency: the Krull dimension equals the pole order of
-    # the Hilbert series at 1 (degree of growth of the Hilbert function)
-    num = tm.hilbert_numerator()
-    if dim >= 0 or num:
-        pole = _pole_order_at_one(num, module.spec.c, t)
-        if pole != max(dim, 0) and not (dim == -1 and pole == 0):
-            raise AssertionError(
-                f"dimension check failed: Krull {dim} vs pole order {pole}")
-    return tm, ann, dim
-
-
-def _pole_order_at_one(num_dict, c, t):
-    if not num_dict:
-        return 0
-    degmax = max(num_dict)
-    p = [0] * (degmax + 1)
-    for d, v in num_dict.items():
-        p[d] = v
-    # the denominator (1 - u^{2t})^c has a zero of order c at u = 1; each
-    # factor (1 - u) of a nonzero numerator cancels one order
-    q = _poly_trim(p)
-    mult = _divide_out(q, [1, -1], c)[1] if q else 0
-    return c - mult
+    dim = max(tm.dimension(), 0)
+    series = _series_from_theta(tm, module.spec.c, t)
+    if series.cprime != dim:
+        raise AssertionError(f"dimension check failed: Krull {dim} vs "
+                             f"pole order {series.cprime}")
+    return tm, dim, series
 
 
 def support_variety(m: ModulePresentation, n) -> SupportReport:
@@ -329,14 +318,14 @@ def support_variety(m: ModulePresentation, n) -> SupportReport:
     m_is_k = m.is_residue_field()
     if n_is_k or m_is_k:
         base = m if n_is_k else n
-        _tm, ann, dim = _theta_data(base, t)
+        tm, dim, _series = _theta_data(base, t)
         labels = {"pair": [base.name, "k"]}
         if m_is_k and not n_is_k:
             labels["note"] = "computed as V(N,k) = V(k,N) by symmetry"
-        return SupportReport(spec, t, ann, max(dim, 0), labels)
+        return SupportReport(spec, t, tm.annihilator(), dim, labels)
     # general pair: fiber-intersection V(M,k) cap V(N,k)
-    _tm, ann_m, _ = _theta_data(m, t)
-    _tm2, ann_n, _ = _theta_data(n, t)
+    ann_m = _theta_data(m, t)[0].annihilator()
+    ann_n = _theta_data(n, t)[0].annihilator()
     ring = _theta_ring(spec, t)
     combined = interreduce_ideal(list(ann_m) + list(ann_n), ring)
     order = Order(ring)
@@ -383,21 +372,9 @@ def poincare_series(m: ModulePresentation, n=None,
     spec = m.spec
     t = compute_t(spec)
     if _is_k(n):
-        tm, _ann, _dim = _theta_data(m, t)
-        return _series_from_theta(tm, spec, t)
+        return _theta_data(m, t)[2]
     coeffs, win = _tensor_k_series(m, n, window)
     return _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
-
-
-def _series_from_theta(tm, spec, t):
-    num = tm.hilbert_numerator()
-    numerator = [0] * (max(num) + 1 if num else 1)
-    for d, v in num.items():
-        numerator[d] = v
-    # (1 - u^{2t})/(1 - u^2) = 1 + u^2 + ... + u^{2(t-1)}
-    gluing = [1 if d % 2 == 0 else 0 for d in range(2 * t - 1)]
-    return _reduce_to_poincare(numerator, spec.c, gluing, spec.c,
-                               "exact-theta", {"t": t})
 
 
 def _tensor_k_series(m, n, window):
@@ -456,13 +433,8 @@ def complexity(m: ModulePresentation, n=None, window=None,
             n = ModulePresentation.residue_field(spec)
         n_is_k = m_is_k = False
     if n_is_k or m_is_k:
-        tm, _ann, dim = _theta_data(m if n_is_k else n, t)
-        series = _series_from_theta(tm, spec, t)
-        value = max(dim, 0)
-        if series.cprime != value:
-            raise AssertionError(
-                f"complexity mismatch: dim {value} vs pole {series.cprime}")
-        return ComplexityResult(value, {"method": "theta-dimension", "t": t})
+        dim = _theta_data(m if n_is_k else n, t)[1]
+        return ComplexityResult(dim, {"method": "theta-dimension", "t": t})
     coeffs, win = _tensor_k_series(m, n, window)
     series = _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
     return ComplexityResult(series.cprime,

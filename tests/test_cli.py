@@ -170,6 +170,21 @@ def test_poincare_command():
     assert report["result"]["cprime"] == 2
 
 
+def test_zero_module_has_zero_series_and_complexity():
+    # R/(1) = 0: P = 0 and cx = 0, not a failed certificate
+    modules = {"Z": {"quotient": ["1"], "name": "Z"}}
+    code, report, _ = run(example_config("poincare", {"module": "Z"},
+                                         modules))
+    assert code == 0, report.get("error")
+    assert report["result"]["numerator"] == [0]
+    assert report["result"]["cprime"] == 0
+    assert report["result"]["coefficients"] == [0] * 11
+    code, report, _ = run(example_config("complexity", {"module": "Z"},
+                                         modules))
+    assert code == 0, report.get("error")
+    assert report["result"]["value"] == 0
+
+
 def test_hh_command():
     code, report, text = run(example_config("hh", {"cmax": 4, "dmax": 6}))
     assert code == 0
@@ -347,7 +362,9 @@ def test_default_windows_are_reported():
          {"cmax": 3, "dmax": 2, "jmin": -2}),
         # the rational fit widens jmin to the j-complete window it needs
         ("complexity", {"module": "M", "other": "N", "jmin": -2}, fit),
-        ("poincare", {"module": "M", "other": "N"}, fit),
+        # poincare sizes its fit and its coefficients with one cmax
+        ("poincare", {"module": "M", "other": "N"},
+         {"cmax": 10, "dmax": 13, "jmin": -1, "j_complete": True}),
         ("poincare", {"module": "k"}, {"cmax": 10}),
         ("support", {"module": "M", "cmax": 9}, {}),
         ("selftest-appendix", {"bound": 3}, {"bound": 3}),

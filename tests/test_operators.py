@@ -2,6 +2,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from skewci.colorcore import RingSpec, validate_ring
 from skewci.operators import (
     build_operator_complex,
@@ -67,6 +69,18 @@ def test_paper_display_complex_is_strict_and_exact():
     cx = paper_display_complex(spec)
     assert not cx.verify_invariants()
     assert not cx.verify_exactness()
+
+
+def test_mislabelled_resolution_is_refused():
+    # a strict, exact resolution of R/(x1) labelled as one of R/(x2): only
+    # the H_0 part of the certificate sees it
+    spec = example_ring()
+    doc = finite_koszul_resolution(
+        ModulePresentation.cyclic(spec, ["x1"])).to_json()
+    doc["module"] = ModulePresentation.cyclic(spec, ["x2"]).to_json()
+    cx = KoszulComplex.from_json(doc)
+    with pytest.raises(ValueError):
+        build_operator_complex(cx, ModulePresentation.residue_field(spec))
 
 
 def test_operator_differential_squares_to_zero_on_fixtures():

@@ -174,6 +174,41 @@ def test_resolution_failing_its_certificate_is_rebuilt(tmp_path, command):
     assert warm["cache"]["corrupt"] == 1
 
 
+@pytest.mark.parametrize("command, params", [
+    ("ext", {"module": "M", "other": "N"}),
+    ("arc", {"module": "M", "r": 1, "window": 3}),
+], ids=["ext", "arc"])
+def test_each_resolution_is_certified_once(tmp_path, monkeypatch, command,
+                                           params):
+    # one verify_invariants and one verify_exactness per resolution built
+    # (cold) or loaded (warm); the operator complexes built on it read the
+    # kept certificate
+    calls = {"verify_invariants": 0, "verify_exactness": 0}
+    for name in calls:
+        original = getattr(resolve.KoszulComplex, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(resolve.KoszulComplex, name, counted)
+    config = {
+        "ring": example_ring().to_json(),
+        "modules": {"M": {"quotient": ["x1"], "name": "M"},
+                    "N": {"quotient": ["x2"], "name": "N"}},
+        "command": command,
+        "params": params,
+    }
+    for expected in ({"hits": 0, "misses": 1, "corrupt": 0},
+                     {"hits": 1, "misses": 0, "corrupt": 0}):
+        for name in calls:
+            calls[name] = 0
+        code, report, _ = run(config, cache_dir=str(tmp_path))
+        assert code == 0
+        assert report["cache"] == expected
+        assert calls == {"verify_invariants": 1, "verify_exactness": 1}
+
+
 def _public_callables(module):
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) \

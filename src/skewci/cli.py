@@ -85,6 +85,8 @@ _PARAM_TYPES = {
                      "diagonal_dmax"), int),
     **dict.fromkeys(("module", "other", "cache"), str),
 }
+# the window bounds the schema gives "minimum": 0
+_NONNEGATIVE = ("cmax", "dmax", "imax", "window", "bound", "diagonal_dmax")
 
 
 def run(config, cache_dir=None, window_override=None):
@@ -109,6 +111,8 @@ def run(config, cache_dir=None, window_override=None):
         if want is not None and type(value) is not want:
             raise JobError(f"params.{key} must be of type {want.__name__}, "
                            f"got {value!r}")
+        if key in _NONNEGATIVE and value < 0:
+            raise JobError(f"params.{key} must be >= 0, got {value!r}")
     cache = ResolutionCache(cache_dir or params.get("cache"))
     report = {"command": command, "ring": spec.to_json()}
     lines = [f"ring: {spec!r}", f"command: {command}"]
@@ -254,7 +258,7 @@ def _cmd_hh(spec, config, params):
     lines = [f"derived braided Hochschild cohomology vs R[chi]: "
              + ("match" if rep.ok else "MISMATCH")]
     if not rep.ok:
-        lines.extend(f"  first mismatches: {rep.mismatches[:3]}" for _ in [0])
+        lines.append(f"  first mismatches: {rep.mismatches[:3]}")
     return rep.ok, result, lines, {"cmax": cmax, "dmax": dmax}
 
 
@@ -277,7 +281,7 @@ def _cmd_support(spec, config, params):
 def _cmd_complexity(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     other = _module(spec, config, params.get("other", "k"), "other")
-    window = {k: params[k] for k in ("cmax", "dmax") if k in params}
+    window = {k: params[k] for k in ("cmax", "dmax", "jmin") if k in params}
     res = complexity(mod, other, window=window or None)
     result = res.to_json()
     lines = [f"cx_R({mod.name}, {other.name}) = {res.value} "
@@ -292,9 +296,8 @@ def _cmd_poincare(spec, config, params):
         if other_name != "k" else "k"
     # one cmax sizes both the fit window and the reported coefficients
     cmax = params.get("cmax", 10)
-    window = {"cmax": cmax}
-    if "dmax" in params:
-        window["dmax"] = params["dmax"]
+    window = {"cmax": cmax,
+              **{k: params[k] for k in ("dmax", "jmin") if k in params}}
     series = poincare_series(mod, other, window=window)
     result = series.to_json()
     result["coefficients"] = series.coefficients(cmax)

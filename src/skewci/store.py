@@ -10,15 +10,18 @@ The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
 builds, one per ring.
 
 A store keeps an in-memory layer and, when it has a directory, a disk
-layer of hash-verified JSON files written atomically.  Each resolution is
-certified once (``KoszulComplex.certify``: strict structure identities and
-exactness), where it is made: when it is built, or when it is read from
-disk.  A file that fails its hash or that certificate is counted as
-corrupt and its object rebuilt; every later user of a resolution reads
-the kept certificate at no cost.  ``current()`` is the store in
-use: ``using(store)`` selects one for a block, and outside any such block
-a process-wide store without a directory serves every caller, so objects
-are built once per process.
+layer of JSON files written atomically, each named by the SHA-256 digest of
+its key and checked against the SHA-256 digest of its payload.  The digests
+come from the interpreter's builtin SHA-256 module, not ``hashlib``, so no
+job loads OpenSSL; they are the same digests ``hashlib`` gives.  Each
+resolution is certified once (``KoszulComplex.certify``: strict structure
+identities and exactness), where it is made: when it is built, or when it
+is read from disk.  A file that fails its hash or that certificate is
+counted as corrupt and its object rebuilt; every later user of a
+resolution reads the kept certificate at no cost.  ``current()`` is the
+store in use: ``using(store)`` selects one for a block, and outside any
+such block a process-wide store without a directory serves every caller,
+so objects are built once per process.
 
 Both kinds are made by calling ``resolve.finite_koszul_resolution`` and
 ``operators.ext_over_theta`` through their module attributes, so anything
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -38,13 +40,21 @@ from . import operators, resolve
 from .resolve import KoszulComplex, ModulePresentation
 from .scalars import CycScalar
 
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = ["CACHE_VERSION", "ResolutionCache", "current", "using"]
 
 CACHE_VERSION = 1
 
 
 def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _certified_resolution(doc):

@@ -7,6 +7,7 @@ import pytest
 
 from skewci.cli import (
     _COMMANDS,
+    _NONNEGATIVE,
     _PARAM_TYPES,
     JobError,
     ResolutionCache,
@@ -294,6 +295,23 @@ def test_malformed_config_reports_position(tmp_path):
     assert "line" in str(err.value) and "column" in str(err.value)
 
 
+def test_negative_window_bounds_are_rejected(tmp_path, capsys):
+    for key in _NONNEGATIVE:
+        with pytest.raises(JobError, match=f"params.{key} must be >= 0"):
+            run(example_config("check", {key: -1}))
+    # jmin is a signed internal degree
+    assert run(example_config("ext", {"module": "M", "jmin": -3}))[0] == 0
+    config_path = tmp_path / "job.json"
+    for config, argv in [(example_config("check", {"dmax": -1}), []),
+                         (example_config("hh"), ["--window", "c=-1"])]:
+        with open(config_path, "w") as handle:
+            json.dump(config, handle)
+        code = main(["--config", str(config_path)] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_window_too_small_exit_code():
     config = example_config(
         "poincare", {"module": "M", "other": "M", "cmax": 3, "dmax": 6})
@@ -360,11 +378,17 @@ def test_default_windows_are_reported():
         ("arc", {"module": "M"}, {"r": 0, "window": 4, "jmin": -9, "jmax": 9}),
         ("ext", {"module": "M", "cmax": 3, "dmax": 2},
          {"cmax": 3, "dmax": 2, "jmin": -2}),
-        # the rational fit widens jmin to the j-complete window it needs
-        ("complexity", {"module": "M", "other": "N", "jmin": -2}, fit),
+        # a rational fit runs with the jmin asked for, lowered to the
+        # j-complete window it needs
+        ("complexity", {"module": "M", "other": "N"}, fit),
+        ("complexity", {"module": "M", "other": "N", "jmin": -2},
+         {**fit, "jmin": -2}),
+        ("complexity", {"module": "M", "other": "N", "jmin": 0}, fit),
         # poincare sizes its fit and its coefficients with one cmax
         ("poincare", {"module": "M", "other": "N"},
          {"cmax": 10, "dmax": 13, "jmin": -1, "j_complete": True}),
+        ("poincare", {"module": "M", "other": "N", "jmin": -5},
+         {"cmax": 10, "dmax": 13, "jmin": -5, "j_complete": True}),
         ("poincare", {"module": "k"}, {"cmax": 10}),
         ("support", {"module": "M", "cmax": 9}, {}),
         ("selftest-appendix", {"bound": 3}, {"bound": 3}),
@@ -384,8 +408,11 @@ def _schema(name):
 def test_schemas_agree_with_the_cli():
     config = _schema("config.schema.json")["properties"]
     json_types = {"integer": int, "string": str}
+    params = config["params"]["properties"]
     assert {key: json_types[prop["type"]] for key, prop
-            in config["params"]["properties"].items()} == _PARAM_TYPES
+            in params.items()} == _PARAM_TYPES
+    assert {key for key, prop in params.items()
+            if prop.get("minimum") == 0} == set(_NONNEGATIVE)
     assert set(config["command"]["enum"]) == set(_COMMANDS)
     # the top-level keys of a report that succeeded, of a ring that failed
     # validation and of a job that failed with a typed error
@@ -415,3 +442,33 @@ def test_importing_the_cli_leaves_dualpowers_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_jobs_leave_openssl_unloaded(tmp_path):
+    # the store's digests come from the builtin SHA-256 module: a job that
+    # writes a cache entry and one that reads it back load no OpenSSL
+    import subprocess
+    import sys
+
+    import skewci
+
+    src = os.path.dirname(os.path.dirname(skewci.__file__))
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps(
+        example_config("resolve", {"module": "M"})))
+    reports = [tmp_path / "cold.json", tmp_path / "warm.json"]
+    code = ("import sys; from skewci.cli import main; "
+            "args = ['--config', sys.argv[1], '--cache', sys.argv[2]]; "
+            "assert main(args + ['--out', sys.argv[3]]) == 0; "
+            "assert main(args + ['--out', sys.argv[4]]) == 0; "
+            "assert not {'_hashlib', '_ssl'} & set(sys.modules), "
+            "sorted({'_hashlib', '_ssl'} & set(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config_path),
+         str(tmp_path / "cache")] + [str(p) for p in reports],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = (json.loads(p.read_text())["cache"] for p in reports)
+    assert cold == {"hits": 0, "misses": 1, "corrupt": 0}
+    assert warm == {"hits": 1, "misses": 0, "corrupt": 0}

@@ -251,6 +251,23 @@ def test_unreadable_entry_counts_as_corrupt(tmp_path, kind):
     assert cache.stats()["corrupt"] == 1
 
 
+@pytest.mark.parametrize("kind", ["res", "theta"])
+def test_digests_are_the_hashlib_sha256_digests(tmp_path, kind):
+    # the builtin SHA-256 gives the digests hashlib gave, so cache
+    # directories written with hashlib still load as hits
+    import hashlib
+
+    spec = example_ring()
+    mod = ModulePresentation.cyclic(spec, ["x1"], name="M")
+    ResolutionCache(str(tmp_path)).theta_module(mod, compute_t(spec))
+    path = _only(tmp_path, kind + "-")
+    with open(path) as handle:
+        doc = json.load(handle)
+    text = json.dumps(doc["payload"], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert store._sha256(text) == digest == doc["sha256"]
+
+
 def test_one_residue_field_basis_per_ring_within_a_store(monkeypatch):
     built = []
 

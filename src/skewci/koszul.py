@@ -76,10 +76,6 @@ class DGAlgebra:
     def from_poly(self, poly):
         return {(exps, 0, self.zero_h()): c for exps, c in poly.terms.items()}
 
-    def term_hdeg(self, key):
-        _, smask, hvec = key
-        return bin(smask).count("1") + 2 * sum(hvec)
-
     def term_ideg(self, key):
         exps, smask, hvec = key
         total = self.ring.deg(exps)

@@ -8,8 +8,8 @@ itself), the operator complex is S (x) X with differential
 
 where lam_i / lam_i' are the two e_i-multiplications.  Left S-linearity
 makes every slice computation reduce to exact linear algebra over the
-cyclotomic field; restriction along k[theta_i = chi_i^t] turns the residue
-field case into a finite free complex over a commutative polynomial ring.
+cyclotomic field, and turns the residue field case into a finite free
+complex over the skew chi-ring S = k_q[chi_1..chi_c] (``ext_over_theta``).
 
 Cohomological degree of chi^w (x) x is 2|w| - hdeg(x); the internal index j
 used in tables is sum w_i df_i - ideg(x), which for X = Hom(F, k) matches
@@ -18,12 +18,16 @@ the (i, j) layout of graded Betti tables.
 
 from __future__ import annotations
 
-import itertools
-
-from .colorcore import RingSpec, monomials_of_degree, standard_monomials
+from .colorcore import (
+    QRing,
+    RingSpec,
+    monomials_of_degree,
+    standard_monomials,
+)
 from .koszul import koszul_algebra
 from .linalg import Echelon, kernel_basis
 from .qgrobner import (
+    annihilator_ideal,
     buchberger,
     hilbert_numerator,
     minimalize_presentation,
@@ -220,12 +224,6 @@ class _HomIntoModule:
     def ideg(self, sym):
         p, b, key = sym
         return self.nb.key_ideg(key) - self.cx.basis[p][b][0]
-
-    def _sigma(self, sym):
-        p, b, key = sym
-        bc = self.cx.basis[p][b][1]
-        nc = self.nb.key_color(key)
-        return tuple(a - v for a, v in zip(nc, bc))
 
     def _twist_part(self, color, nexps):
         """Exponents linear in a color: chi(color, x_k) C(x_k, x^nexps) for
@@ -825,25 +823,39 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
                     {"cmax": cmax, "dmax": dmax})
 
 
-# -- restriction to the commutative operator ring ----------------------------
+# -- Ext(M, k) over the skew chi-ring -----------------------------------------
+
+def _chi_ring(spec):
+    """The skew operator ring S = k_q[chi_1..chi_c], chi_i of degree 2.
+
+    chi_j chi_i = chi(f_j, f_i) chi_i chi_j, so its reordering scalar
+    C(chi^w, chi_i) is the "d" twist of ``OperatorComplex._w_scalar`` and the
+    operator differential is left S-linear.
+    """
+    c = spec.c
+    ring = spec.qring
+    return QRing(spec.m, tuple(f"chi{i+1}" for i in range(c)), (2,) * c,
+                 [[ring.chi_exp(fj, fi) for fi in spec.cf] for fj in spec.cf])
+
 
 class ThetaModule:
-    """A finitely presented graded module over k[theta_1..theta_c].
+    """Ext_R(M, k) as a finitely presented graded left module over the skew
+    chi-ring S (``_chi_ring``).
 
-    Generators carry cohomological degrees; theta_i has degree 2t.  The
-    relation columns are vectors over a commutative QRing.
+    Generators carry cohomological degrees; chi_i has degree 2.  The
+    support is read in the commutative subring k[theta_i = chi_i^t]
+    (``support``), over which S is free of rank t^c; t is not needed here.
     """
 
-    def __init__(self, spec, t, gen_degs, columns):
+    def __init__(self, spec, gen_degs, columns):
         self.spec = spec
-        self.t = t
         self.gen_degs = list(gen_degs)
         self.columns = [dict(c) for c in columns]
-        self.ring = _theta_ring(spec, t)
+        self.ring = _chi_ring(spec)
 
     def annihilator(self):
-        from .qgrobner import annihilator_ideal
-
+        """The left ideal of S killing every generator, as a reduced
+        Groebner basis."""
         return annihilator_ideal(self.columns, len(self.gen_degs), self.ring)
 
     def groebner_leads(self):
@@ -864,125 +876,62 @@ class ThetaModule:
         return best
 
     def hilbert_numerator(self):
-        """Numerator over (1 - u^{2t})^c of the cohomological Hilbert series."""
+        """Numerator over (1 - u^2)^c of the cohomological Hilbert series."""
         leads = self.groebner_leads()
-        weights = (2 * self.t,) * self.spec.c
         out = {}
         for comp, d in enumerate(self.gen_degs):
             exps = [e for (e, c) in leads if c == comp]
-            num = hilbert_numerator(exps, weights)
+            num = hilbert_numerator(exps, self.ring.degs)
             for deg, v in num.items():
                 out[deg + d] = out.get(deg + d, 0) + v
         return {k: v for k, v in out.items() if v}
 
 
-def _theta_ring(spec, t):
-    from .colorcore import QRing
+def ext_over_theta(resolution: KoszulComplex) -> ThetaModule:
+    """Presentation of H(E_{F,k}) = Ext_R(M, k) over the chi-ring S.
 
-    c = spec.c
-    names = tuple(f"th{i+1}" for i in range(c))
-    return QRing(spec.m, names, (2 * t,) * c,
-                 [[0] * c for _ in range(c)])
-
-
-def ext_over_theta(resolution: KoszulComplex, t: int) -> ThetaModule:
-    """Presentation of H(E_{F,k}) over k[theta_i = chi_i^t].
-
-    The operator complex of Hom(F, k) is a finite free module over the
-    chi-ring; restricting along theta_i = chi_i^t (free of rank t^c on
-    chi^w, 0 <= w_i < t) and taking homology by commutative syzygies yields
-    the presentation.  The restricted differential reads its X-parts and
-    twists from that complex, so it shares every convention of ``ext``.
+    The operator complex of Hom(F, k) is the free S-module on the X-symbols
+    with a left S-linear differential: the column of x is dx at chi^0 plus
+    lam_i - lam_i' at chi_i, read from the complex's X-parts, so it shares
+    every convention of ``ext``.  Its homology is presented by syzygies over
+    S and minimalized.
     """
     from .store import current  # store imports this module
 
     spec = resolution.spec
-    tring = _theta_ring(spec, t)
+    sring = _chi_ring(spec)
     kbasis = current().module_basis(ModulePresentation.residue_field(spec))
     x = _HomIntoModule(resolution, kbasis)
     opcx = OperatorComplex(spec, x, "Hom(F,k)")
     xsyms = sorted(sym for p, layer in enumerate(resolution.basis)
                    for bd in {d for d, _c in layer}
                    for sym in x.symbols(-p, -bd))
-    weights = list(itertools.product(range(t), repeat=spec.c))
-    # chi^w adds 2|w| to the degree and -sum_i w_i cf_i to the color
-    wshifts = [(2 * sum(w), tuple(sum(wi * cf[k] for wi, cf in zip(w, spec.cf))
-                                  for k in range(spec.n)))
-               for w in weights]
     xindex = {xsym: i for i, xsym in enumerate(xsyms)}
-    windex = {w: i for i, w in enumerate(weights)}
-
-    def gen_id(xsym, w):
-        return xindex[xsym] * len(weights) + windex[w]
-
-    zero_t = tring.zero_exp()
-    gen_degs, gen_colors, columns = [], [], []
+    zero = sring.zero_exp()
+    chis = [zero[:i] + (1,) + zero[i + 1:] for i in range(spec.c)]
+    columns = []
     for xsym in xsyms:
         dx, ops = opcx._xpart(xsym)
-        sigma = x._sigma(xsym)
-        for w, (wdeg, wcolor) in zip(weights, wshifts):
-            gen_degs.append(wdeg - x.hdeg(xsym))
-            gen_colors.append(tuple(s - v for s, v in zip(sigma, wcolor)))
-            col = {(zero_t, gen_id(xk, w)): c for xk, c in dx.items()}
-            for i, op in enumerate(ops):
-                if not op:
-                    continue
-                # chi^w chi_i = u chi^w2 with u the "d" twist; when w2_i
-                # reaches t, chi^w2 = theta_i chi^w' times the "chi" twist
-                # to the power -t
-                u = opcx._w_scalar("d", i, w)
-                w2 = w[:i] + (w[i] + 1,) + w[i + 1:]
-                texps = zero_t
-                if w2[i] == t:
-                    wrap = opcx._w_scalar("chi", i, w)
-                    if wrap is not None:
-                        wrap = wrap ** -t
-                        u = wrap if u is None else u * wrap
-                    w2 = w[:i] + (0,) + w[i + 1:]
-                    texps = zero_t[:i] + (1,) + zero_t[i + 1:]
-                for xk, c in op.items():
-                    col[(texps, gen_id(xk, w2))] = c if u is None else c * u
-            columns.append(col)
-
-    # homology presentation per color class (theta shifts color by -t cf_i)
-    moduli = _color_moduli(spec, t)
-    classes = {}
-    for gid, color in enumerate(gen_colors):
-        classes.setdefault(_color_class(color, moduli), []).append(gid)
-
-    out_degs = []
-    out_cols = []
-    for cls, members in sorted(classes.items()):
-        local = {gid: i for i, gid in enumerate(members)}
-        loc_cols = []
-        for gid in members:
-            vec = {}
-            for (exps, dst), c in columns[gid].items():
-                vec[(exps, local[dst])] = c
-            loc_cols.append(vec)
-        degs = [gen_degs[g] for g in members]
-        h_degs, h_cols = _homology_presentation(loc_cols, degs, tring)
-        base = len(out_degs)
-        out_degs.extend(h_degs)
-        for colv in h_cols:
-            out_cols.append({(e, base + cc): v
-                             for (e, cc), v in colv.items()})
-
-    kept, cols2, _ = minimalize_presentation(len(out_degs), out_cols, tring)
+        col = {(zero, xindex[xk]): c for xk, c in dx.items()}
+        for chi_i, op in zip(chis, ops):
+            for xk, c in op.items():
+                col[(chi_i, xindex[xk])] = c
+        columns.append(col)
+    h_degs, h_cols = _homology_presentation(
+        columns, [-x.hdeg(xsym) for xsym in xsyms], sring)
+    kept, cols, _ = minimalize_presentation(len(h_degs), h_cols, sring)
     remap = {old: new for new, old in enumerate(kept)}
-    out_degs = [out_degs[k] for k in kept]
-    out_cols = [{(e, remap[c]): v for (e, c), v in col.items()}
-                for col in cols2]
-
-    return ThetaModule(spec, t, out_degs, out_cols)
+    return ThetaModule(spec, [h_degs[k] for k in kept],
+                       [{(e, remap[c]): v for (e, c), v in col.items()}
+                        for col in cols])
 
 
-def _homology_presentation(columns, gen_degs, tring):
-    """ker(D)/im(D) for the square matrix given by columns over tring."""
-    kergens = syzygy_module(columns, tring)   # in canonical order
+def _homology_presentation(columns, gen_degs, ring):
+    """ker(D)/im(D) for the square matrix given by columns over ring."""
+    kergens = syzygy_module(columns, ring)   # in canonical order
     if not kergens:
         return [], []
-    gb = buchberger(kergens, tring, want_syzygies=True)
+    gb = buchberger(kergens, ring, want_syzygies=True)
     rels = []
     for col in columns:
         if not col:
@@ -994,38 +943,9 @@ def _homology_presentation(columns, gen_degs, tring):
     rels += [dict(s) for s in gb.syzygies]
     h_degs = []
     for kg in kergens:
-        degs = {tring.deg(e) + gen_degs[c] for (e, c) in kg}
+        degs = {ring.deg(e) + gen_degs[c] for (e, c) in kg}
         if len(degs) != 1:
             raise AssertionError("inhomogeneous kernel generator")
         h_degs.append(degs.pop())
     return h_degs, rels
 
-
-def _color_moduli(spec, t):
-    """[(k, t cf_i[k]), one per relation] when the relation colors have
-    pairwise disjoint one-coordinate supports, else None.
-
-    Reduction mod the lattice <t cf_i> is then coordinatewise; otherwise
-    every color falls in one class.
-    """
-    moduli = []
-    seen = set()
-    for cf in spec.cf:
-        support = [k for k, v in enumerate(cf) if v]
-        if len(support) != 1 or support[0] in seen:
-            return None
-        k = support[0]
-        seen.add(k)
-        moduli.append((k, t * cf[k]))
-    return moduli
-
-
-def _color_class(color, moduli):
-    """Canonical representative of a color mod the lattice <t cf_i>, with
-    moduli from ``_color_moduli``."""
-    if moduli is None:
-        return ("single",)
-    out = list(color)
-    for k, modulus in moduli:
-        out[k] %= modulus
-    return tuple(out)

@@ -18,8 +18,6 @@ never touches the Groebner path above.
 
 from __future__ import annotations
 
-import json
-
 from .colorcore import (
     Poly,
     RingSpec,
@@ -549,9 +547,6 @@ class KoszulComplex:
         eact = [[mat_load(m) if m else {} for m in family]
                 for family in doc["eact"]]
         return KoszulComplex(spec, basis, diff, eact, module)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 class TruncationError(RuntimeError):

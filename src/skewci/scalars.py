@@ -257,14 +257,6 @@ class CycScalar:
         n = self.n
         return n[0] == 1 and self.d == 1 and not any(n[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.n[1:])
-
-    def as_fraction(self) -> Fraction:
-        if any(self.n[1:]):
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.n[0], self.d)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

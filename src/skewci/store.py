@@ -4,7 +4,10 @@ Two kinds of object are kept, both keyed by a content hash of the ring and
 the module presentation:
 
 * the certified finite Koszul resolution (``KoszulComplex``) of a module;
-* the presentation of Ext_R(M, k) over k[theta] (``ThetaModule``) at a t.
+* the presentation of Ext_R(M, k) over the skew chi-ring S
+  (``ThetaModule``); it does not depend on t, which the support reads off,
+  so its key holds no t.  A theta entry written when the key held t has
+  another file name: it is never read, and the module counts as a miss.
 
 The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
 builds, one per ring.
@@ -72,7 +75,6 @@ def _theta_to_json(tm):
     """gen_degs plus every column as [exps, comp, numerators, denominator]
     terms, in the column's own term order."""
     return {
-        "t": tm.t,
         "gen_degs": list(tm.gen_degs),
         "columns": [[[list(exps), comp, list(c.n), c.d]
                      for (exps, comp), c in col.items()]
@@ -86,7 +88,7 @@ def _theta_from_json(spec, doc):
                 CycScalar(m, [Fraction(x, d) for x in n])
                 for exps, comp, n, d in col}
                for col in doc["columns"]]
-    return operators.ThetaModule(spec, doc["t"], doc["gen_degs"], columns)
+    return operators.ThetaModule(spec, doc["gen_degs"], columns)
 
 
 class ResolutionCache:
@@ -121,11 +123,11 @@ class ResolutionCache:
             lambda: resolve.finite_koszul_resolution(module),
             KoszulComplex.to_json, _certified_resolution)
 
-    def theta_module(self, module: ModulePresentation, t: int):
-        """Ext_R(module, k) over k[theta_i = chi_i^t]."""
+    def theta_module(self, module: ModulePresentation):
+        """Ext_R(module, k) over the chi-ring S."""
         return self._get(
-            "theta", self._key(module, kind="theta", t=t),
-            lambda: operators.ext_over_theta(self.get_or_build(module), t),
+            "theta", self._key(module, kind="theta"),
+            lambda: operators.ext_over_theta(self.get_or_build(module)),
             _theta_to_json, lambda doc: _theta_from_json(module.spec, doc))
 
     def module_basis(self, module: ModulePresentation):

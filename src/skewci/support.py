@@ -4,11 +4,12 @@ operator ring.
 With all commutation parameters roots of unity there is a minimal t > 0
 such that the subalgebra on the t-th powers of the operators (and of the
 ring variables) is commutative: t is the least integer whose square is
-divisible by the exponent of the bicharacter's image.  Supports are
-computed exactly, with no window, in the fiber over the residue field,
-i.e. over k[theta_1..theta_c] with theta_i = chi_i^t; the reported ideal
-is the annihilator of the Ext module (same vanishing locus as the Fitting
-ideal, and canonical as a reduced Groebner basis) and the reported
+divisible by the exponent of the bicharacter's image.  Ext_R(M, k) is
+presented once over the skew chi-ring S (``operators.ext_over_theta``),
+with no window and no t; t enters only here, where the support is read in
+k[theta_1..theta_c], theta_i = chi_i^t.  The reported ideal is the
+annihilator of the Ext module in k[theta] (same vanishing locus as the
+Fitting ideal, and canonical as a reduced Groebner basis) and the reported
 dimension is its Krull dimension, which equals the complexity of the pair.
 """
 
@@ -16,14 +17,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .colorcore import Poly, RingSpec, poly_to_string
-from .operators import (
-    _theta_ring,
-    build_operator_complex,
-    homology_bigraded,
-)
+from .colorcore import Poly, QRing, RingSpec, poly_to_string
+from .operators import build_operator_complex, homology_bigraded
 from .qgrobner import Order, interreduce_ideal, monomial_dimension
 from .resolve import ModulePresentation, minimal_R_resolution
+from .scalars import CycScalar
 from .store import current
 
 __all__ = [
@@ -65,6 +63,12 @@ def compute_t(spec: RingSpec) -> int:
     while (t * t) % e != 0:
         t += 1
     return t
+
+
+def _theta_ring(spec, t):
+    c = spec.c
+    return QRing(spec.m, tuple(f"th{i+1}" for i in range(c)), (2 * t,) * c,
+                 [[0] * c for _ in range(c)])
 
 
 class ThetaAlgebra:
@@ -168,9 +172,6 @@ class PoincareSeries:
                 out[d] += out[d - 2]
         return out
 
-    def numerator_at_one(self):
-        return sum(self.numerator)
-
     def to_json(self):
         return {
             "numerator": list(self.numerator),
@@ -199,22 +200,16 @@ class RationalityError(RuntimeError):
 
 
 def _series_from_theta(tm, c, t):
-    """The Hilbert series num/(1-u^{2t})^c of a theta module as
+    """The Hilbert series num/(1-u^2)^c of Ext over the chi-ring as
     p/(1-u^2)^c' with p(1) != 0; P = 0 for the zero module.
 
     The divisions are exact because the series is a rational function with
-    denominator (1-u^2)^c (finite free resolution over the theta ring).
+    denominator (1-u^2)^c (finite free resolution over the chi-ring).
     """
     num = tm.hilbert_numerator()
     if not num:
         return PoincareSeries([0], 0, "exact-theta", {"t": t})
     p = [num.get(d, 0) for d in range(max(num) + 1)]
-    # (1 - u^{2t})/(1 - u^2) = 1 + u^2 + ... + u^{2(t-1)}
-    gluing = [1 if d % 2 == 0 else 0 for d in range(2 * t - 1)]
-    p, glued = _divide_out(p, gluing, c)
-    if glued < c:
-        raise AssertionError("theta Hilbert numerator not divisible; "
-                             "rational form violated")
     p, removed = _divide_out(p, ONE_MINUS_T2, c)
     if sum(p) == 0:
         raise AssertionError("numerator vanishes at t=1 after reduction; "
@@ -231,7 +226,7 @@ def _series_fit(coeffs, c, validate, method, window):
     last = max((d for d, v in enumerate(u) if v), default=-1)
     if last > len(u) - 1 - validate:
         raise RationalityError(
-            f"window too small: (1-t^2)^{c} * P has support at degree "
+            f"(1-t^2)^{c} * P has support at degree "
             f"{last} with only {len(u) - 1 - last} trailing zeros "
             f"(need {validate})")
     p, removed = _divide_out(_poly_trim(u[: last + 1]), ONE_MINUS_T2, c)
@@ -293,16 +288,38 @@ def _is_k(n):
 
 
 def _theta_data(module: ModulePresentation, t):
-    """(Ext_R(module, k) over k[theta], its dimension, its Poincare series),
-    certified once: the Krull dimension (0 for the zero module) equals the
-    pole order at 1, the c' of p/(1-t^2)^c' with p(1) != 0."""
-    tm = current().theta_module(module, t)
+    """(Ext_R(module, k) over the chi-ring, its dimension, its Poincare
+    series), certified once: the Krull dimension (0 for the zero module)
+    equals the pole order at 1, the c' of p/(1-t^2)^c' with p(1) != 0."""
+    tm = current().theta_module(module)
     dim = max(tm.dimension(), 0)
     series = _series_from_theta(tm, module.spec.c, t)
     if series.cprime != dim:
         raise AssertionError(f"dimension check failed: Krull {dim} vs "
                              f"pole order {series.cprime}")
     return tm, dim, series
+
+
+def _theta_annihilator(tm, t):
+    """ann_{k[theta]}(E) for E = S^r/L over the chi-ring S.
+
+    A theta-monomial skew-commutes with every chi-monomial up to a scalar,
+    so theta^a kills E exactly when chi^(t a) lies in every (L : e_j), i.e.
+    in I = ann_S of the generators.  Under Z^n colors I is monomial, and
+    chi^(t a) is in I exactly when some generator chi^b of I has b <= t a:
+    the ideal is generated by the theta^ceil(b/t).  A non-monomial
+    generator of I is refused.
+    """
+    exps = set()
+    for g in tm.annihilator():
+        if len(g) != 1:
+            raise AssertionError("annihilator over the chi-ring is not "
+                                 "monomial")
+        ((b, _comp),) = g
+        exps.add(tuple(-(-e // t) for e in b))
+    one = CycScalar.one(tm.spec.m)
+    return interreduce_ideal([{(a, 0): one} for a in sorted(exps)],
+                             _theta_ring(tm.spec, t))
 
 
 def support_variety(m: ModulePresentation, n) -> SupportReport:
@@ -322,10 +339,10 @@ def support_variety(m: ModulePresentation, n) -> SupportReport:
         labels = {"pair": [base.name, "k"]}
         if m_is_k and not n_is_k:
             labels["note"] = "computed as V(N,k) = V(k,N) by symmetry"
-        return SupportReport(spec, t, tm.annihilator(), dim, labels)
+        return SupportReport(spec, t, _theta_annihilator(tm, t), dim, labels)
     # general pair: fiber-intersection V(M,k) cap V(N,k)
-    ann_m = _theta_data(m, t)[0].annihilator()
-    ann_n = _theta_data(n, t)[0].annihilator()
+    ann_m = _theta_annihilator(_theta_data(m, t)[0], t)
+    ann_n = _theta_annihilator(_theta_data(n, t)[0], t)
     ring = _theta_ring(spec, t)
     combined = interreduce_ideal(list(ann_m) + list(ann_n), ring)
     order = Order(ring)
@@ -366,8 +383,9 @@ def poincare_series(m: ModulePresentation, n=None,
                     window=None) -> PoincareSeries:
     """P^R_{M,N}(t) = sum dim(Ext^i (x)_R k) t^i as p(t)/(1-t^2)^c'.
 
-    Exact via the theta-module Hilbert series when N = k; otherwise a
-    rational fit over the window validated on 2c extra coefficients.
+    Exact via the Hilbert series of Ext over the chi-ring when N = k;
+    otherwise a rational fit over the window validated on 2c extra
+    coefficients.
     """
     spec = m.spec
     t = compute_t(spec)

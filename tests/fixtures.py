@@ -1,5 +1,6 @@
 """Shared ring and module fixtures for the test suite."""
 
+import json
 import random
 
 from skewci.colorcore import RingSpec, validate_ring
@@ -61,3 +62,13 @@ def random_exponent(rng, n, total_max):
     for _ in range(rng.randint(0, total_max)):
         exps[rng.randrange(n)] += 1
     return tuple(exps)
+
+
+def is_rational(c):
+    """Does the cyclotomic scalar c lie in Q?"""
+    return not any(c.n[1:])
+
+
+def canonical_json(cx):
+    """A KoszulComplex as sorted-key JSON text, for exact comparisons."""
+    return json.dumps(cx.to_json(), sort_keys=True)

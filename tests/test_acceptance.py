@@ -326,7 +326,7 @@ def test_criterion_10_rationality():
             cx_val = complexity(m, "k")
             good = (series.cprime == cx_val.value
                     and all(isinstance(v, int) for v in series.numerator)
-                    and series.numerator_at_one() != 0)
+                    and sum(series.numerator) != 0)
             # validation on an extension window of 2c coefficients beyond
             # the declared support of (1-t^2)^cx * P
             upto = len(series.numerator) + 2 * spec.c + 4

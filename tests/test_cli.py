@@ -17,7 +17,7 @@ from skewci.cli import (
 )
 from skewci.resolve import ModulePresentation, finite_koszul_resolution
 
-from fixtures import example_ring
+from fixtures import canonical_json, example_ring
 
 
 def example_config(command, params=None, modules=None):
@@ -220,10 +220,10 @@ def test_cache_roundtrip(tmp_path):
     assert cache.stats()["misses"] == 1
     cx2 = cache.get_or_build(mod)
     assert cache.stats()["hits"] == 1
-    assert cx1.canonical_json() == cx2.canonical_json()
+    assert canonical_json(cx1) == canonical_json(cx2)
     # serialize-then-deserialize is the identity on the canonical form
     direct = finite_koszul_resolution(mod)
-    assert direct.canonical_json() == cx1.canonical_json()
+    assert canonical_json(direct) == canonical_json(cx1)
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -317,7 +317,8 @@ def test_window_too_small_exit_code():
         "poincare", {"module": "M", "other": "M", "cmax": 3, "dmax": 6})
     code, report, text = run(config)
     assert code == 3
-    assert "window too small" in report["error"]
+    assert report["error"].startswith("window too small: (1-t^2)^2 * P ")
+    assert report["error"].count("window too small") == 1
 
 
 def _main_with_report(tmp_path, capsys, config):
@@ -353,7 +354,7 @@ def test_truncation_error_exit_code(tmp_path, capsys, monkeypatch):
 def test_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
     from skewci import operators
 
-    def uncertified(cx, t, *args, **kwargs):
+    def uncertified(cx, *args, **kwargs):
         raise AssertionError("image vector outside the kernel module")
 
     monkeypatch.setattr(operators, "ext_over_theta", uncertified)

@@ -14,6 +14,7 @@ from skewci.resolve import (
 )
 
 from fixtures import (
+    canonical_json,
     example_ring,
     hypersurface_ring,
     random_ring,
@@ -100,7 +101,7 @@ def test_json_roundtrip():
     cx = finite_koszul_resolution(m)
     doc = cx.to_json()
     cx2 = KoszulComplex.from_json(doc)
-    assert cx2.canonical_json() == cx.canonical_json()
+    assert canonical_json(cx2) == canonical_json(cx)
     assert not cx2.verify_invariants()
 
 
@@ -224,7 +225,7 @@ def test_finite_resolutions_match_golden():
     for name, spec in _GOLDEN_RINGS.items():
         for mod in _golden_modules(spec):
             cx = finite_koszul_resolution(mod)
-            doc[f"{name} {mod.name}"] = json.loads(cx.canonical_json())
+            doc[f"{name} {mod.name}"] = json.loads(canonical_json(cx))
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     golden = Path(__file__).parent / "data" / "resolutions.json"
     assert text == golden.read_text()

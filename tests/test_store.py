@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,12 @@ from skewci.scalars import CycScalar
 from skewci.store import ResolutionCache
 from skewci.support import (
     complexity,
-    compute_t,
     is_perfect,
     poincare_series,
     support_variety,
 )
 
-from fixtures import example_ring
+from fixtures import example_ring, is_rational
 
 
 def m5_ring():
@@ -42,16 +42,14 @@ def _only(directory, prefix):
 def test_theta_module_disk_round_trip(tmp_path):
     spec = m5_ring()
     mod = ModulePresentation.cyclic(spec, ["x2*x3"], name="M")
-    t = compute_t(spec)
     cold = ResolutionCache(str(tmp_path))
-    built = cold.theta_module(mod, t)
+    built = cold.theta_module(mod)
     assert cold.stats() == {"hits": 0, "misses": 2, "corrupt": 0}
     warm = ResolutionCache(str(tmp_path))
-    loaded = warm.theta_module(mod, t)
+    loaded = warm.theta_module(mod)
     assert warm.stats() == {"hits": 1, "misses": 0, "corrupt": 0}
-    assert any(not c.is_rational() for col in built.columns
+    assert any(not is_rational(c) for col in built.columns
                for c in col.values())
-    assert loaded.t == built.t
     assert loaded.gen_degs == built.gen_degs
     assert _items(loaded) == _items(built)
 
@@ -64,11 +62,10 @@ def test_theta_round_trip_keeps_term_order(tmp_path, monkeypatch):
     # terms deliberately out of sorted order
     columns = [{((0, 1), 1): z, ((1, 0), 0): half, ((0, 0), 1): -z * z},
                {((2, 0), 0): half * z, ((0, 0), 0): CycScalar.one(5)}]
-    synthetic = ThetaModule(spec, 2, [4, 0], columns)
-    monkeypatch.setattr(operators, "ext_over_theta",
-                        lambda cx, t: synthetic)
-    ResolutionCache(str(tmp_path)).theta_module(mod, 2)
-    loaded = ResolutionCache(str(tmp_path)).theta_module(mod, 2)
+    synthetic = ThetaModule(spec, [4, 0], columns)
+    monkeypatch.setattr(operators, "ext_over_theta", lambda cx: synthetic)
+    ResolutionCache(str(tmp_path)).theta_module(mod)
+    loaded = ResolutionCache(str(tmp_path)).theta_module(mod)
     assert loaded is not synthetic
     assert loaded.gen_degs == [4, 0]
     assert _items(loaded) == _items(synthetic)
@@ -102,9 +99,9 @@ def test_one_build_per_module_within_a_store(monkeypatch):
         counts["res"] += 1
         return build_res(module, *args, **kwargs)
 
-    def counted_theta(cx, t, *args, **kwargs):
+    def counted_theta(cx, *args, **kwargs):
         counts["theta"] += 1
-        return build_theta(cx, t, *args, **kwargs)
+        return build_theta(cx, *args, **kwargs)
 
     monkeypatch.setattr(resolve, "finite_koszul_resolution", counted_res)
     monkeypatch.setattr(operators, "ext_over_theta", counted_theta)
@@ -143,6 +140,34 @@ def test_warm_cli_support_serves_theta_from_disk(tmp_path, monkeypatch):
     assert code1 == code2 == 0
     assert warm["cache"] == {"hits": 1, "misses": 0, "corrupt": 0}
     assert warm["result"] == cold["result"]
+
+
+def test_t_keyed_theta_entry_is_a_miss_not_corrupt(tmp_path):
+    # tests/data/t_keyed_cache holds the two files a support job wrote when
+    # theta entries were keyed and stored with t: the resolution file is
+    # byte-identical to today's and loads as a hit; the old theta file has
+    # another key, so it is never read and the theta module is rebuilt
+    data = Path(__file__).parent / "data" / "t_keyed_cache"
+    old = {path.name: path.read_text() for path in data.iterdir()}
+    assert sorted(name.split("-")[0] for name in old) == ["res", "theta"]
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
+    config = {
+        "ring": example_ring().to_json(),
+        "modules": {"M": {"quotient": ["x1"], "name": "M"}},
+        "command": "support",
+        "params": {"module": "M"},
+    }
+    fresh = tmp_path / "fresh"
+    code1, cold, _ = run(config, cache_dir=str(fresh))
+    res = Path(_only(fresh, "res-"))
+    assert old[res.name] == res.read_text()
+    code2, report, _ = run(config, cache_dir=str(tmp_path))
+    assert code1 == code2 == 0
+    assert report["cache"] == {"hits": 1, "misses": 1, "corrupt": 0}
+    assert report["result"] == cold["result"]
+    for name, text in old.items():
+        assert (tmp_path / name).read_text() == text
 
 
 @pytest.mark.parametrize("command", ["ext", "support"])
@@ -238,8 +263,7 @@ def test_support_functions_take_no_resolution():
 def test_unreadable_entry_counts_as_corrupt(tmp_path, kind):
     spec = example_ring()
     mod = ModulePresentation.cyclic(spec, ["x1"], name="M")
-    t = compute_t(spec)
-    ResolutionCache(str(tmp_path)).theta_module(mod, t)
+    ResolutionCache(str(tmp_path)).theta_module(mod)
     with open(_only(tmp_path, kind + "-"), "w") as handle:
         handle.write("{not json")
     cache = ResolutionCache(str(tmp_path))
@@ -247,7 +271,7 @@ def test_unreadable_entry_counts_as_corrupt(tmp_path, kind):
         cx = cache.get_or_build(mod)
         assert not cx.verify_invariants()
     else:
-        cache.theta_module(mod, t)
+        cache.theta_module(mod)
     assert cache.stats()["corrupt"] == 1
 
 
@@ -259,7 +283,7 @@ def test_digests_are_the_hashlib_sha256_digests(tmp_path, kind):
 
     spec = example_ring()
     mod = ModulePresentation.cyclic(spec, ["x1"], name="M")
-    ResolutionCache(str(tmp_path)).theta_module(mod, compute_t(spec))
+    ResolutionCache(str(tmp_path)).theta_module(mod)
     path = _only(tmp_path, kind + "-")
     with open(path) as handle:
         doc = json.load(handle)
@@ -278,10 +302,9 @@ def test_one_residue_field_basis_per_ring_within_a_store(monkeypatch):
 
     monkeypatch.setattr(operators, "ModuleBasis", CountedBasis)
     spec = example_ring()
-    t = compute_t(spec)
     cache = ResolutionCache(None)
     with store.using(cache):
         for quotient in (["x1"], ["x2"], ["x1", "x2"]):
-            cache.theta_module(ModulePresentation.cyclic(spec, quotient), t)
+            cache.theta_module(ModulePresentation.cyclic(spec, quotient))
     assert built == ["k"]
     assert cache.stats()["misses"] == 6

@@ -200,7 +200,7 @@ def test_rationality_certificate():
     n = ModulePresentation.cyclic(spec, ["x2"])
     series = poincare_series(m, n, window={"cmax": 8, "dmax": 8})
     assert series.method == "fit"
-    assert series.numerator_at_one() != 0
+    assert sum(series.numerator) != 0
     assert all(isinstance(v, int) for v in series.numerator)
 
 
@@ -260,3 +260,24 @@ def test_poincare_closed_form_on_random_rings():
         assert series.cprime == spec.c
         assert series.numerator == [comb(spec.n, j)
                                     for j in range(spec.n + 1)]
+
+
+def test_non_monomial_chi_annihilator_is_refused(monkeypatch):
+    # Under Z^n colors the annihilator over the chi-ring is monomial, which
+    # the theta read-off relies on; E = S/(chi1 - chi2) breaks that and
+    # must fail as a certificate (exit 1), never give an ideal
+    from skewci import operators
+    from skewci.cli import run
+    from skewci.scalars import CycScalar
+
+    spec = example_ring()
+    one = CycScalar.one(spec.m)
+    module = operators.ThetaModule(
+        spec, [0], [{((1, 0), 0): one, ((0, 1), 0): -one}])
+    monkeypatch.setattr(operators, "ext_over_theta", lambda cx: module)
+    config = {"ring": spec.to_json(), "modules": {},
+              "command": "support", "params": {"module": "k"}}
+    code, report, _ = run(config)
+    assert code == 1
+    assert report["error"] == ("certificate failed: annihilator over the "
+                               "chi-ring is not monomial")

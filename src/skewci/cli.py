@@ -225,8 +225,7 @@ def _cmd_ext(spec, config, params):
     cmax = params.get("cmax", 6)
     dmax = params.get("dmax", 8)
     jmin = params.get("jmin", -dmax)
-    table = homology_bigraded(opcx, cmax, dmax, jmin=jmin,
-                              want_actions=False)
+    table = homology_bigraded(opcx, cmax, dmax, jmin=jmin)
     result = {
         "pair": [mod.name, other.name],
         "table": table.to_json(),

@@ -489,8 +489,7 @@ class OperatorComplex:
         """The zeta-power chi^w picks up under an operator, None if it is 1.
 
         kind "d": the chi_i term of the differential, prod_{t>i}
-        chi(f_t, f_i)^w_t; "chi": left chi_i-multiplication, prod_{t<i}
-        chi(f_i, f_t)^w_t; "x": x_i moved past chi^w, prod_t
+        chi(f_t, f_i)^w_t; "x": x_i moved past chi^w, prod_t
         chi(f_t, e_i)^w_t, since chi^w has color -sum_t w_t cf_t.
         """
         key = (kind, i, w)
@@ -502,8 +501,6 @@ class OperatorComplex:
         if kind == "d":
             e = sum(w[t] * ring.chi_exp(cf[t], cf[i])
                     for t in range(i + 1, spec.c) if w[t])
-        elif kind == "chi":
-            e = sum(w[t] * ring.chi_exp(cf[i], cf[t]) for t in range(i) if w[t])
         else:
             el = tuple(1 if k == i else 0 for k in range(spec.n))
             e = sum(w[t] * ring.chi_exp(cf[t], el)
@@ -526,12 +523,6 @@ class OperatorComplex:
             for xk, c in op.items():
                 out[(w2, xk)] = c if scal is None else c * scal
         return out
-
-    def chi_action(self, i, sym):
-        """Left multiplication by chi_i: (i,j) -> (i+2, j+df_i)."""
-        w, xsym = sym
-        scal = self._w_scalar("chi", i, w) or CycScalar.one(self.spec.m)
-        return {(w[:i] + (w[i] + 1,) + w[i + 1:], xsym): scal}
 
     def x_action(self, l, sym):
         """Left multiplication by x_l: (i,j) -> (i, j - d_l)."""
@@ -581,17 +572,10 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
 # -- bigraded homology --------------------------------------------------------
 
 class ExtTable:
-    """Exact bigraded dimensions with operator action matrices.
+    """Exact bigraded dimensions {(i, j): dim H} and the window they span."""
 
-    An action matrix on the classes at (i, j) is {"target": (i', j'),
-    "columns": [{row: scalar}, one sparse column per source class]}; its
-    row count is dims[target].
-    """
-
-    def __init__(self, dims, chi_actions, x_actions, window):
+    def __init__(self, dims, window):
         self.dims = dims                  # (i, j) -> dim
-        self.chi_actions = chi_actions    # "chi<i>" -> (i, j) -> matrix
-        self.x_actions = x_actions        # [l] -> (i, j) -> matrix
         self.window = window
 
     def dim(self, i, j):
@@ -603,126 +587,31 @@ class ExtTable:
     def ext_dims(self, imax):
         return [self.ext_dim(i) for i in range(imax + 1)]
 
-    def tensor_k_dim(self, i):
-        """dim of Ext^i (x)_R k inside the window."""
-        total = 0
-        for (ii, j), d in self.dims.items():
-            if ii != i:
-                continue
-            ech = Echelon()
-            for table in self.x_actions:
-                for mat in table.values():
-                    if mat["target"] == (i, j):
-                        for colvec in mat["columns"]:
-                            if colvec:
-                                ech.add(dict(colvec))
-            total += d - ech.rank
-        return total
-
     def to_json(self):
-        out = {
+        return {
             "window": self.window,
             "dims": [[i, j, v] for (i, j), v in sorted(self.dims.items())
                      if v],
         }
-        acts = {}
-        for name, table in (self.chi_actions or {}).items():
-            acts[name] = [
-                [list(src), mat["target"],
-                 [[col[r].to_string() if r in col else "0"
-                   for col in mat["columns"]]
-                  for r in range(self.dims[mat["target"]])]]
-                for src, mat in sorted(table.items())
-            ]
-        out["actions"] = acts
-        return out
 
 
-def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0, jmin=0,
-                      want_actions=True) -> ExtTable:
-    """Exact dims of H in the (cohomological, internal) window, with the
-    chi_i and x_l action matrices on pivot-chosen homology bases.
+def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0,
+                      jmin=0) -> ExtTable:
+    """Exact dims of H in the (cohomological, internal) window, from ranks.
 
-    Without actions the dims come from ranks alone: for each j, i runs
+    dim H(i, j) = #cols - rank d(i, j) - rank d(i-1, j): for each j, i runs
     upward, the columns of d(i, j) go into one untracked elimination as
     they are built, and only the next slice's symbols and the previous
     rank are kept, so memory scales with one slice, not with the window.
-    With actions every slice's kernel data is kept for the action tables.
     """
-    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
-    if not want_actions:
-        return ExtTable(_homology_dims(opcx, imax, jmax, imin, jmin), {}, [],
-                        window)
-    spec = opcx.spec
-    one = CycScalar.one(spec.m)
-
-    slices = {}
-    for i in range(imin - 1, imax + 2):
-        for j in range(jmin, jmax + 1):
-            syms = opcx.slice_symbols(i, j)
-            slices[(i, j)] = {sym: idx for idx, sym in enumerate(syms)}
-
-    dmat = {}
-    for i in range(imin - 1, imax + 1):
-        for j in range(jmin, jmax + 1):
-            index_to = slices[(i + 1, j)]
-            dmat[(i, j)] = [_slice_vector(opcx.differential(sym), index_to)
-                            for sym in slices[(i, j)]]
-
-    # homology data per slice: a combined echelon (image vectors first with
-    # empty traces, then kernel vectors tracked by homology-basis index)
-    # makes dims exact and gives canonical H-coordinates for any cycle
-    hdata = {}
-    dims = {}
-    for i in range(imin, imax + 1):
-        for j in range(jmin, jmax + 1):
-            cols = dmat[(i, j)]
-            kers = kernel_basis(cols, one)
-            comb = Echelon(track=True)
-            for col in dmat.get((i - 1, j), []):
-                if col:
-                    comb.add(dict(col), {})
-            reps = []
-            for kv in kers:
-                piv, _ = comb.add(dict(kv), {len(reps): one})
-                if piv is not None:
-                    reps.append(dict(kv))
-            dims[(i, j)] = len(reps)
-            hdata[(i, j)] = (reps, comb)
-
-    def action_table(act, di, dj):
-        table = {}
-        for (i, j), (reps, _comb) in hdata.items():
-            tgt = (i + di, j + dj)
-            if tgt in hdata and reps:
-                table[(i, j)] = {"target": tgt, "columns": _action_columns(
-                    act, reps, slices[(i, j)], slices[tgt], hdata[tgt][1])}
-        return table
-
-    chi_actions = {}
-    for opi in range(spec.c):
-        chi_actions[f"chi{opi+1}"] = action_table(
-            lambda s: opcx.chi_action(opi, s), 2, spec.df[opi])
-    x_actions = []
-    for l in range(spec.n):
-        x_actions.append(action_table(
-            lambda s: opcx.x_action(l, s), 0, -spec.degrees[l]))
-    return ExtTable(dims, chi_actions, x_actions, window)
-
-
-def _homology_dims(opcx, imax, jmax, imin, jmin):
-    """{(i, j): dim H} in the window, dim H(i, j) = #cols - rank d(i, j)
-    - rank d(i-1, j), one slice matrix at a time."""
     dims = {}
     for j in range(jmin, jmax + 1):
         syms = opcx.slice_symbols(imin - 1, j)
         prev_rank = 0
         for i in range(imin - 1, imax + 1):
             nxt = opcx.slice_symbols(i + 1, j)
-            index = {sym: idx for idx, sym in enumerate(nxt)}
             ech = Echelon()
-            for sym in syms:
-                col = _slice_vector(opcx.differential(sym), index)
+            for col in _d_columns(opcx, syms, nxt):
                 if col:
                     ech.add(col)
             if i >= imin:
@@ -732,7 +621,66 @@ def _homology_dims(opcx, imax, jmax, imin, jmin):
                 dims[(i, j)] = d
             prev_rank = ech.rank
             syms = nxt
-    return dims
+    window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
+    return ExtTable(dims, window)
+
+
+def _tensor_k_dims(opcx: OperatorComplex, imax, jmax, jmin):
+    """[dim H^i / (x_1..x_n) H^i for i = 0..imax] over the internal window
+    [jmin, jmax], from ranks alone: for X = Hom(F, N) this is
+    dim Ext^i(M, N) (x)_R k.
+
+    i runs upward holding the slices of two cohomological degrees.  At
+    each i, j runs downward, and one untracked elimination per slice
+    takes B(i, j) = im d(i-1, j), then the x_l-images of the classes kept
+    at (i, j + deg x_l), then the kernel of d(i, j).  Each x_l is a chain
+    map, so the images are cycles and the kernel vectors that still give
+    a pivot count dim (H/xH)(i, j); the images and kernel vectors that
+    gave a pivot represent a basis of H(i, j), which the lower j map by
+    x.  Classes outside [jmin, jmax] are not counted.
+    """
+    spec = opcx.spec
+    one = CycScalar.one(spec.m)
+    js = range(jmax, jmin - 1, -1)
+    syms = {j: opcx.slice_symbols(0, j) for j in js}
+    bounds = {j: list(_d_columns(opcx, opcx.slice_symbols(-1, j), syms[j]))
+              for j in js}
+    out = []
+    for i in range(imax + 1):
+        nxt = {j: opcx.slice_symbols(i + 1, j) for j in js}
+        cols = {j: list(_d_columns(opcx, syms[j], nxt[j])) for j in js}
+        reps = {}
+        total = 0
+        for j in js:
+            index = {sym: idx for idx, sym in enumerate(syms[j])}
+            ech = Echelon()
+            for col in bounds[j]:
+                if col:
+                    ech.add(col)
+            kept = []
+            for l, deg in enumerate(spec.degrees):
+                for rep in reps.get(j + deg, ()):
+                    image = {}
+                    for idx, c in rep.items():
+                        add_scaled(image, _slice_vector(opcx.x_action(
+                            l, syms[j + deg][idx]), index), c)
+                    if image and ech.add(image)[0] is not None:
+                        kept.append(image)
+            for kv in kernel_basis(cols[j], one):
+                if ech.add(kv)[0] is not None:
+                    kept.append(kv)
+                    total += 1
+            reps[j] = kept
+        out.append(total)
+        syms, bounds = nxt, cols
+    return out
+
+
+def _d_columns(opcx, syms, target):
+    """The columns of d on the symbols syms over the slice whose symbols
+    are target, one at a time."""
+    index = {sym: idx for idx, sym in enumerate(target)}
+    return (_slice_vector(opcx.differential(sym), index) for sym in syms)
 
 
 def _slice_vector(mapping, index):
@@ -744,29 +692,10 @@ def _slice_vector(mapping, index):
         if idx is None:
             if c:
                 raise AssertionError(
-                    f"differential escapes the enumerated slice: {sym}")
+                    f"map escapes the enumerated slice: {sym}")
             continue
         add_term(out, idx, c)
     return out
-
-
-def _action_columns(act, reps, src_index, tgt_index, tgt_comb):
-    """Sparse columns {row: scalar} of an action on homology bases, one per
-    source class, in the H-coordinates of the target slice."""
-    src_syms = list(src_index)
-    columns = []
-    for rep in reps:
-        total = {}
-        for idx, c in rep.items():
-            for tsym, tc in act(src_syms[idx]).items():
-                tidx = tgt_index.get(tsym)
-                if tidx is not None:
-                    add_term(total, tidx, tc * c)
-        residual, trace = tgt_comb.reduce(total, {})
-        if residual:
-            raise AssertionError("action image not recognized in target slice")
-        columns.append({k: -v for k, v in trace.items()})
-    return columns
 
 
 # -- braided Hochschild cohomology --------------------------------------------
@@ -798,12 +727,10 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
     (w, monomial of R) with 2|w| = i and deg = sum w df - j.
     """
     opcx = build_operator_complex(spec, "self-E")
-    maxdf = max(spec.df) if spec.c else 0
-    jmax = (cmax // 2 + spec.c) * maxdf
+    jmax = (cmax // 2 + spec.c) * max(spec.df, default=0)
     jmin = -dmax
     imin = -spec.c
-    table = homology_bigraded(opcx, cmax, jmax, imin=imin, jmin=jmin,
-                              want_actions=False)
+    table = homology_bigraded(opcx, cmax, jmax, imin=imin, jmin=jmin)
     rcut = jmax + dmax
     rdims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
              for d in range(rcut + 1)]

@@ -18,7 +18,11 @@ from __future__ import annotations
 from math import gcd
 
 from .colorcore import Poly, QRing, RingSpec, poly_to_string
-from .operators import build_operator_complex, homology_bigraded
+from .operators import (
+    _tensor_k_dims,
+    build_operator_complex,
+    homology_bigraded,
+)
 from .qgrobner import Order, interreduce_ideal, monomial_dimension
 from .resolve import ModulePresentation, minimal_R_resolution
 from .scalars import CycScalar
@@ -217,25 +221,6 @@ def _series_from_theta(tm, c, t):
     return PoincareSeries(p, c - removed, "exact-theta", {"t": t})
 
 
-def _series_fit(coeffs, c, validate, method, window):
-    """Fit sum coeffs t^i = p(t)/(1-t^2)^c' with a validated zero tail."""
-    u = list(coeffs)
-    for _ in range(c):
-        for d in range(len(u) - 1, 1, -1):
-            u[d] -= u[d - 2]
-    last = max((d for d, v in enumerate(u) if v), default=-1)
-    if last > len(u) - 1 - validate:
-        raise RationalityError(
-            f"(1-t^2)^{c} * P has support at degree "
-            f"{last} with only {len(u) - 1 - last} trailing zeros "
-            f"(need {validate})")
-    p, removed = _divide_out(_poly_trim(u[: last + 1]), ONE_MINUS_T2, c)
-    cprime = c - removed
-    if p and sum(p) == 0:
-        raise AssertionError("fit numerator vanishes at t=1")
-    return PoincareSeries(p or [0], cprime if p else 0, method, window)
-
-
 # ---------------------------------------------------------------------------
 # support reports
 # ---------------------------------------------------------------------------
@@ -387,12 +372,36 @@ def poincare_series(m: ModulePresentation, n=None,
     otherwise a rational fit over the window validated on 2c extra
     coefficients.
     """
-    spec = m.spec
-    t = compute_t(spec)
     if _is_k(n):
-        return _theta_data(m, t)[2]
+        return _theta_data(m, compute_t(m.spec))[2]
+    return _pair_series(m, n, window)
+
+
+def _pair_series(m, n, window):
+    """P_{M,N} = sum dim(Ext^i(M,N) (x)_R k) t^i fitted over the window as
+    p/(1-t^2)^c', with a validated zero tail of 2c coefficients.  With
+    c = 0 the series has degree at most n = gl.dim Q, so a window with
+    cmax < n cannot certify it."""
+    c = m.spec.c
     coeffs, win = _tensor_k_series(m, n, window)
-    return _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
+    if c == 0 and win["cmax"] < m.spec.n:
+        raise RationalityError(
+            f"cmax {win['cmax']} is below n = {m.spec.n}, the degree bound "
+            f"of P over a ring with no relations")
+    u = list(coeffs)
+    for _ in range(c):
+        for d in range(len(u) - 1, 1, -1):
+            u[d] -= u[d - 2]
+    last = max((d for d, v in enumerate(u) if v), default=-1)
+    if last > len(u) - 1 - 2 * c:
+        raise RationalityError(
+            f"(1-t^2)^{c} * P has support at degree "
+            f"{last} with only {len(u) - 1 - last} trailing zeros "
+            f"(need {2 * c})")
+    p, removed = _divide_out(_poly_trim(u[: last + 1]), ONE_MINUS_T2, c)
+    if p and sum(p) == 0:
+        raise AssertionError("fit numerator vanishes at t=1")
+    return PoincareSeries(p or [0], c - removed if p else 0, "fit", win)
 
 
 def _tensor_k_series(m, n, window):
@@ -408,7 +417,7 @@ def _tensor_k_series(m, n, window):
     nb = opcx.x.nb
     min_n = min((d for d, _c in nb.gens()), default=0)
     # j <= sum(w) df + max basis degree - min target degree, sum(w) <= i/2
-    jmax_required = (imax // 2) * max(spec.df) + top_deg - min_n
+    jmax_required = (imax // 2) * max(spec.df, default=0) + top_deg - min_n
     jmax = max((window or {}).get("dmax", 10), jmax_required)
     # probe whether the target is finite dimensional; if so the window is
     # complete below as well
@@ -428,35 +437,23 @@ def _tensor_k_series(m, n, window):
     else:
         jmin = (window or {}).get("jmin", -jmax)
         j_complete = False
-    table = homology_bigraded(opcx, imax, jmax, jmin=jmin)
-    coeffs = [table.tensor_k_dim(i) for i in range(imax + 1)]
+    coeffs = _tensor_k_dims(opcx, imax, jmax, jmin)
     return coeffs, {"cmax": imax, "dmax": jmax, "jmin": jmin,
                     "j_complete": j_complete}
 
 
-def complexity(m: ModulePresentation, n=None, window=None,
-               force_fit=False) -> ComplexityResult:
+def complexity(m: ModulePresentation, n=None,
+               window=None) -> ComplexityResult:
     """cx_R(M, N): Krull dimension of the theta support when N = k (exact),
-    pole order of the validated rational fit otherwise.
-
-    ``force_fit`` takes the rational-fit route even when the exact theta
-    route applies; used to cross-check the two methods against each other.
-    """
-    spec = m.spec
-    t = compute_t(spec)
+    pole order of the validated rational fit otherwise."""
     n_is_k = _is_k(n)
-    m_is_k = m.is_residue_field()
-    if force_fit:
-        if n_is_k:
-            n = ModulePresentation.residue_field(spec)
-        n_is_k = m_is_k = False
-    if n_is_k or m_is_k:
+    if n_is_k or m.is_residue_field():
+        t = compute_t(m.spec)
         dim = _theta_data(m if n_is_k else n, t)[1]
         return ComplexityResult(dim, {"method": "theta-dimension", "t": t})
-    coeffs, win = _tensor_k_series(m, n, window)
-    series = _series_fit(coeffs, spec.c, 2 * spec.c, "fit", win)
+    series = _pair_series(m, n, window)
     return ComplexityResult(series.cprime,
-                            {"method": "rational-fit", **win})
+                            {"method": "rational-fit", **series.window})
 
 
 def is_perfect(m: ModulePresentation) -> bool:
@@ -506,14 +503,12 @@ def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
     cx = current().get_or_build(m)
     free = ModulePresentation.free(spec)
     top_basis_deg = max(d for layer in cx.basis for d, _c in layer)
-    jmax = (window // 2 + 1) * max(spec.df) + top_basis_deg
+    jmax = (window // 2 + 1) * max(spec.df, default=0) + top_basis_deg
     jmin = -jmax
-    table_m = homology_bigraded(
-        build_operator_complex(cx, m), window, jmax, jmin=jmin,
-        want_actions=False)
-    table_r = homology_bigraded(
-        build_operator_complex(cx, free), window, jmax, jmin=jmin,
-        want_actions=False)
+    table_m = homology_bigraded(build_operator_complex(cx, m), window, jmax,
+                                jmin=jmin)
+    table_r = homology_bigraded(build_operator_complex(cx, free), window,
+                                jmax, jmin=jmin)
     failures = [i for i in range(r + 1, window + 1)
                 if table_m.ext_dim(i) or table_r.ext_dim(i)]
     if failures:

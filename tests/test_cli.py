@@ -15,7 +15,12 @@ from skewci.cli import (
     main,
     run,
 )
-from skewci.resolve import ModulePresentation, finite_koszul_resolution
+from skewci.colorcore import RingSpec
+from skewci.resolve import (
+    ModulePresentation,
+    finite_koszul_resolution,
+    minimal_R_resolution,
+)
 
 from fixtures import canonical_json, example_ring
 
@@ -210,6 +215,61 @@ def test_arc_command():
     code, report, text = run(config)
     assert code == 0
     assert report["result"]["verdict"] == "pass"
+
+
+def polynomial_config(command, params):
+    """A job over k[x1, x2] (m = 1, no relations) with M = R/(x1) and
+    N = R/(x1*x2)."""
+    return {
+        "ring": {"n": 2, "m": 1, "qexp": [[0, 0], [0, 0]], "relations": []},
+        "modules": {"M": {"quotient": ["x1"], "name": "M"},
+                    "N": {"quotient": ["x1*x2"], "name": "N"}},
+        "command": command,
+        "params": params,
+    }
+
+
+def test_ring_without_relations_matches_the_oracle(tmp_path, capsys):
+    # c = 0: arc, complexity and poincare of a pair used to crash on
+    # max(spec.df).  Over k[x1, x2] pd M = 1, so cx(M, N) = 0, and by
+    # Koszul self-duality dim Ext^i(k, N) = beta_{2-i}(N).
+    spec = RingSpec.from_json(polynomial_config("check", {})["ring"])
+    pd_m = minimal_R_resolution(ModulePresentation.cyclic(spec, ["x1"]),
+                                4, 6).projective_dimension()
+    betti_n = minimal_R_resolution(
+        ModulePresentation.cyclic(spec, ["x1*x2"]), 4, 6).totals()
+    assert pd_m == 1 and betti_n == [1, 1, 0, 0, 0]
+    jobs = [("arc", {"module": "M", "r": 1, "window": 3}),
+            ("complexity", {"module": "M", "other": "N"}),
+            ("poincare", {"module": "k", "other": "N", "cmax": 4})]
+    results = {}
+    for command, params in jobs:
+        code, report, captured = _main_with_report(
+            tmp_path, capsys, polynomial_config(command, params))
+        assert code == 0, report.get("error")
+        assert "Traceback" not in captured.err + captured.out
+        results[command] = report["result"]
+    assert results["arc"]["verdict"] == "pass"
+    assert results["arc"]["pd"] == results["arc"]["sup_ext_R"] == pd_m
+    assert results["complexity"]["value"] == 0
+    assert results["poincare"]["coefficients"] == [
+        betti_n[2 - i] if i <= 2 else 0 for i in range(5)]
+
+
+def test_ring_without_relations_needs_cmax_n():
+    # with c = 0 the fit validates no trailing coefficients, so a window
+    # below gl.dim Q = n cannot certify the series: P_{k,M} = t + t^2
+    for command, module, other in (("poincare", "k", "M"),
+                                   ("complexity", "M", "N")):
+        code, report, _ = run(polynomial_config(
+            command, {"module": module, "other": other, "cmax": 1}))
+        assert code == 3, command
+        assert report["error"].startswith(
+            "window too small: cmax 1 is below n = 2"), report["error"]
+    code, report, _ = run(polynomial_config(
+        "poincare", {"module": "k", "other": "M", "cmax": 2}))
+    assert code == 0
+    assert report["result"]["coefficients"] == [0, 1, 1]
 
 
 def test_cache_roundtrip(tmp_path):
@@ -425,7 +485,14 @@ def test_schemas_agree_with_the_cli():
     for job in (example_config("check"), invalid, too_small):
         keys |= set(run(job)[1])
     assert {"windows", "result", "cache", "error"} <= keys
-    assert keys <= set(_schema("report.schema.json")["properties"])
+    report = _schema("report.schema.json")["properties"]
+    assert keys <= set(report)
+    # every key of an ext result, and of its table, is documented
+    result = run(example_config("ext", {"module": "M", "other": "N"}))[1][
+        "result"]
+    documented = report["result"]["properties"]
+    assert set(result) <= set(documented)
+    assert set(result["table"]) == set(documented["table"]["properties"])
 
 
 def test_importing_the_cli_leaves_dualpowers_unloaded():

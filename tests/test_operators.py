@@ -113,7 +113,7 @@ def test_ext_k_k_dims_match_poincare_series():
     k = ModulePresentation.residue_field(spec)
     cx = finite_koszul_resolution(k)
     opcx = build_operator_complex(cx, k)
-    table = homology_bigraded(opcx, 5, 8, want_actions=False)
+    table = homology_bigraded(opcx, 5, 8)
     # (1+t)^2/(1-t^2)^2 = 1/(1-t)^2
     assert table.ext_dims(5) == [1, 2, 3, 4, 5, 6]
 
@@ -123,7 +123,7 @@ def test_oracle_equivalence_bigraded_for_k():
     k = ModulePresentation.residue_field(spec)
     cx = finite_koszul_resolution(k)
     opcx = build_operator_complex(cx, k)
-    table = homology_bigraded(opcx, 4, 8, want_actions=False)
+    table = homology_bigraded(opcx, 4, 8)
     betti = minimal_R_resolution(k, 4, 8)
     for i in range(5):
         for j in range(9):
@@ -136,7 +136,7 @@ def test_oracle_equivalence_for_rx():
     k = ModulePresentation.residue_field(spec)
     cx = finite_koszul_resolution(m)
     opcx = build_operator_complex(cx, k)
-    table = homology_bigraded(opcx, 5, 8, want_actions=False)
+    table = homology_bigraded(opcx, 5, 8)
     betti = minimal_R_resolution(m, 5, 8)
     for i in range(6):
         for j in range(9):
@@ -150,7 +150,7 @@ def test_ext_of_free_module_is_target():
     n = ModulePresentation.cyclic(spec, ["x2"])
     cx = finite_koszul_resolution(free)
     opcx = build_operator_complex(cx, n)
-    table = homology_bigraded(opcx, 3, 6, jmin=-4, want_actions=False)
+    table = homology_bigraded(opcx, 3, 6, jmin=-4)
     # Ext^0 = N, higher Ext vanish; N = R/(y) has dims 1,1,1,1 per degree
     assert table.ext_dim(0) > 0
     for i in range(1, 4):
@@ -166,56 +166,105 @@ def test_resolution_independence_of_target():
         cxn = finite_koszul_resolution(n)
         op_module = build_operator_complex(cxm, n)
         op_complex = build_operator_complex(cxm, cxn)
-        t1 = homology_bigraded(op_module, 4, 6, jmin=-4, want_actions=False)
-        t2 = homology_bigraded(op_complex, 4, 6, jmin=-4, want_actions=False)
+        t1 = homology_bigraded(op_module, 4, 6, jmin=-4)
+        t2 = homology_bigraded(op_complex, 4, 6, jmin=-4)
         for i in range(5):
             for j in range(-4, 7):
                 assert t1.dim(i, j) == t2.dim(i, j), (spec.m, i, j)
 
 
-def test_rank_only_dims_match_action_path():
+def _r_chi_dim(spec, i, j):
+    """dim of R[chi_1..chi_c] at (i, j): pairs (w, monomial of R) with
+    2|w| = i and deg = sum w df - j."""
+    from skewci.colorcore import standard_monomials
+    from skewci.operators import _chi_weights
+
+    if i < 0 or i % 2:
+        return 0
+    return sum(len(standard_monomials(spec.qring, d, spec.rel_exps))
+               for w in _chi_weights(spec.c, i // 2)
+               for d in [sum(a * b for a, b in zip(w, spec.df)) - j]
+               if d >= 0)
+
+
+def _assert_dims_match_references(spec, cx, target, window):
+    """homology_bigraded on Hom(F, target) or S (x) E against a reference
+    that does not share its slices: the Betti oracle for target k, the
+    R[chi] count for "self-E", Hom(F, module) for a resolution target."""
+    imin, jmin = window.get("imin", 0), window.get("jmin", 0)
+    imax, jmax = window["imax"], window["jmax"]
+    table = homology_bigraded(build_operator_complex(cx, target), **window)
+    if target == "self-E":
+        want = {(i, j): _r_chi_dim(spec, i, j)
+                for i in range(imin, imax + 1) for j in range(jmin, jmax + 1)}
+    elif isinstance(target, KoszulComplex):
+        want = homology_bigraded(
+            build_operator_complex(cx, target.module), **window).dims
+    else:
+        assert target.is_residue_field() and imin == jmin == 0
+        betti = minimal_R_resolution(cx.module, imax, jmax)
+        want = {(i, j): betti.entries.get((i, j), 0)
+                for i in range(imax + 1) for j in range(jmax + 1)}
+    assert table.dims == want, (spec.to_json(), window)
+    assert any(want.values())
+
+
+def test_rank_only_dims_match_references():
     spec = example_ring()
     k = ModulePresentation.residue_field(spec)
     cxm = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
     skew5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
                      relations=["x1^2", "x2^2", "x3^2"])
     k5 = ModulePresentation.residue_field(skew5)
-    cxk5 = finite_koszul_resolution(k5)
     cases = [
-        (lambda: build_operator_complex(cxm, k), dict(imax=4, jmax=6)),
-        (lambda: build_operator_complex(cxm, cxm),
-         dict(imax=2, jmax=3, jmin=-3)),
-        (lambda: build_operator_complex(spec, "self-E"),
-         dict(imax=4, jmax=4, imin=-2, jmin=-4)),
-        (lambda: build_operator_complex(cxk5, k5), dict(imax=3, jmax=3)),
+        (spec, cxm, k, dict(imax=4, jmax=6)),
+        (spec, cxm, cxm, dict(imax=2, jmax=3, jmin=-3)),
+        (spec, spec, "self-E", dict(imax=4, jmax=4, imin=-2, jmin=-4)),
+        (skew5, finite_koszul_resolution(k5), k5, dict(imax=3, jmax=3)),
     ]
-    for build, window in cases:
-        fast = homology_bigraded(build(), want_actions=False, **window)
-        full = homology_bigraded(build(), **window)
-        assert fast.dims == full.dims, window
-        assert any(fast.dims.values())
+    for case in cases:
+        _assert_dims_match_references(*case)
+
+
+def _dims_keeping_every_slice(opcx, imax, jmax, imin, jmin):
+    """The window's homology dims with every slice matrix built before any
+    is ranked: what a routine that keeps every slice holds at once."""
+    from skewci.linalg import rank
+    from skewci.operators import _d_columns
+
+    cols = {(i, j): list(_d_columns(opcx, opcx.slice_symbols(i, j),
+                                    opcx.slice_symbols(i + 1, j)))
+            for i in range(imin - 1, imax + 1)
+            for j in range(jmin, jmax + 1)}
+    return {(i, j): len(cols[(i, j)]) - rank(cols[(i, j)])
+            - rank(cols[(i - 1, j)])
+            for i in range(imin, imax + 1) for j in range(jmin, jmax + 1)}
 
 
 def test_dims_only_memory_scales_with_a_slice():
-    # the dims-only path keeps one slice matrix at a time; the action path
-    # keeps every slice's kernel data for the action tables
+    # homology_bigraded keeps one slice matrix at a time; holding every
+    # slice of the window at once costs far more.  Both run on a complex
+    # whose memos an untraced run already filled, so only what each
+    # routine allocates itself counts.
     import tracemalloc
 
-    def traced(spec, window, want_actions):
+    def traced(routine, opcx, window):
         tracemalloc.start()
         try:
-            table = homology_bigraded(
-                build_operator_complex(spec, "self-E"), window, window,
-                imin=-spec.c, jmin=-window, want_actions=want_actions)
-            return table.dims, tracemalloc.get_traced_memory()[1]
+            dims = routine(opcx, window, window, imin=-opcx.spec.c,
+                           jmin=-window)
+            return dict(getattr(dims, "dims", dims)), \
+                tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     for spec, window in ((example_ring(), 8), (three_var_ring(), 5)):
-        dims, peak = traced(spec, window, False)
-        full_dims, full_peak = traced(spec, window, True)
-        assert dims == full_dims
-        assert peak <= 0.4 * full_peak, (window, peak, full_peak)
+        opcx = build_operator_complex(spec, "self-E")
+        _dims_keeping_every_slice(opcx, window, window, -spec.c, -window)
+        dims, peak = traced(homology_bigraded, opcx, window)
+        all_dims, all_peak = traced(_dims_keeping_every_slice, opcx, window)
+        assert dims == all_dims
+        assert peak <= 0.2 * all_peak, (window, peak, all_peak)
 
 
 def test_dims_paths_and_hh_agree_on_wider_random_rings():
@@ -227,16 +276,9 @@ def test_dims_paths_and_hh_agree_on_wider_random_rings():
     for spec in specs:
         k = ModulePresentation.residue_field(spec)
         cx = finite_koszul_resolution(k)
-        cases = [
-            (lambda: build_operator_complex(cx, k), dict(imax=3, jmax=6)),
-            (lambda: build_operator_complex(spec, "self-E"),
-             dict(imax=3, jmax=3, imin=-spec.c, jmin=-3)),
-        ]
-        for build, window in cases:
-            fast = homology_bigraded(build(), want_actions=False, **window)
-            full = homology_bigraded(build(), **window)
-            assert fast.dims == full.dims, (spec.to_json(), window)
-            assert any(fast.dims.values())
+        _assert_dims_match_references(spec, cx, k, dict(imax=3, jmax=6))
+        _assert_dims_match_references(
+            spec, spec, "self-E", dict(imax=3, jmax=3, imin=-spec.c, jmin=-3))
         assert braided_hh(spec, 3, 3).ok, spec.to_json()
 
 
@@ -322,39 +364,6 @@ def test_differential_parts_belong_to_one_complex():
         assert into_n.differential(sym) == _direct_differential(into_n, sym)
 
 
-def test_chi_action_commutation_on_homology():
-    spec = example_ring()
-    k = ModulePresentation.residue_field(spec)
-    cx = finite_koszul_resolution(k)
-    opcx = build_operator_complex(cx, k)
-    table = homology_bigraded(opcx, 4, 8)
-    # chi_i chi_j = chi(f_i, f_j) chi_j chi_i on homology; here chi(f1,f2)=1
-    t1 = table.chi_actions["chi1"]
-    t2 = table.chi_actions["chi2"]
-    for (i, j), m1 in t1.items():
-        step2 = t2.get(m1["target"])
-        first = t2.get((i, j))
-        if first is None or step2 is None:
-            continue
-        other = t1.get(first["target"])
-        if other is None:
-            continue
-        a = _compose_columns(step2["columns"], m1["columns"])
-        b = _compose_columns(other["columns"], first["columns"])
-        assert a == b
-
-
-def _compose_columns(m2, m1):
-    """Sparse columns of m2 o m1, both given as lists of sparse columns."""
-    out = []
-    for col in m1:
-        image = {}
-        for k, c in col.items():
-            add_scaled(image, m2[k], c)
-        out.append(image)
-    return out
-
-
 def test_slice_symbols_match_brute_force_enumeration():
     # chi-weights up to a cap far beyond every X-part's homological range
     from skewci.operators import _chi_weights
@@ -378,16 +387,77 @@ def test_slice_symbols_match_brute_force_enumeration():
                         (opcx.description, i, j)
 
 
+def _golden_actions(spec, tables):
+    """Stored action tables {name: [[source, target, rows]]} as {name:
+    {source: (target, sparse columns {row: scalar})}}."""
+    from skewci.colorcore import parse_poly
+
+    def scalar(text):
+        return parse_poly(spec.qring, text).constant_term()
+
+    return {name: {tuple(src): (tuple(tgt), [
+                {r: scalar(row[c]) for r, row in enumerate(rows)
+                 if row[c] != "0"}
+                for c in range(len(rows[0]) if rows else 0)])
+                for src, tgt, rows in table}
+            for name, table in tables.items()}
+
+
+def _quotient_dims(table, actions, imax):
+    """Per cohomological degree i <= imax: dim H^i minus the rank of the
+    images of the given actions landing in degree i."""
+    from skewci.linalg import rank
+
+    images = {}
+    for acts in actions.values():
+        for tgt, columns in acts.values():
+            images.setdefault(tgt, []).extend(columns)
+    return [sum(v - rank(images.get((ii, j), []))
+                for (ii, j), v in table.dims.items() if ii == i)
+            for i in range(imax + 1)]
+
+
+def _compose_columns(m2, m1):
+    """Sparse columns of m2 o m1, both given as lists of sparse columns."""
+    out = []
+    for col in m1:
+        image = {}
+        for k, c in col.items():
+            add_scaled(image, m2[k], c)
+        out.append(image)
+    return out
+
+
 def test_ext_actions_match_golden_m5():
-    # Ext_R(k, k) with chi and x actions over Q(zeta_5); the file pins
-    # every exact entry and its printing, so a change to either fails here
-    spec = RingSpec(2, 5, [[0, 1], [-1, 0]], relations=["x1^2", "x2^2"])
-    k = ModulePresentation.residue_field(spec)
-    table = homology_bigraded(
-        build_operator_complex(finite_koszul_resolution(k), k), 5, 8)
-    text = json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n"
-    golden = Path(__file__).parent / "data" / "ext_actions_m5.json"
-    assert text == golden.read_text()
+    # Ext_R(k, k) over Q(zeta_5) with the chi action tables that an earlier
+    # action path stored: dims and window must still match, the chi-images
+    # must leave exactly the minimal generators of Ext over the chi-ring
+    # that ext_over_theta finds, and chi_2 chi_1 = chi(f_2, f_1) chi_1 chi_2
+    # must hold on the stored matrices
+    k = ModulePresentation.residue_field(M5)
+    cx = finite_koszul_resolution(k)
+    table = homology_bigraded(build_operator_complex(cx, k), 5, 8)
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "ext_actions_m5.json").read_text())
+    assert table.to_json() == {"window": golden["window"],
+                               "dims": golden["dims"]}
+    chi = _golden_actions(M5, golden["actions"])
+    gen_degs = ext_over_theta(cx).gen_degs
+    generators = _quotient_dims(table, chi, 5)
+    assert generators == [gen_degs.count(i) for i in range(6)]
+    assert generators != table.ext_dims(5)
+    twist = M5.qring.chi(M5.cf[1], M5.cf[0])
+    checked = 0
+    for src, (mid1, m1) in chi["chi1"].items():
+        if src not in chi["chi2"] or mid1 not in chi["chi2"]:
+            continue
+        mid2, m2 = chi["chi2"][src]
+        two_one = _compose_columns(chi["chi2"][mid1][1], m1)
+        one_two = _compose_columns(chi["chi1"][mid2][1], m2)
+        assert two_one == [{r: v * twist for r, v in col.items()}
+                           for col in one_two], src
+        checked += any(two_one)
+    assert checked
 
 
 def test_braided_hh_example_ring():
@@ -416,8 +486,7 @@ def test_braided_hh_negative_control():
 
     opcx = OperatorComplex(spec, Corrupted(spec), "corrupted")
     try:
-        table = homology_bigraded(opcx, 4, 6, imin=-2, jmin=-6,
-                                  want_actions=False)
+        table = homology_bigraded(opcx, 4, 6, imin=-2, jmin=-6)
     except AssertionError:
         return  # d no longer closes in slices: detected
     rdims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
@@ -542,8 +611,7 @@ def test_long_exact_sequence_alternating_sums():
     for name, mod in (("m1", m1), ("m2", m2), ("m3", m3)):
         cx = finite_koszul_resolution(mod)
         opcx = build_operator_complex(cx, k)
-        tables[name] = homology_bigraded(opcx, imax, jmax,
-                                         want_actions=False)
+        tables[name] = homology_bigraded(opcx, imax, jmax)
     for j in range(jmax + 1):
         total = 0
         for i in range(imax + 1):
@@ -706,7 +774,7 @@ def test_theta_hilbert_series_matches_slice_homology():
             top = max(d for layer in cx.basis for d, _c in layer)
             jmax = (imax // 2) * max(spec.df) + top
             table = homology_bigraded(build_operator_complex(cx, k), imax,
-                                      jmax, want_actions=False)
+                                      jmax)
             assert table.ext_dims(imax) == series, (spec.to_json(),
                                                     mod.name)
 
@@ -868,6 +936,17 @@ def _apply(op, vec):
     return out
 
 
+def _chi_action(opcx, i, sym):
+    """Left multiplication by chi_i on a symbol (w, xsym) of an operator
+    complex: chi_i chi^w = prod_{t<i} chi(f_i, f_t)^w_t chi^(w + e_i)."""
+    spec = opcx.spec
+    w, xsym = sym
+    scal = spec.one()
+    for t in range(i):
+        scal = scal * spec.qring.chi(spec.cf[i], spec.cf[t]) ** w[t]
+    return {(w[:i] + (w[i] + 1,) + w[i + 1:], xsym): scal}
+
+
 def test_actions_are_chain_maps():
     # x_l and chi_i commute with d on every symbol of a small window, for a
     # module target, a complex target and S (x) E.  chi(f_t, x_l)^2 != 1
@@ -883,7 +962,8 @@ def test_actions_are_chain_maps():
     for opcx in cases:
         spec = opcx.spec
         ops = [lambda s, l=l: opcx.x_action(l, s) for l in range(spec.n)]
-        ops += [lambda s, i=i: opcx.chi_action(i, s) for i in range(spec.c)]
+        ops += [lambda s, i=i: _chi_action(opcx, i, s)
+                for i in range(spec.c)]
         checked = 0
         for i in range(-2, 3):
             for j in range(-3, 3):
@@ -897,26 +977,23 @@ def test_actions_are_chain_maps():
 
 
 def test_complex_target_actions_match_golden_m5():
-    # Ext_R(F, F) for F resolving R/(x1) over Q(zeta_5), with the chi
-    # actions of to_json() and the x actions in the same dense layout
+    # Ext_R(F, F) for F resolving R/(x1) over Q(zeta_5), with the x action
+    # tables that an earlier action path stored: dims and window must still
+    # match, and dim Ext (x)_R k read off the stored x-images must equal
+    # what the rational fit's rank-only routine computes
+    from skewci.operators import _tensor_k_dims
+
     fm5 = finite_koszul_resolution(ModulePresentation.cyclic(M5, ["x1"]))
-    table = homology_bigraded(build_operator_complex(fm5, fm5), 3, 3,
-                              jmin=-3)
-    dims_only = homology_bigraded(build_operator_complex(fm5, fm5), 3, 3,
-                                  jmin=-3, want_actions=False)
-    assert table.dims == dims_only.dims
-    doc = table.to_json()
-    doc["x_actions"] = {
-        f"x{l + 1}": [
-            [list(src), list(mat["target"]),
-             [[col[r].to_string() if r in col else "0"
-               for col in mat["columns"]]
-              for r in range(table.dims[mat["target"]])]]
-            for src, mat in sorted(x_table.items())]
-        for l, x_table in enumerate(table.x_actions)}
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    golden = Path(__file__).parent / "data" / "ext_actions_ff_m5.json"
-    assert text == golden.read_text()
+    opcx = build_operator_complex(fm5, fm5)
+    table = homology_bigraded(opcx, 3, 3, jmin=-3)
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "ext_actions_ff_m5.json").read_text())
+    assert table.to_json() == {"window": golden["window"],
+                               "dims": golden["dims"]}
+    expected = _quotient_dims(table, _golden_actions(M5, golden["x_actions"]),
+                              3)
+    assert _tensor_k_dims(opcx, 3, 3, -3) == expected
+    assert expected != table.ext_dims(3)
 
 
 def test_tracer_operator_groups_name_operators_attributes():

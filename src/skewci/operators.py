@@ -445,6 +445,8 @@ class OperatorComplex:
     Only a zeta-power depends on w, so the X-parts of the differential
     (dx and each lam_i - lam_i') are computed once per X-symbol and the
     w-scalars once per (operator, w); both memos belong to this instance.
+    ``homology_bigraded`` drops the X-parts it computed once no later
+    internal index uses them.
     """
 
     def __init__(self, spec: RingSpec, xiface, description):
@@ -602,13 +604,27 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0,
     dim H(i, j) = #cols - rank d(i, j) - rank d(i-1, j): for each j, i runs
     upward, the columns of d(i, j) go into one untracked elimination as
     they are built, and only the next slice's symbols and the previous
-    rank are kept, so memory scales with one slice, not with the window.
+    rank are kept.  An X-symbol of key (hx, idegx) occurs only at
+    j = w df - idegx with 2|w| - hx <= imax, so each X-part this call
+    computes is dropped from the complex's memo once j passes
+    ((imax + hx) // 2) * max(df) - idegx.  Memory is one slice plus the
+    X-parts that a later j still uses; each X-part is computed once.
     """
+    spec = opcx.spec
+    dfmax = max(spec.df, default=0)
+    parts = opcx._xparts
+    expiry = {}     # last j that uses them -> X-symbols computed here
     dims = {}
     for j in range(jmin, jmax + 1):
         syms = opcx.slice_symbols(imin - 1, j)
         prev_rank = 0
         for i in range(imin - 1, imax + 1):
+            for w, xsym in syms:
+                if xsym not in parts:
+                    hx = 2 * sum(w) - i
+                    idegx = sum(a * d for a, d in zip(w, spec.df)) - j
+                    last = (imax + hx) // 2 * dfmax - idegx
+                    expiry.setdefault(min(last, jmax), set()).add(xsym)
             nxt = opcx.slice_symbols(i + 1, j)
             ech = Echelon()
             for col in _d_columns(opcx, syms, nxt):
@@ -621,6 +637,8 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0,
                 dims[(i, j)] = d
             prev_rank = ech.rank
             syms = nxt
+        for xsym in expiry.pop(j, ()):
+            del parts[xsym]
     window = {"imin": imin, "imax": imax, "jmin": jmin, "jmax": jmax}
     return ExtTable(dims, window)
 

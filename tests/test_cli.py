@@ -487,12 +487,29 @@ def test_schemas_agree_with_the_cli():
     assert {"windows", "result", "cache", "error"} <= keys
     report = _schema("report.schema.json")["properties"]
     assert keys <= set(report)
-    # every key of an ext result, and of its table, is documented
-    result = run(example_config("ext", {"module": "M", "other": "N"}))[1][
-        "result"]
+    # every result key of one job per command is documented, and so is
+    # every key of an ext table
+    jobs = [("check", {"diagonal_dmax": 2}), ("resolve", {"module": "M"}),
+            ("betti", {"module": "M"}),
+            ("ext", {"module": "M", "other": "N"}),
+            ("hh", {"cmax": 2, "dmax": 2}),
+            ("support", {"module": "M", "other": "N"}),
+            ("complexity", {"module": "M"}),
+            ("poincare", {"module": "M", "other": "N"}),
+            ("perfect", {"module": "M"}),
+            ("arc", {"module": "M", "r": 1, "window": 3}),
+            ("arc", {"module": "R", "r": 0, "window": 2}),
+            ("selftest-appendix", {"bound": 2})]
+    assert {command for command, _params in jobs} == set(_COMMANDS)
     documented = report["result"]["properties"]
-    assert set(result) <= set(documented)
-    assert set(result["table"]) == set(documented["table"]["properties"])
+    for command, params in jobs:
+        code, job_report, _ = run(example_config(command, params))
+        assert code == 0, (command, job_report)
+        result = job_report["result"]
+        assert set(result) <= set(documented), (command, set(result))
+        if command == "ext":
+            assert set(result["table"]) == \
+                set(documented["table"]["properties"])
 
 
 def test_importing_the_cli_leaves_dualpowers_unloaded():

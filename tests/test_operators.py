@@ -7,6 +7,7 @@ import pytest
 
 from skewci.colorcore import QRing, RingSpec, validate_ring
 from skewci.operators import (
+    OperatorComplex,
     build_operator_complex,
     braided_hh,
     ext_over_theta,
@@ -265,6 +266,61 @@ def test_dims_only_memory_scales_with_a_slice():
         all_dims, all_peak = traced(_dims_keeping_every_slice, opcx, window)
         assert dims == all_dims
         assert peak <= 0.2 * all_peak, (window, peak, all_peak)
+
+
+class _CountingX:
+    """An X-interface that counts the X-parts its complex computes: the
+    complex calls dx exactly when it builds the part of a symbol."""
+
+    def __init__(self, opcx):
+        self.inner = opcx.x
+        self.opcx = opcx
+        self.dx_calls = {}
+        self.most_alive = 0
+        opcx.x = self
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def dx(self, xsym):
+        self.dx_calls[xsym] = self.dx_calls.get(xsym, 0) + 1
+        self.most_alive = max(self.most_alive, len(self.opcx._xparts) + 1)
+        return self.inner.dx(xsym)
+
+
+def _assert_xparts_released(opcx, imax, jmax, imin, jmin):
+    """homology_bigraded computes each X-part once, never holds all of
+    them at once, leaves the memo empty, and gives the dims of a routine
+    that keeps every slice."""
+    counting = _CountingX(opcx)
+    dims = homology_bigraded(opcx, imax, jmax, imin=imin, jmin=jmin).dims
+    assert counting.dx_calls
+    assert set(counting.dx_calls.values()) == {1}
+    assert not opcx._xparts
+    assert counting.most_alive < len(counting.dx_calls), \
+        (counting.most_alive, len(counting.dx_calls))
+    fresh = OperatorComplex(opcx.spec, counting.inner, opcx.description)
+    assert dims == _dims_keeping_every_slice(fresh, imax, jmax, imin, jmin)
+
+
+def test_xparts_are_released_after_their_last_j():
+    # the braided_hh window of cmax = dmax = 4 on n = 4, c = 2, m = 12
+    spec = RingSpec(4, 12, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 1],
+                            [-3, -5, -1, 0]], relations=["x1^2", "x2^2"])
+    _assert_xparts_released(build_operator_complex(spec, "self-E"),
+                            4, (4 // 2 + 2) * 2, -2, -4)
+    # Hom(F, N) with F resolving M = R/(x1), N = R/(x2)
+    spec = three_var_ring()
+    cx = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
+    n = ModulePresentation.cyclic(spec, ["x2"])
+    _assert_xparts_released(build_operator_complex(cx, n), 4, 4, 0, -4)
+    # c = 0: df is empty, so an X-symbol occurs at one j only
+    spec = RingSpec(2, 1, [[0, 0], [0, 0]], relations=[])
+    k = ModulePresentation.residue_field(spec)
+    _assert_xparts_released(
+        build_operator_complex(finite_koszul_resolution(k), k), 3, 3, 0, -3)
+    _assert_xparts_released(build_operator_complex(spec, "self-E"),
+                            2, 0, 0, -3)
 
 
 def test_dims_paths_and_hh_agree_on_wider_random_rings():

@@ -11,7 +11,6 @@ from .colorcore import (
     QRing,
     RingSpec,
     ValidationReport,
-    c_pair,
     chi,
     parse_poly,
     poly_mul,
@@ -19,8 +18,6 @@ from .colorcore import (
 )
 from .koszul import (
     koszul_algebra,
-    koszul_diff,
-    koszul_mul,
     phi_expand,
     verify_diagonal_resolution,
 )
@@ -70,14 +67,11 @@ __all__ = [
     "QRing",
     "RingSpec",
     "ValidationReport",
-    "c_pair",
     "chi",
     "parse_poly",
     "poly_mul",
     "validate_ring",
     "koszul_algebra",
-    "koszul_mul",
-    "koszul_diff",
     "phi_expand",
     "verify_diagonal_resolution",
     "verify_appendix",

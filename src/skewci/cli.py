@@ -16,7 +16,7 @@ import sys
 from .colorcore import RingSpec, validate_ring
 from .koszul import verify_diagonal_resolution
 from .operators import braided_hh, build_operator_complex, homology_bigraded
-from .resolve import ModulePresentation, TruncationError, minimal_R_resolution
+from .resolve import ModulePresentation, minimal_R_resolution
 from .support import (
     RationalityError,
     arc_check,
@@ -132,7 +132,7 @@ def run(config, cache_dir=None, window_override=None):
     try:
         with using(cache):
             ok, result, extra_lines, windows = handler(spec, config, params)
-    except (RationalityError, TruncationError, AssertionError) as exc:
+    except (RationalityError, AssertionError) as exc:
         code, prefix = _failure(exc)
         report["ok"] = False
         report["error"] = f"{prefix}: " + " ".join(str(exc).splitlines())
@@ -150,11 +150,9 @@ def run(config, cache_dir=None, window_override=None):
 
 def _failure(exc):
     """Exit code and error prefix of a job that failed with a typed error:
-    a window or bound too small to certify (3), a failed certificate (1)."""
+    a window too small to certify (3), a failed certificate (1)."""
     if isinstance(exc, RationalityError):
         return 3, "window too small"
-    if isinstance(exc, TruncationError):
-        return 3, "bound too small"
     return 1, "certificate failed"
 
 

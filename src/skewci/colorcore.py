@@ -24,7 +24,6 @@ __all__ = [
     "RingSpec",
     "ValidationReport",
     "chi",
-    "c_pair",
     "poly_mul",
     "validate_ring",
     "parse_poly",
@@ -430,6 +429,11 @@ class RingSpec:
     def one(self) -> CycScalar:
         return CycScalar.one(self.m)
 
+    def hilbert_dims(self, dmax):
+        """[dim_k R_d for d = 0..dmax], counted as standard monomials."""
+        return [len(standard_monomials(self.qring, d, self.rel_exps))
+                for d in range(dmax + 1)]
+
     def to_json(self):
         return {
             "n": self.n,
@@ -459,11 +463,6 @@ def chi(spec: RingSpec, alpha, beta) -> CycScalar:
     if len(alpha) != spec.n or len(beta) != spec.n:
         raise ValueError("color vector length mismatch")
     return spec.qring.chi(alpha, beta)
-
-
-def c_pair(spec: RingSpec, alpha, beta) -> CycScalar:
-    """Reordering scalar with x^alpha x^beta = c_pair(alpha,beta) x^(alpha+beta)."""
-    return spec.qring.cpair(alpha, beta)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -580,8 +579,7 @@ def validate_ring(spec: RingSpec, cutoff=None) -> ValidationReport:
     if cutoff is None:
         cutoff = 2 * sum(spec.df) if spec.c else 2
     expected = _series_coeffs(spec.df, spec.degrees, cutoff)
-    actual = [len(standard_monomials(spec.qring, d, spec.rel_exps))
-              for d in range(cutoff + 1)]
+    actual = spec.hilbert_dims(cutoff)
     for d in range(cutoff + 1):
         if expected[d] != actual[d]:
             messages.append(

@@ -265,7 +265,7 @@ def _exps_up_to(spec, bound):
     return out
 
 
-def verify_appendix(spec: RingSpec, bound: int, flip_pairing=False):
+def verify_appendix(spec: RingSpec, bound: int):
     """Exhaustive checks of the dual divided-powers structure up to bound.
 
     Checks, for all monomial exponents of internal degree <= bound and all
@@ -273,9 +273,6 @@ def verify_appendix(spec: RingSpec, bound: int, flip_pairing=False):
     power product identity (xy)^(k) = c(y,x)^binom(k,2) x^k y^(k), the
     divided-power composition axiom, dual-basis nondegeneracy, and the
     double-dual structure constants against the reordering pairing.
-
-    ``flip_pairing`` negates the self-pairing exponent inside the divided
-    power (test hook for the negative control; first witness is k = 2).
     """
     ring = spec.qring
     exps_list = _exps_up_to(spec, bound)
@@ -283,13 +280,7 @@ def verify_appendix(spec: RingSpec, bound: int, flip_pairing=False):
               "pairing": 0, "double_dual": 0}
 
     ximul = lambda beta, gamma: xi_mul(spec, beta, gamma)
-
-    def xidp(alpha, k):
-        scal, exps = xi_divided_power(spec, alpha, k)
-        if flip_pairing:
-            bad = ring.cpair(alpha, alpha) ** (2 * comb(k, 2))
-            scal = scal * bad
-        return scal, exps
+    xidp = lambda alpha, k: xi_divided_power(spec, alpha, k)
 
     for beta in exps_list:
         for gamma in exps_list:

@@ -1,5 +1,5 @@
-"""The skew Koszul DG algebra, its enveloping algebra, and the diagonal
-resolution obtained by adjoining divided-power variables.
+"""The skew Koszul DG algebra E, and the diagonal resolution obtained from
+its enveloping algebra E^e by adjoining divided-power variables.
 
 Elements live in a graded color commutative algebra over Q generated by odd
 exterior variables (homological degree 1) and even divided-power variables
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .colorcore import RingSpec, monomials_of_degree, standard_monomials
+from .colorcore import RingSpec, monomials_of_degree
 from .linalg import Echelon
 from .scalars import CycScalar
 from .sparse import add_scaled, add_term
@@ -26,10 +26,7 @@ from .sparse import add_scaled, add_term
 __all__ = [
     "DGAlgebra",
     "koszul_algebra",
-    "enveloping_algebra",
     "diagonal_context",
-    "koszul_mul",
-    "koszul_diff",
     "phi_expand",
     "verify_diagonal_resolution",
     "DiagonalReport",
@@ -75,16 +72,6 @@ class DGAlgebra:
 
     def from_poly(self, poly):
         return {(exps, 0, self.zero_h()): c for exps, c in poly.terms.items()}
-
-    def term_ideg(self, key):
-        exps, smask, hvec = key
-        total = self.ring.deg(exps)
-        for i in range(self.nodd):
-            if smask >> i & 1:
-                total += self.odd_idegs[i]
-        for j, h in enumerate(hvec):
-            total += h * self.even_idegs[j]
-        return total
 
     def term_color(self, key):
         exps, smask, hvec = key
@@ -272,26 +259,12 @@ def koszul_algebra(spec: RingSpec) -> DGAlgebra:
     return ctx
 
 
-def enveloping_algebra(spec: RingSpec) -> DGAlgebra:
-    """E^e = Q<e_1..e_c, e_1'..e_c' | d(e_i) = d(e_i') = f_i>.
-
-    Bit i is e_i (the factor 1 (x) e_i), bit c+i is e_i' (= e_i (x) 1).
-    """
-    c = spec.c
-    ctx = DGAlgebra(
-        spec,
-        odd_names=[f"e{i+1}" for i in range(c)] + [f"e{i+1}p" for i in range(c)],
-        odd_colors=tuple(spec.cf) + tuple(spec.cf),
-        odd_idegs=tuple(spec.df) + tuple(spec.df),
-    )
-    for i, f in enumerate(spec.relations):
-        ctx.odd_diff[i] = ctx.from_poly(f)
-        ctx.odd_diff[c + i] = ctx.from_poly(f)
-    return ctx
-
-
 def diagonal_context(spec: RingSpec) -> DGAlgebra:
-    """E^e<Y | d(y_i) = e_i' - e_i> with divided powers y_i of degree 2."""
+    """E^e<Y | d(y_i) = e_i' - e_i> with divided powers y_i of degree 2.
+
+    E^e = Q<e_1..e_c, e_1'..e_c' | d(e_i) = d(e_i') = f_i>: bit i is e_i
+    (the factor 1 (x) e_i), bit c+i is e_i' (= e_i (x) 1).
+    """
     c = spec.c
     ctx = DGAlgebra(
         spec,
@@ -309,16 +282,6 @@ def diagonal_context(spec: RingSpec) -> DGAlgebra:
         add_scaled(dy, ctx.term(smask=1 << i), -ctx._one)
         ctx.even_diff[i] = dy
     return ctx
-
-
-def koszul_mul(ctx: DGAlgebra, u, v):
-    """Product in the Koszul algebra (or any DGAlgebra context)."""
-    return ctx.mul(u, v)
-
-
-def koszul_diff(ctx: DGAlgebra, u):
-    """Differential in the Koszul algebra (or any DGAlgebra context)."""
-    return ctx.diff(u)
 
 
 # -- diagonal approximation ---------------------------------------------------
@@ -402,20 +365,18 @@ def homology_dims_of_context(ctx: DGAlgebra, hmax, dmax):
     return dims
 
 
-def verify_diagonal_resolution(spec: RingSpec, dmax: int,
-                               context=None) -> DiagonalReport:
+def verify_diagonal_resolution(spec: RingSpec, dmax: int) -> DiagonalReport:
     """Check that the diagonal resolution has homology R in degree 0 only.
 
     Computes homology of E^e<Y> in all bidegrees with internal degree at
     most dmax and homological degree up to the largest one supported there,
     and compares against dim_k R_d from the standard monomial count.
     """
-    ctx = context if context is not None else diagonal_context(spec)
+    ctx = diagonal_context(spec)
     # internal degree bounds homological degree: every e, e', y carries
     # internal degree >= min(df) and homological degree <= 2 per unit
     hmax = (2 * dmax) // min(spec.df) if spec.c else 0
-    r_dims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
-              for d in range(dmax + 1)]
+    r_dims = spec.hilbert_dims(dmax)
     dims = homology_dims_of_context(ctx, hmax, dmax)
     failures = []
     for (h, d), v in sorted(dims.items()):

@@ -30,7 +30,7 @@ from .qgrobner import (
     annihilator_ideal,
     buchberger,
     hilbert_numerator,
-    minimalize_presentation,
+    homology_presentation,
     monomial_dimension,
     syzygy_module,
 )
@@ -59,13 +59,7 @@ class ModuleBasis:
     def __init__(self, module: ModulePresentation):
         self.spec = module.spec
         self.module = module.normalized()
-        spec = self.spec
-        ring = spec.qring
-        cols = [dict(c) for c in self.module.relations]
-        for f in spec.relations:
-            for g in range(len(self.module.gens)):
-                cols.append({(e, g): c for e, c in f.terms.items()})
-        self.gb = buchberger(cols, ring)
+        self.gb = buchberger(self.module.q_relations(), self.spec.qring)
         self._leads = [[] for _ in self.module.gens]
         for (exps, comp), _ in self.gb.leads:
             self._leads[comp].append(exps)
@@ -112,10 +106,6 @@ class ModuleBasis:
         mono = self.spec.qring.color(exps)
         return tuple(a + b for a, b in zip(mono, base))
 
-    def key_ideg(self, key):
-        exps, comp = key
-        return self.spec.qring.deg(exps) + self.module.gens[comp][0]
-
 
 class ComplexBasis:
     """A complex G of free Q-modules as a Hom(F, -) target.
@@ -159,10 +149,6 @@ class ComplexBasis:
         mono = self.spec.qring.color(gamma)
         return tuple(a + b for a, b in zip(mono, self._label(g)[1]))
 
-    def key_ideg(self, key):
-        gamma, g = key
-        return self.spec.qring.deg(gamma) + self._label(g)[0]
-
     def key_layer(self, key):
         return self.labels[key[1]][0]
 
@@ -187,8 +173,8 @@ class ComplexBasis:
 
 
 # -- X interfaces -------------------------------------------------------------
-# Each interface gives symbols, their degrees, dx, the two e-actions lam and
-# lamp, x-multiplication, and hx_range: the homological degrees its symbols
+# Each interface gives symbols, dx, the two e-actions lam and lamp,
+# x-multiplication, and hx_range: the homological degrees its symbols
 # occupy, from which slices enumerate exactly the chi-weights that can occur.
 
 class _HomIntoModule:
@@ -220,10 +206,6 @@ class _HomIntoModule:
 
     def hdeg(self, sym):
         return -sym[0]
-
-    def ideg(self, sym):
-        p, b, key = sym
-        return self.nb.key_ideg(key) - self.cx.basis[p][b][0]
 
     def _twist_part(self, color, nexps):
         """Exponents linear in a color: chi(color, x_k) C(x_k, x^nexps) for
@@ -366,12 +348,6 @@ class _SelfE:
     def symbols(self, hx, idegx):
         return [ (exps, smask) for (exps, smask, _h)
                  in self.ctx.basis_slice(hx, idegx) ]
-
-    def hdeg(self, sym):
-        return bin(sym[1]).count("1")
-
-    def ideg(self, sym):
-        return self.ctx.term_ideg((sym[0], sym[1], ()))
 
     def _unit(self, flips, e):
         """(-1)^flips zeta^e."""
@@ -750,8 +726,7 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
     imin = -spec.c
     table = homology_bigraded(opcx, cmax, jmax, imin=imin, jmin=jmin)
     rcut = jmax + dmax
-    rdims = [len(standard_monomials(spec.qring, d, spec.rel_exps))
-             for d in range(rcut + 1)]
+    rdims = spec.hilbert_dims(rcut)
     mismatches = []
     for i in range(imin, cmax + 1):
         for j in range(jmin, jmax + 1):
@@ -841,12 +816,10 @@ def ext_over_theta(resolution: KoszulComplex) -> ThetaModule:
     every convention of ``ext``.  Its homology is presented by syzygies over
     S and minimalized.
     """
-    from .store import current  # store imports this module
-
     spec = resolution.spec
     sring = _chi_ring(spec)
-    kbasis = current().module_basis(ModulePresentation.residue_field(spec))
-    x = _HomIntoModule(resolution, kbasis)
+    x = _HomIntoModule(resolution,
+                       ModuleBasis(ModulePresentation.residue_field(spec)))
     opcx = OperatorComplex(spec, x, "Hom(F,k)")
     xsyms = sorted(sym for p, layer in enumerate(resolution.basis)
                    for bd in {d for d, _c in layer}
@@ -862,35 +835,16 @@ def ext_over_theta(resolution: KoszulComplex) -> ThetaModule:
             for xk, c in op.items():
                 col[(chi_i, xindex[xk])] = c
         columns.append(col)
-    h_degs, h_cols = _homology_presentation(
-        columns, [-x.hdeg(xsym) for xsym in xsyms], sring)
-    kept, cols, _ = minimalize_presentation(len(h_degs), h_cols, sring)
+    kergens = syzygy_module(columns, sring)   # in canonical order
+    h_degs = []
+    for kg in kergens:
+        degs = {sring.deg(e) - x.hdeg(xsyms[c]) for (e, c) in kg}
+        if len(degs) != 1:
+            raise AssertionError("inhomogeneous kernel generator")
+        h_degs.append(degs.pop())
+    kept, cols, _ = homology_presentation(kergens, columns, sring)
     remap = {old: new for new, old in enumerate(kept)}
     return ThetaModule(spec, [h_degs[k] for k in kept],
                        [{(e, remap[c]): v for (e, c), v in col.items()}
                         for col in cols])
-
-
-def _homology_presentation(columns, gen_degs, ring):
-    """ker(D)/im(D) for the square matrix given by columns over ring."""
-    kergens = syzygy_module(columns, ring)   # in canonical order
-    if not kergens:
-        return [], []
-    gb = buchberger(kergens, ring, want_syzygies=True)
-    rels = []
-    for col in columns:
-        if not col:
-            continue
-        lift = gb.lift_to_inputs(col)
-        if lift is None:
-            raise AssertionError("image vector outside the kernel module")
-        rels.append(lift)
-    rels += [dict(s) for s in gb.syzygies]
-    h_degs = []
-    for kg in kergens:
-        degs = {ring.deg(e) + gen_degs[c] for (e, c) in kg}
-        if len(degs) != 1:
-            raise AssertionError("inhomogeneous kernel generator")
-        h_degs.append(degs.pop())
-    return h_degs, rels
 

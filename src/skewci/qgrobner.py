@@ -24,10 +24,10 @@ __all__ = [
     "GroebnerBasis",
     "buchberger",
     "syzygy_module",
-    "normal_form",
     "vector_scale",
     "poly_mul_vector",
     "minimalize_presentation",
+    "homology_presentation",
     "annihilator_ideal",
     "interreduce_ideal",
     "hilbert_numerator",
@@ -258,11 +258,6 @@ def _canonical_vec_key(vec):
     return sorted((m, tuple(c.c)) for m, c in vec.items())
 
 
-def normal_form(vec, gb: GroebnerBasis):
-    nf, _ = gb.normal_form(vec)
-    return nf
-
-
 # -- presentations -----------------------------------------------------------
 
 def _substitute(vec, comp, expr, ring):
@@ -335,6 +330,26 @@ def minimalize_presentation(ncomps, columns, ring):
 
     kept = sorted(alive)
     return kept, list(cols.values()), _Projection(ncomps, eliminations, ring)
+
+
+def homology_presentation(cycles, boundaries, ring):
+    """Present (module generated by cycles) / (submodule of boundaries).
+
+    Each nonzero boundary is lifted over the cycles, the syzygies of the
+    cycles are added, and the result is minimalized: returns
+    ``minimalize_presentation(len(cycles), relations, ring)``, so kept
+    indexes cycles.
+    """
+    gb = buchberger(cycles, ring, want_syzygies=True)
+    rels = []
+    for col in boundaries:
+        if not col:
+            continue
+        lift = gb.lift_to_inputs(col)
+        if lift is None:
+            raise AssertionError("boundary outside the cycle module")
+        rels.append(lift)
+    return minimalize_presentation(len(cycles), rels + gb.syzygies, ring)
 
 
 class _Projection(Mapping):

@@ -29,6 +29,7 @@ from .koszul import koszul_algebra
 from .linalg import Echelon
 from .qgrobner import (
     buchberger,
+    homology_presentation,
     minimalize_presentation,
     poly_mul_vector,
     syzygy_module,
@@ -169,6 +170,15 @@ class ModulePresentation:
                 for col in cols]
         return ModulePresentation(self.spec, gens, cols, self.name)
 
+    def q_relations(self):
+        """The module's relation columns over Q: its own relations, then
+        f_i times each generator for every relation f_i of R."""
+        cols = [dict(col) for col in self.relations]
+        for f in self.spec.relations:
+            for g in range(len(self.gens)):
+                cols.append({(exps, g): c for exps, c in f.terms.items()})
+        return cols
+
     def cache_key_data(self):
         return {"ring": self.spec.to_json(), "module": self.to_json()}
 
@@ -307,16 +317,7 @@ class SemifreeResolution:
                 zcols,
                 key=lambda v: (self._vec_ideg_color(v, basis_p)[0],
                                sorted(v.keys())))
-            gb = buchberger(zcols, ring, want_syzygies=True)
-            rel_cols = []
-            for b in images:
-                lift = gb.lift_to_inputs(b)
-                if lift is None:
-                    raise AssertionError("boundary outside the cycle module")
-                rel_cols.append(lift)
-            rel_cols += gb.syzygies
-            kept, _cols, _proj = minimalize_presentation(
-                len(zcols), rel_cols, ring)
+            kept, _cols, _proj = homology_presentation(zcols, images, ring)
             for k in kept:
                 ideg, color = self._vec_ideg_color(zcols[k], basis_p)
                 self.gens.append((p + 1, ideg, color))
@@ -464,8 +465,7 @@ class KoszulComplex:
 
     def verify_exactness(self):
         """Certify H_0 = M and H_h = 0 for h >= 1 via Groebner membership."""
-        spec = self.spec
-        ring = spec.qring
+        ring = self.spec.qring
         errors = []
         top = self.length
         cols_by_h = {}
@@ -488,10 +488,7 @@ class KoszulComplex:
         # H_0: image of d_1 equals relations + f * generators
         mod = self.module
         if mod is not None and top >= 1:
-            k0 = [dict(col) for col in mod.relations]
-            for f in spec.relations:
-                for g in range(len(self.basis[0])):
-                    k0.append({(exps, g): c for exps, c in f.terms.items()})
+            k0 = mod.q_relations()
             gb_k0 = buchberger(k0, ring)
             gb_im = buchberger(cols_by_h[1], ring)
             for col in cols_by_h[1]:
@@ -549,23 +546,21 @@ class KoszulComplex:
         return KoszulComplex(spec, basis, diff, eact, module)
 
 
-class TruncationError(RuntimeError):
-    """Raised when no free cokernel is reached inside the allowed range."""
-
-
 def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
     """Bounded complex of finite free Q-modules, strict E-action, = M.
 
     Builds the semifree resolution one degree at a time and truncates at the
     first homological degree where the cokernel of the incoming differential
     is Q-free (certified by presentation minimalization), then certifies
-    the finite object once (``KoszulComplex.certify``).
+    the finite object once (``KoszulComplex.certify``).  Q has global
+    dimension n (Hilbert's syzygy theorem), so that cokernel is free by
+    degree n; failing to reach it fails the certificate.
     """
     res = SemifreeResolution(module)
     ring = res.spec.qring
-    top = res.spec.n + 2
+    top = max(res.spec.n, 1)
     res.stage()
-    for cut in range(1, top):
+    for cut in range(1, top + 1):
         res.stage()
         kept, leftover, proj = minimalize_presentation(
             len(res.basis(cut)), res.images[cut + 1], ring)
@@ -577,8 +572,8 @@ def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
             raise AssertionError(
                 f"truncation at {cut} failed certification: {errors}")
         return complex_
-    raise TruncationError(
-        f"no free cokernel reached up to homological degree {top}")
+    raise AssertionError(
+        f"no free cokernel by homological degree {top} = gl.dim Q")
 
 
 def _matrix(columns):

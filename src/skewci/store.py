@@ -9,9 +9,6 @@ the module presentation:
   so its key holds no t.  A theta entry written when the key held t has
   another file name: it is never read, and the module counts as a miss.
 
-The in-memory layer also keeps the ``ModuleBasis`` of k the theta route
-builds, one per ring.
-
 A store keeps an in-memory layer and, when it has a directory, a disk
 layer of JSON files written atomically, each named by the SHA-256 digest of
 its key and checked against the SHA-256 digest of its payload.  The digests
@@ -129,16 +126,6 @@ class ResolutionCache:
             "theta", self._key(module, kind="theta"),
             lambda: operators.ext_over_theta(self.get_or_build(module)),
             _theta_to_json, lambda doc: _theta_from_json(module.spec, doc))
-
-    def module_basis(self, module: ModulePresentation):
-        """Standard-monomial data of module, kept in memory only: one
-        Buchberger run rebuilds it, and it is the same for every resolution
-        over the ring."""
-        key = self._key(module, kind="basis")
-        basis = self._memory.get(key)
-        if basis is None:
-            basis = self._memory[key] = operators.ModuleBasis(module)
-        return basis
 
     def _get(self, prefix, key, build, dump, load):
         obj = self._memory.get(key)

@@ -411,8 +411,9 @@ def _tensor_k_series(m, n, window):
     spec = m.spec
     imax = (window or {}).get("cmax", 8)
     cx = current().get_or_build(m)
-    top_deg = max(d for layer in cx.basis for d, _c in layer)
-    low_deg = min(d for layer in cx.basis for d, _c in layer)
+    # the zero module has an empty resolution
+    top_deg = max((d for layer in cx.basis for d, _c in layer), default=0)
+    low_deg = min((d for layer in cx.basis for d, _c in layer), default=0)
     opcx = build_operator_complex(cx, n)
     nb = opcx.x.nb
     min_n = min((d for d, _c in nb.gens()), default=0)
@@ -502,7 +503,8 @@ def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
         raise ValueError("window must exceed r")
     cx = current().get_or_build(m)
     free = ModulePresentation.free(spec)
-    top_basis_deg = max(d for layer in cx.basis for d, _c in layer)
+    top_basis_deg = max((d for layer in cx.basis for d, _c in layer),
+                        default=0)
     jmax = (window // 2 + 1) * max(spec.df, default=0) + top_basis_deg
     jmin = -jmax
     table_m = homology_bigraded(build_operator_complex(cx, m), window, jmax,

@@ -256,6 +256,31 @@ def test_ring_without_relations_matches_the_oracle(tmp_path, capsys):
         betti_n[2 - i] if i <= 2 else 0 for i in range(5)]
 
 
+def test_zero_module_pairs_and_arc(tmp_path, capsys):
+    # Z = R/(1) = 0 has an empty resolution, so the pair fits and the ARC
+    # check read degrees off an empty basis
+    ring = {"n": 3, "m": 4, "qexp": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+            "relations": ["x1^2", "x2^2"]}
+    modules = {"Z": {"quotient": ["1"], "name": "Z"},
+               "N": {"quotient": ["x2"], "name": "N"}}
+    pairs = [("Z", "N"), ("N", "Z"), ("Z", "Z")]
+    jobs = ([("complexity", {"module": a, "other": b}) for a, b in pairs]
+            + [("poincare", {"module": a, "other": b}) for a, b in pairs]
+            + [("arc", {"module": "Z", "r": 0, "window": 2})])
+    results = []
+    for command, params in jobs:
+        code, report, captured = _main_with_report(
+            tmp_path, capsys, {"ring": ring, "modules": modules,
+                               "command": command, "params": params})
+        assert code == 0, (command, params, report.get("error"))
+        assert "Traceback" not in captured.err + captured.out
+        results.append(report["result"])
+    assert [r["value"] for r in results[:3]] == [0, 0, 0]
+    assert [r["numerator"] for r in results[3:6]] == [[0], [0], [0]]
+    assert results[6]["verdict"] == "pass"
+    assert results[6]["pd"] == 0
+
+
 def test_ring_without_relations_needs_cmax_n():
     # with c = 0 the fit validates no trailing coefficients, so a window
     # below gl.dim Q = n cannot certify the series: P_{k,M} = t + t^2
@@ -390,25 +415,6 @@ def _main_with_report(tmp_path, capsys, config):
     captured = capsys.readouterr()
     with open(out_path) as handle:
         return code, json.load(handle), captured
-
-
-def test_truncation_error_exit_code(tmp_path, capsys, monkeypatch):
-    from skewci import resolve
-
-    def truncated(module, *args, **kwargs):
-        raise resolve.TruncationError(
-            "no free cokernel reached up to homological degree 4; "
-            "increase hmax")
-
-    monkeypatch.setattr(resolve, "finite_koszul_resolution", truncated)
-    code, report, captured = _main_with_report(
-        tmp_path, capsys, example_config("support", {"module": "M"}))
-    assert code == 3
-    assert report["ok"] is False
-    assert report["error"] == ("bound too small: no free cokernel reached "
-                               "up to homological degree 4; increase hmax")
-    assert "Traceback" not in captured.err + captured.out
-    assert captured.out.count(report["error"]) == 1
 
 
 def test_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):

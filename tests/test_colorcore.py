@@ -5,7 +5,6 @@ import pytest
 from skewci.colorcore import (
     Poly,
     RingSpec,
-    c_pair,
     chi,
     parse_poly,
     poly_mul,
@@ -51,17 +50,17 @@ def test_chi_length_mismatch():
 def test_c_pair_examples():
     spec = example_ring()
     z = CycScalar.zeta(4)
-    assert c_pair(spec, (1, 0), (0, 1)).is_one()   # already normal order
+    assert spec.qring.cpair((1, 0), (0, 1)).is_one()   # already normal order
     # one adjacent swap: x2 x1 = q_21 x1 x2, and here q_21 = zeta^{-1} = -z
-    assert c_pair(spec, (0, 1), (1, 0)) == -z
-    assert c_pair(spec, (0, 1), (1, 0)) == chi(spec, (0, 1), (1, 0))
-    assert c_pair(spec, (0, 3), (2, 0)) == chi(spec, (0, 1), (1, 0)) ** 6
+    assert spec.qring.cpair((0, 1), (1, 0)) == -z
+    assert spec.qring.cpair((0, 1), (1, 0)) == chi(spec, (0, 1), (1, 0))
+    assert spec.qring.cpair((0, 3), (2, 0)) == chi(spec, (0, 1), (1, 0)) ** 6
 
 
 def test_c_pair_six_swaps_value():
     # q_21 = zeta_4^3, six adjacent swaps: zeta^18 = zeta^2 = -1
     spec = example_ring()
-    assert c_pair(spec, (0, 3), (2, 0)) == -1
+    assert spec.qring.cpair((0, 3), (2, 0)) == -1
 
 
 def test_chi_and_c_identity():
@@ -71,7 +70,7 @@ def test_chi_and_c_identity():
         a = random_exponent(rng, spec.n, 4)
         b = random_exponent(rng, spec.n, 4)
         lhs = chi(spec, a, b)
-        rhs = c_pair(spec, a, b) * c_pair(spec, b, a).inverse()
+        rhs = spec.qring.cpair(a, b) * spec.qring.cpair(b, a).inverse()
         assert lhs == rhs
 
 
@@ -83,9 +82,9 @@ def test_c_pair_bicharacter_in_first_argument():
         a2 = random_exponent(rng, spec.n, 3)
         b = random_exponent(rng, spec.n, 3)
         asum = tuple(x + y for x, y in zip(a, a2))
-        assert c_pair(spec, asum, b) == c_pair(spec, a, b) * c_pair(spec, a2, b)
+        assert spec.qring.cpair(asum, b) == spec.qring.cpair(a, b) * spec.qring.cpair(a2, b)
         bsum = tuple(x + y for x, y in zip(b, a2))
-        assert c_pair(spec, a, bsum) == c_pair(spec, a, b) * c_pair(spec, a, a2)
+        assert spec.qring.cpair(a, bsum) == spec.qring.cpair(a, b) * spec.qring.cpair(a, a2)
 
 
 def test_poly_mul_defining_relation():

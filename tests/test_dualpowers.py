@@ -36,7 +36,7 @@ def test_xi_mul_cross_variables():
     spec = q_ring(4)  # q_21 = zeta
     z = CycScalar.zeta(4)
     scal, exps = xi_mul(spec, (1, 0), (0, 1))
-    # C(x^gamma, x^beta)^{-1} = c_pair((0,1),(1,0))^{-1} = q_21^{-1}
+    # C(x^gamma, x^beta)^{-1} = cpair((0,1),(1,0))^{-1} = q_21^{-1}
     assert exps == (1, 1)
     assert scal == z.inverse()
 
@@ -172,8 +172,18 @@ def test_verify_appendix_vacuous_bound_zero():
     assert report.ok
 
 
-def test_verify_appendix_negative_control():
-    report = verify_appendix(q_ring(4), 3, flip_pairing=True)
+def test_verify_appendix_negative_control(monkeypatch):
+    from math import comb
+
+    from skewci import dualpowers
+
+    def flipped(spec, alpha, k):
+        # negate the self-pairing exponent; first witness is k = 2
+        scal, exps = xi_divided_power(spec, alpha, k)
+        return scal * spec.qring.cpair(alpha, alpha) ** (2 * comb(k, 2)), exps
+
+    monkeypatch.setattr(dualpowers, "xi_divided_power", flipped)
+    report = verify_appendix(q_ring(4), 3)
     assert not report.ok
     assert report.counterexample["check"] == "product_identity"
     assert report.counterexample["k"] == 2

@@ -155,7 +155,7 @@ def test_syzygy_koszul_pair_skew():
     assert len(syz) == 1
     s = syz[0]
     # s = a e_1 + b e_2 with a x1^2 + b x2^2 = 0; the Koszul syzygy carries
-    # the c_pair((0,2),(2,0)) reordering scalar
+    # the cpair((0,2),(2,0)) reordering scalar
     check = {}
     for (exps, idx), coeff in s.items():
         add_scaled(check, poly_mul_vector(ring, {exps: coeff}, f[idx]))

@@ -16,6 +16,7 @@ from skewci.resolve import (
 from fixtures import (
     canonical_json,
     example_ring,
+    fixture_rings,
     hypersurface_ring,
     random_ring,
     skew_hypersurface_ring,
@@ -269,3 +270,24 @@ def test_no_semifree_stage_past_the_cut(monkeypatch):
             cx = finite_koszul_resolution(mod)
             top = max(h for h, _d, _c in built[0].gens)
             assert top <= cx.length + 1, (mod.name, top, cx.length)
+
+
+def test_finite_resolution_length_within_global_dimension():
+    # Q has global dimension n, so the cokernel is free by degree n
+    # (Hilbert's syzygy theorem): k, R, each R/(x_v) and R/(x1x2); and
+    # pd_Q k = n, so F has length exactly n for k
+    rng = random.Random(21)
+    specs = fixture_rings() + [random_ring(rng, nmax=4, cmax=3,
+                                           conductors=(5, 6, 8, 12))
+                               for _ in range(6)]
+    for spec in specs:
+        modules = [ModulePresentation.residue_field(spec),
+                   ModulePresentation.free(spec)]
+        modules += [ModulePresentation.cyclic(spec, [f"x{v + 1}"])
+                    for v in range(spec.n)]
+        if spec.n >= 2:
+            modules.append(ModulePresentation.cyclic(spec, ["x1*x2"]))
+        lengths = [finite_koszul_resolution(module).length
+                   for module in modules]
+        assert lengths[0] == spec.n, (spec, lengths)
+        assert max(lengths) <= spec.n, (spec, lengths)

@@ -290,21 +290,3 @@ def test_digests_are_the_hashlib_sha256_digests(tmp_path, kind):
     text = json.dumps(doc["payload"], sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert store._sha256(text) == digest == doc["sha256"]
-
-
-def test_one_residue_field_basis_per_ring_within_a_store(monkeypatch):
-    built = []
-
-    class CountedBasis(operators.ModuleBasis):
-        def __init__(self, module):
-            built.append(module.name)
-            super().__init__(module)
-
-    monkeypatch.setattr(operators, "ModuleBasis", CountedBasis)
-    spec = example_ring()
-    cache = ResolutionCache(None)
-    with store.using(cache):
-        for quotient in (["x1"], ["x2"], ["x1", "x2"]):
-            cache.theta_module(ModulePresentation.cyclic(spec, quotient))
-    assert built == ["k"]
-    assert cache.stats()["misses"] == 6

@@ -27,7 +27,6 @@ from .resolve import (
     ModulePresentation,
     finite_koszul_resolution,
     minimal_R_resolution,
-    semifree_resolution,
 )
 from .operators import (
     ExtTable,
@@ -80,7 +79,6 @@ __all__ = [
     "ModulePresentation",
     "KoszulComplex",
     "BettiTable",
-    "semifree_resolution",
     "finite_koszul_resolution",
     "minimal_R_resolution",
     "ExtTable",

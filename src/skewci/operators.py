@@ -1,8 +1,8 @@
 """Chain-level cohomology operator complexes and their homology.
 
 For a bounded strongly-perfect complex F with strict e-actions and a target
-X (a finitely presented module N, a second complex G, or the Koszul algebra
-itself), the operator complex is S (x) X with differential
+X (a finitely presented module N, or the Koszul algebra itself), the
+operator complex is S (x) X with differential
 
     d(s (x) x) = s (x) d(x) + sum_i chi(f_i, s) chi_i s (x) (lam_i - lam_i') x
 
@@ -18,12 +18,7 @@ the (i, j) layout of graded Betti tables.
 
 from __future__ import annotations
 
-from .colorcore import (
-    QRing,
-    RingSpec,
-    monomials_of_degree,
-    standard_monomials,
-)
+from .colorcore import QRing, RingSpec, standard_monomials
 from .koszul import koszul_algebra
 from .linalg import Echelon, kernel_basis
 from .qgrobner import (
@@ -51,10 +46,8 @@ __all__ = [
 
 
 class ModuleBasis:
-    """Standard-monomial data for a finitely presented R-module N, as a
-    Hom(F, -) target with one homological layer."""
-
-    top = 0
+    """Standard-monomial data for a finitely presented R-module N, the
+    target of Hom(F, -)."""
 
     def __init__(self, module: ModulePresentation):
         self.spec = module.spec
@@ -107,91 +100,24 @@ class ModuleBasis:
         return tuple(a + b for a, b in zip(mono, base))
 
 
-class ComplexBasis:
-    """A complex G of free Q-modules as a Hom(F, -) target.
-
-    Keys are (gamma, g) meaning x^gamma g, where g numbers the labels of
-    every layer of G in turn; they are already normal forms.
-    """
-
-    def __init__(self, cx: KoszulComplex):
-        self.cx = cx
-        self.spec = cx.spec
-        self.top = len(cx.basis) - 1
-        self.labels = [(h, b) for h, layer in enumerate(cx.basis)
-                       for b in range(len(layer))]
-        self._index = {label: g for g, label in enumerate(self.labels)}
-        self._basis_cache = {}
-
-    def _label(self, g):
-        h, b = self.labels[g]
-        return self.cx.basis[h][b]
-
-    def basis_of_degree(self, d):
-        """Keys (gamma, g) of internal degree d, sorted."""
-        if d in self._basis_cache:
-            return self._basis_cache[d]
-        ring = self.spec.qring
-        out = sorted((gamma, g) for g in range(len(self.labels))
-                     for gamma in monomials_of_degree(
-                         ring, d - self._label(g)[0]))
-        self._basis_cache[d] = out
-        return out
-
-    def unit_normal_form(self, key):
-        return {key: CycScalar.one(self.spec.m)}
-
-    def term_normal_form(self, key, coeff):
-        return {key: coeff}
-
-    def key_color(self, key):
-        gamma, g = key
-        mono = self.spec.qring.color(gamma)
-        return tuple(a + b for a, b in zip(mono, self._label(g)[1]))
-
-    def key_layer(self, key):
-        return self.labels[key[1]][0]
-
-    def apply_map(self, key, i):
-        """d_G (i None) or e_i^G applied to x^gamma g, which twists by
-        chi(f_i, gamma), as {key: scalar}."""
-        gamma, g = key
-        h, b = self.labels[g]
-        cx = self.cx
-        if i is None:
-            h2, color = h - 1, None
-            matrix = cx.diff[h] if h else None
-        else:
-            h2, color = h + 1, self.spec.cf[i]
-            matrix = cx.eact[i][h] if h < self.top else None
-        if not matrix:
-            return {}
-        out = cx.apply_matrix(matrix, color,
-                              {(gamma, b): CycScalar.one(self.spec.m)})
-        return {(exps, self._index[(h2, row)]): c
-                for (exps, row), c in out.items()}
-
-
 # -- X interfaces -------------------------------------------------------------
 # Each interface gives symbols, dx, the two e-actions lam and lamp,
 # x-multiplication, and hx_range: the homological degrees its symbols
 # occupy, from which slices enumerate exactly the chi-weights that can occur.
 
 class _HomIntoModule:
-    """X = Hom_Q(F, N) for a target N with one homological layer: symbols
-    (p, b, key) meaning b* tensor key, of homological degree -p.
+    """X = Hom_Q(F, N) for a module N (a ModuleBasis): symbols (p, b, key)
+    meaning b* tensor key, of homological degree -p.
 
-    N is a ModuleBasis, or a ComplexBasis of a complex with top 0.  Either
-    way d_N and each e_i^N are zero, so dx and lam only precompose and
-    lam' is zero; ``_HomIntoComplex`` adds the layers and maps of a longer
-    complex.
+    d_N and each e_i^N are zero, so dx and lam only precompose and lam' is
+    zero.
     """
 
     def __init__(self, cx: KoszulComplex, nbasis):
         self.cx = cx
         self.nb = nbasis
         self.spec = cx.spec
-        self.hx_range = (1 - len(cx.basis), nbasis.top)
+        self.hx_range = (1 - len(cx.basis), 0)
         self._units = _signed_zeta_powers(cx.spec.qring)
         self._key_twists = {}     # key -> _twist_part of its color
         self._label_twists = {}   # (p, b) -> _twist_part of its color
@@ -284,42 +210,6 @@ class _HomIntoModule:
             (tuple(a + e for a, e in zip(delta, key[0])), key[1]),
             ring.cpair(delta, key[0]))
         return {(p, b, k2): c2 for k2, c2 in nf.items()}
-
-
-class _HomIntoComplex(_HomIntoModule):
-    """X = Hom_Q(F, G) for a ComplexBasis G in layers 0..top, top > 0: a
-    symbol has homological degree layer(key) - p, and d_G and each e_i^G
-    postcompose."""
-
-    def symbols(self, hx, idegx):
-        # hx = layer(key) - p; idegx = ideg(key) - ideg(b)
-        nb = self.nb
-        out = []
-        for p, labels in enumerate(self.cx.basis):
-            if not 0 <= hx + p <= nb.top:
-                continue
-            for b, (bd, _bc) in enumerate(labels):
-                out.extend((p, b, key)
-                           for key in nb.basis_of_degree(idegx + bd)
-                           if nb.key_layer(key) == hx + p)
-        return out
-
-    def hdeg(self, sym):
-        return self.nb.key_layer(sym[2]) - sym[0]
-
-    def _postcompose(self, sym, i):
-        """d_G o alpha (i None) or e_i^G o alpha."""
-        p, b, key = sym
-        return {(p, b, k2): c for k2, c in self.nb.apply_map(key, i).items()}
-
-    def dx(self, sym):
-        # d(alpha) = d_G o alpha - (-1)^{|alpha|} alpha o dF
-        out = super().dx(sym)
-        add_scaled(out, self._postcompose(sym, None))
-        return out
-
-    def lamp(self, i, sym):
-        return self._postcompose(sym, i)
 
 
 class _SelfE:
@@ -526,25 +416,21 @@ def build_operator_complex(resolution, target) -> OperatorComplex:
     ``resolution`` is a KoszulComplex that passes ``certify`` (refused with
     ValueError otherwise): one built or loaded by the store already holds
     its certificate, any other complex is certified here, once.
-    ``target`` is a ModulePresentation, another KoszulComplex, or "self-E"
-    (in which case ``resolution`` may be a RingSpec).
+    ``target`` is a ModulePresentation or "self-E" (in which case
+    ``resolution`` may be a RingSpec); anything else is a TypeError.
     """
     if target == "self-E":
         spec = resolution if isinstance(resolution, RingSpec) \
             else resolution.spec
         return OperatorComplex(spec, _SelfE(spec), "self-E")
+    if not isinstance(target, ModulePresentation):
+        raise TypeError(f"unsupported target {target!r}")
     cx = resolution
     errors = cx.certify()
     if errors:
         raise ValueError(f"uncertified resolution refused: {errors[:3]}")
-    if isinstance(target, ModulePresentation):
-        iface = _HomIntoModule(cx, ModuleBasis(target))
-        return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
-    if isinstance(target, KoszulComplex):
-        gbasis = ComplexBasis(target)
-        hom = _HomIntoComplex if gbasis.top else _HomIntoModule
-        return OperatorComplex(cx.spec, hom(cx, gbasis), "Hom(F,G)")
-    raise TypeError(f"unsupported target {target!r}")
+    iface = _HomIntoModule(cx, ModuleBasis(target))
+    return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
 
 
 # -- bigraded homology --------------------------------------------------------

@@ -4,7 +4,7 @@ Three layers:
 
 * ``ModulePresentation``: a graded color module over R given by generators
   and monomial-per-component relation columns.
-* ``semifree_resolution``: the E-semifree resolution built degreewise by
+* ``SemifreeResolution``: the E-semifree resolution, one ``stage`` per degree,
   killing homology classes; cycles come from exact syzygy computations over
   Q, so no truncation heuristics enter the construction.
 * ``finite_koszul_resolution``: the bounded strongly-perfect model obtained
@@ -41,7 +41,6 @@ __all__ = [
     "ModulePresentation",
     "SemifreeResolution",
     "KoszulComplex",
-    "semifree_resolution",
     "finite_koszul_resolution",
     "minimal_R_resolution",
     "BettiTable",
@@ -328,15 +327,6 @@ class SemifreeResolution:
         self.images.append(images)
 
 
-def semifree_resolution(module: ModulePresentation,
-                        hmax: int) -> SemifreeResolution:
-    """E-semifree resolution of the module, built through degree hmax."""
-    res = SemifreeResolution(module)
-    for _ in range(hmax):
-        res.stage()
-    return res
-
-
 # ---------------------------------------------------------------------------
 # the truncated strongly perfect complex
 # ---------------------------------------------------------------------------
@@ -485,13 +475,14 @@ class KoszulComplex:
                 if not gb_im.contains(z):
                     errors.append(("homology", h))
                     break
-        # H_0: image of d_1 equals relations + f * generators
+        # H_0: image of d_1 (zero at length 0) equals relations + f * gens
         mod = self.module
-        if mod is not None and top >= 1:
+        if mod is not None:
             k0 = mod.q_relations()
+            image = cols_by_h.get(1, [])
             gb_k0 = buchberger(k0, ring)
-            gb_im = buchberger(cols_by_h[1], ring)
-            for col in cols_by_h[1]:
+            gb_im = buchberger(image, ring)
+            for col in image:
                 if not gb_k0.contains(col):
                     errors.append(("image_not_in_kernel", 0))
                     break
@@ -550,17 +541,16 @@ def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
     """Bounded complex of finite free Q-modules, strict E-action, = M.
 
     Builds the semifree resolution one degree at a time and truncates at the
-    first homological degree where the cokernel of the incoming differential
-    is Q-free (certified by presentation minimalization), then certifies
-    the finite object once (``KoszulComplex.certify``).  Q has global
-    dimension n (Hilbert's syzygy theorem), so that cokernel is free by
-    degree n; failing to reach it fails the certificate.
+    first homological degree, from 0, where the cokernel of the incoming
+    differential is Q-free (certified by presentation minimalization), then
+    certifies the finite object once (``KoszulComplex.certify``).  Q has
+    global dimension n (Hilbert's syzygy theorem), so that cokernel is free
+    by degree n; failing to reach it fails the certificate.
     """
     res = SemifreeResolution(module)
     ring = res.spec.qring
-    top = max(res.spec.n, 1)
-    res.stage()
-    for cut in range(1, top + 1):
+    top = res.spec.n
+    for cut in range(top + 1):
         res.stage()
         kept, leftover, proj = minimalize_presentation(
             len(res.basis(cut)), res.images[cut + 1], ring)
@@ -608,7 +598,8 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
         return {(e, remap_top[comp]): v for (e, comp), v in out.items()}
 
     diff = [None] + [_matrix(res.images[h]) for h in range(1, cut)]
-    diff.append(_matrix([res.images[cut][k] for k in kept]))
+    if cut:
+        diff.append(_matrix([res.images[cut][k] for k in kept]))
 
     eact = []
     for i in range(spec.c):

@@ -8,9 +8,9 @@ from skewci.colorcore import RingSpec
 from skewci.resolve import (
     KoszulComplex,
     ModulePresentation,
+    SemifreeResolution,
     finite_koszul_resolution,
     minimal_R_resolution,
-    semifree_resolution,
 )
 
 from fixtures import (
@@ -37,6 +37,14 @@ def test_residue_field_shape():
     k = ModulePresentation.residue_field(spec)
     assert k.is_residue_field()
     assert len(k.relations) == 2
+
+
+def semifree_resolution(module, hmax):
+    """The E-semifree resolution of module, built through degree hmax."""
+    res = SemifreeResolution(module)
+    for _ in range(hmax):
+        res.stage()
+    return res
 
 
 def test_semifree_of_free_module_is_koszul_algebra():
@@ -82,6 +90,27 @@ def test_finite_koszul_resolution_hypersurface_k():
     cx = finite_koszul_resolution(k)
     assert not cx.verify_invariants()
     assert not cx.verify_exactness()
+
+
+def test_q_free_module_resolves_at_length_zero():
+    # a Q-free module is its own F: the cut is at degree 0, with no empty
+    # layer above it; R on a ring without relations, and the zero module
+    free_ring = RingSpec(2, 1, [[0, 0], [0, 0]], relations=[])
+    zero = ModulePresentation(three_var_ring(), [], [], name="0")
+    for mod, ranks in ((ModulePresentation.free(free_ring), [1]),
+                       (zero, [0])):
+        cx = finite_koszul_resolution(mod)
+        assert (cx.ranks(), cx.length) == (ranks, 0)
+        assert not cx.certify()
+        assert canonical_json(KoszulComplex.from_json(cx.to_json())) \
+            == canonical_json(cx)
+    # at length 0 the certificate still checks H_0 = M: Q alone resolves
+    # neither k nor, once c >= 1, R
+    for spec, mod in ((free_ring, ModulePresentation.residue_field(free_ring)),
+                      (example_ring(), ModulePresentation.free(example_ring()))):
+        cx = KoszulComplex(spec, [[(0, (0,) * spec.n)]], [None],
+                           [[None]] * spec.c, mod)
+        assert ("kernel_not_in_image", 0) in cx.verify_exactness()
 
 
 def test_truncation_detects_corruption():

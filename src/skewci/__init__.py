@@ -7,13 +7,11 @@ Poincare series, all over exact cyclotomic arithmetic.
 
 from .scalars import CycScalar, ConductorMismatch
 from .colorcore import (
-    Poly,
     QRing,
     RingSpec,
     ValidationReport,
     chi,
     parse_poly,
-    poly_mul,
     validate_ring,
 )
 from .koszul import (
@@ -62,13 +60,11 @@ def __getattr__(name):
 __all__ = [
     "CycScalar",
     "ConductorMismatch",
-    "Poly",
     "QRing",
     "RingSpec",
     "ValidationReport",
     "chi",
     "parse_poly",
-    "poly_mul",
     "validate_ring",
     "koszul_algebra",
     "phi_expand",

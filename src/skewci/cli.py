@@ -113,6 +113,13 @@ def run(config, cache_dir=None, window_override=None):
                            f"got {value!r}")
         if key in _NONNEGATIVE and value < 0:
             raise JobError(f"params.{key} must be >= 0, got {value!r}")
+    modules = config.get("modules", {})
+    if not isinstance(modules, dict):
+        raise JobError("modules must be an object")
+    for name in ("k", "R"):
+        if name in modules:
+            raise JobError(f"module name {name!r} is reserved for the "
+                           "built-in module")
     cache = ResolutionCache(cache_dir or params.get("cache"))
     report = {"command": command, "ring": spec.to_json()}
     lines = [f"ring: {spec!r}", f"command: {command}"]
@@ -288,9 +295,7 @@ def _cmd_complexity(spec, config, params):
 
 def _cmd_poincare(spec, config, params):
     mod = _module(spec, config, params.get("module"))
-    other_name = params.get("other", "k")
-    other = _module(spec, config, other_name, "other") \
-        if other_name != "k" else "k"
+    other = _module(spec, config, params.get("other", "k"), "other")
     # one cmax sizes both the fit window and the reported coefficients
     cmax = params.get("cmax", 10)
     window = {"cmax": cmax,

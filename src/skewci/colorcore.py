@@ -5,6 +5,10 @@ v_i v_j = q_{ij} v_j v_i where q_{ij} = zeta_m^{a_ij} for an antisymmetric
 integer matrix a.  Monomials are kept in normal order v_1^{a_1}...v_N^{a_N};
 reordering scalars come from the pairing C with x^a x^b = C(a,b) x^{a+b}.
 
+A polynomial is a term dict {exponent tuple: CycScalar} that stores no
+zero coefficient (``parse_poly`` builds one, ``poly_to_string`` prints one);
+term dicts are never mutated once built.
+
 Colors live in Z^n (gdeg(x_i) = i-th unit vector for the base ring Q);
 derived rings (the operator ring S, chi-rings, theta rings) carry their own
 commutation matrices computed from the same bicharacter.
@@ -13,20 +17,18 @@ commutation matrices computed from the same bicharacter.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .scalars import CycScalar
 from .sparse import add_scaled, add_term
 
 __all__ = [
     "QRing",
-    "Poly",
     "RingSpec",
     "ValidationReport",
     "chi",
-    "poly_mul",
     "validate_ring",
     "parse_poly",
+    "poly_to_string",
 ]
 
 
@@ -133,6 +135,7 @@ def unit_vector(n, i):
 # ---------------------------------------------------------------------------
 
 def dict_mul(ring, p, q):
+    """The product p q of two term dicts, as a fresh term dict."""
     out = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
@@ -141,120 +144,13 @@ def dict_mul(ring, p, q):
     return out
 
 
-class Poly:
-    """A skew polynomial: finitely supported exponent -> CycScalar map."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: QRing, terms=None):
-        self.ring = ring
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero(ring):
-        return Poly(ring)
-
-    @staticmethod
-    def constant(ring, value):
-        if isinstance(value, (int, Fraction)):
-            value = CycScalar.from_rational(ring.m, value)
-        if not value:
-            return Poly(ring)
-        return Poly(ring, {ring.zero_exp(): value})
-
-    @staticmethod
-    def variable(ring, i):
-        exps = unit_vector(ring.nvars, i)
-        return Poly(ring, {exps: CycScalar.one(ring.m)})
-
-    @staticmethod
-    def monomial(ring, exps, coeff=None):
-        coeff = CycScalar.one(ring.m) if coeff is None else coeff
-        if not coeff:
-            return Poly(ring)
-        return Poly(ring, {tuple(exps): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = Poly.constant(self.ring, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = Poly.constant(self.ring, other)
-        out = dict(self.terms)
-        add_scaled(out, other.terms)
-        return Poly(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            other = Poly.constant(self.ring, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(self.ring.m, other)
-        if isinstance(other, CycScalar):
-            if not other:
-                return Poly(self.ring)
-            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
-        return Poly(self.ring, dict_mul(self.ring, self.terms, other.terms))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k):
-        out = Poly.constant(self.ring, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def color(self):
-        """Color vector if G-homogeneous, else None."""
-        cols = {self.ring.color(e) for e in self.terms}
-        if len(cols) == 1:
-            return cols.pop()
-        return None
-
-    def constant_term(self) -> CycScalar:
-        c = self.terms.get(self.ring.zero_exp())
-        return c if c is not None else CycScalar.zero(self.ring.m)
-
-    def __str__(self):
-        return poly_to_string(self)
-
-    def __repr__(self):
-        return f"Poly({poly_to_string(self)})"
-
-
-def poly_to_string(p: Poly) -> str:
-    if not p.terms:
+def poly_to_string(ring, terms) -> str:
+    """A term dict in the grammar ``parse_poly`` reads, terms by degree."""
+    if not terms:
         return "0"
-    ring = p.ring
     parts = []
-    for exps in sorted(p.terms, key=lambda e: (ring.deg(e), e)):
-        c = p.terms[exps]
+    for exps in sorted(terms, key=lambda e: (ring.deg(e), e)):
+        c = terms[exps]
         mono = "*".join(
             f"{ring.names[i]}^{e}" if e > 1 else ring.names[i]
             for i, e in enumerate(exps) if e
@@ -288,13 +184,15 @@ class _Parser:
 
     Grammar: integers, 'z' for zeta_m, variable names, '+', '-', '*', '^',
     '/' (rational coefficients), parentheses.  Adjacency does not multiply;
-    '*' is required between factors.
+    '*' is required between factors.  Every method returns a fresh term
+    dict, which its caller may extend in place.
     """
 
     def __init__(self, ring, tokens):
         self.ring = ring
         self.toks = tokens
         self.i = 0
+        self.one = CycScalar.one(ring.m)
 
     def peek(self):
         return self.toks[self.i]
@@ -313,49 +211,55 @@ class _Parser:
     def expr(self):
         if self.peek() == "-":
             self.next()
-            out = -self.term()
+            out = _neg(self.term())
         else:
             out = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
             t = self.term()
-            out = out + t if op == "+" else out - t
+            add_scaled(out, t if op == "+" else _neg(t))
         return out
 
     def term(self):
         out = self.factor()
+        zero = self.ring.zero_exp()
         while self.peek() in ("*", "/"):
             op = self.next()
             f = self.factor()
             if op == "*":
-                out = out * f
+                out = dict_mul(self.ring, out, f)
+            elif list(f) == [zero]:
+                inv = f[zero].inverse()
+                out = {e: c * inv for e, c in out.items()}
             else:
-                if f.terms and list(f.terms) == [self.ring.zero_exp()]:
-                    out = out * f.constant_term().inverse()
-                else:
-                    raise ValueError("division only by scalars")
+                raise ValueError("division only by scalars")
         return out
 
     def factor(self):
         base = self.atom()
+        zero = self.ring.zero_exp()
         while self.peek() == "^":
             self.next()
             tok = self.next()
-            neg = False
-            if tok == "-":
-                neg, tok = True, self.next()
+            neg = tok == "-"
+            if neg:
+                tok = self.next()
             if not tok or not tok.isdigit():
                 raise ValueError("exponent must be an integer")
             k = int(tok)
             if neg:
-                if not (base.is_monomial() and not any(next(iter(base.terms)))):
+                if list(base) != [zero]:
                     raise ValueError("negative powers only on scalars")
-                base = Poly.constant(self.ring, 1) * base.constant_term() ** (-k)
+                base = {zero: base[zero] ** (-k)}
             else:
-                base = base ** k
+                power = {zero: self.one}
+                for _ in range(k):
+                    power = dict_mul(self.ring, power, base)
+                base = power
         return base
 
     def atom(self):
+        ring = self.ring
         tok = self.next()
         if tok is None:
             raise ValueError("unexpected end of input")
@@ -365,17 +269,24 @@ class _Parser:
                 raise ValueError("missing closing parenthesis")
             return p
         if tok == "-":
-            return -self.atom()
+            return _neg(self.atom())
         if tok.isdigit():
-            return Poly.constant(self.ring, int(tok))
+            value = CycScalar.from_rational(ring.m, int(tok))
+            return {ring.zero_exp(): value} if value else {}
         if tok == "z":
-            return Poly.constant(self.ring, CycScalar.zeta(self.ring.m))
-        if tok in self.ring.names:
-            return Poly.variable(self.ring, self.ring.names.index(tok))
+            return {ring.zero_exp(): CycScalar.zeta(ring.m)}
+        if tok in ring.names:
+            return {unit_vector(ring.nvars, ring.names.index(tok)): self.one}
         raise ValueError(f"unknown variable {tok!r}")
 
 
-def parse_poly(ring: QRing, text: str) -> Poly:
+def _neg(terms):
+    return {e: -c for e, c in terms.items()}
+
+
+def parse_poly(ring: QRing, text: str) -> dict:
+    """The term dict {exps: CycScalar} of a polynomial written in the ASCII
+    grammar of ``_Parser``; malformed text raises ValueError."""
     return _Parser(ring, _tokenize(text)).parse()
 
 
@@ -386,9 +297,9 @@ def parse_poly(ring: QRing, text: str) -> Poly:
 class RingSpec:
     """The data (n, m, q-exponent matrix, degrees, relations) defining Q and R.
 
-    Relations must be G-homogeneous; with G = Z^n and gdeg(x_i) = e_i that
-    forces each f_i to be a single monomial (coefficients are normalized to
-    1, which generates the same ideal).
+    ``relations`` are polynomial strings; ``self.relations`` holds their
+    term dicts.  Relations must be G-homogeneous; with G = Z^n and
+    gdeg(x_i) = e_i that forces each f_i to be a single monomial.
     """
 
     def __init__(self, n, m, aexp, degrees=None, relations=()):
@@ -398,19 +309,11 @@ class RingSpec:
         names = tuple(f"x{i+1}" for i in range(n))
         self.qring = QRing(m, names, degrees, aexp)
         self.degrees = degrees
-        rels = []
-        for f in relations:
-            if isinstance(f, str):
-                f = parse_poly(self.qring, f)
-            rels.append(f)
-        self.relations = tuple(rels)
-        self.c = len(rels)
-        self.rel_exps = []
-        for f in rels:
-            if len(f.terms) == 1:
-                self.rel_exps.append(next(iter(f.terms)))
-            else:
-                self.rel_exps.append(None)  # caught by validate_ring
+        self.relations = tuple(parse_poly(self.qring, f) for f in relations)
+        self.c = len(self.relations)
+        # None for a non-monomial relation, which validate_ring refuses
+        self.rel_exps = [next(iter(f)) if len(f) == 1 else None
+                         for f in self.relations]
         self.df = tuple(
             self.qring.deg(e) if e is not None else None for e in self.rel_exps
         )
@@ -440,7 +343,8 @@ class RingSpec:
             "m": self.m,
             "qexp": [list(r) for r in self.qring.aexp],
             "degrees": list(self.degrees),
-            "relations": [poly_to_string(f) for f in self.relations],
+            "relations": [poly_to_string(self.qring, f)
+                          for f in self.relations],
         }
 
     @staticmethod
@@ -454,7 +358,8 @@ class RingSpec:
         )
 
     def __repr__(self):
-        rels = ", ".join(poly_to_string(f) for f in self.relations)
+        rels = ", ".join(poly_to_string(self.qring, f)
+                         for f in self.relations)
         return f"RingSpec(n={self.n}, m={self.m}, f=({rels}))"
 
 
@@ -463,12 +368,6 @@ def chi(spec: RingSpec, alpha, beta) -> CycScalar:
     if len(alpha) != spec.n or len(beta) != spec.n:
         raise ValueError("color vector length mismatch")
     return spec.qring.chi(alpha, beta)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if p.ring is not q.ring and p.ring.names != q.ring.names:
-        raise ValueError("polynomials over different rings")
-    return p * q
 
 
 class ValidationReport:
@@ -550,6 +449,9 @@ def standard_monomials(ring, deg, leads):
         exps[i] = 0
 
     walk(0, deg)
+    # walk refers to itself; dropping it frees the closure, and with it the
+    # reference to out, now instead of at the next cyclic collection
+    del walk
     return out
 
 
@@ -565,12 +467,12 @@ def validate_ring(spec: RingSpec, cutoff=None) -> ValidationReport:
         if not f:
             messages.append(f"relation f{idx+1} is zero")
             continue
-        if len(f.terms) > 1:
+        if len(f) > 1:
             messages.append(
                 f"relation f{idx+1} is not G-homogeneous "
                 "(distinct monomials have distinct colors)")
             continue
-        exps = next(iter(f.terms))
+        exps = next(iter(f))
         if sum(exps) < 2:
             messages.append(f"relation f{idx+1} is not in (x_1..x_n)^2")
     if messages:

@@ -71,7 +71,7 @@ class DGAlgebra:
         return {(exps, smask, hvec): coeff}
 
     def from_poly(self, poly):
-        return {(exps, 0, self.zero_h()): c for exps, c in poly.terms.items()}
+        return {(exps, 0, self.zero_h()): c for exps, c in poly.items()}
 
     def term_color(self, key):
         exps, smask, hvec = key
@@ -229,6 +229,7 @@ class DGAlgebra:
             hvec[j] = 0
 
         walk(0, target, ideg_cap)
+        del walk    # break the closure's self-reference cycle
         if self.neven == 0:
             return [()] if target == 0 else []
         return out
@@ -311,6 +312,7 @@ def phi_expand(spec: RingSpec, hvec):
             walk(idx + 1, hp + [p])
 
     walk(0, [])
+    del walk    # break the closure's self-reference cycle
     return out
 
 

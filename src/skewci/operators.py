@@ -101,9 +101,10 @@ class ModuleBasis:
 
 
 # -- X interfaces -------------------------------------------------------------
-# Each interface gives symbols, dx, the two e-actions lam and lamp,
-# x-multiplication, and hx_range: the homological degrees its symbols
-# occupy, from which slices enumerate exactly the chi-weights that can occur.
+# Each interface gives symbols, dx, the two e-actions lam and lamp, and
+# hx_range: the homological degrees its symbols occupy, from which slices
+# enumerate exactly the chi-weights that can occur.  Hom(F, N) also gives
+# x-multiplication, which only ``_tensor_k_dims`` uses.
 
 class _HomIntoModule:
     """X = Hom_Q(F, N) for a module N (a ModuleBasis): symbols (p, b, key)
@@ -172,17 +173,16 @@ class _HomIntoModule:
         m = len(units)
         unit_nf = self.nb.unit_normal_form
         out = {}
-        for col, poly in self.cx.rows(h, i).get(b, ()):
-            for exps, c in poly.items():
-                # value entry * key, reduced in the target
-                nf = unit_nf((tuple(a + e for a, e in zip(exps, nexps)), comp))
-                if not nf:
-                    continue
-                # zip stops at len(exps) = n
-                e = e0 + sum(r * x for r, x in zip(t, exps) if x)
-                scal = c * units[e % m]
-                for k2, c2 in nf.items():
-                    add_term(out, (h, col, k2), c2 * scal)
+        for col, exps, c in self.cx.rows(h, i).get(b, ()):
+            # value entry * key, reduced in the target
+            nf = unit_nf((tuple(a + e for a, e in zip(exps, nexps)), comp))
+            if not nf:
+                continue
+            # zip stops at len(exps) = n
+            e = e0 + sum(r * x for r, x in zip(t, exps) if x)
+            scal = c * units[e % m]
+            for k2, c2 in nf.items():
+                add_term(out, (h, col, k2), c2 * scal)
         return out
 
     def dx(self, sym):
@@ -254,7 +254,7 @@ class _SelfE:
         for l, s in enumerate(bits):
             e = sum(self._ff[r][s] for r in bits[:l])
             rest = smask & ~(1 << s)
-            for beta, c in self.spec.relations[s].terms.items():
+            for beta, c in self.spec.relations[s].items():
                 unit = self._unit(l, e + ring.cpair_exp(exps, beta))
                 out[(tuple(a + b for a, b in zip(exps, beta)), rest)] = \
                     unit if c.is_one() else c * unit
@@ -286,14 +286,6 @@ class _SelfE:
         e = (self.spec.qring.chi_exp(self.spec.cf[i], exps)
              + sum(self._ff[i][s] for s in below))
         return {(exps, smask | 1 << i): self._unit(len(below), e)}
-
-    def xmul(self, l, sym):
-        # x_l u = C(delta_l, alpha) x^(alpha+delta_l) e_S
-        exps, smask = sym
-        delta = tuple(1 if k == l else 0 for k in range(self.spec.n))
-        e = self.spec.qring.cpair_exp(delta, exps)
-        return {(tuple(a + d for a, d in zip(exps, delta)), smask):
-                self._unit(0, e)}
 
 
 def _signed_zeta_powers(ring):
@@ -393,7 +385,8 @@ class OperatorComplex:
         return out
 
     def x_action(self, l, sym):
-        """Left multiplication by x_l: (i,j) -> (i, j - d_l)."""
+        """Left multiplication by x_l: (i,j) -> (i, j - d_l), for an X
+        with ``xmul`` (Hom(F, N))."""
         w, xsym = sym
         scal = self._w_scalar("x", l, w)
         out = {}

@@ -19,7 +19,6 @@ never touches the Groebner path above.
 from __future__ import annotations
 
 from .colorcore import (
-    Poly,
     RingSpec,
     parse_poly,
     poly_to_string,
@@ -31,6 +30,7 @@ from .qgrobner import (
     buchberger,
     homology_presentation,
     minimalize_presentation,
+    mono_mul_vector,
     poly_mul_vector,
     syzygy_module,
 )
@@ -91,14 +91,12 @@ class ModulePresentation:
 
     @staticmethod
     def cyclic(spec, polys, name=None):
-        """R/(ideal generated by the given G-homogeneous elements)."""
+        """R/(ideal generated by the given G-homogeneous elements, written
+        as polynomial strings)."""
         gens = [(0, (0,) * spec.n)]
-        cols = []
-        for p in polys:
-            if isinstance(p, str):
-                p = parse_poly(spec.qring, p)
-            cols.append({(exps, 0): c for exps, c in p.terms.items()})
-        label = name or ("R/(" + ",".join(str(p) for p in polys) + ")")
+        cols = [{(exps, 0): c for exps, c in parse_poly(spec.qring, p).items()}
+                for p in polys]
+        label = name or ("R/(" + ",".join(polys) + ")")
         return ModulePresentation(spec, gens, cols, label)
 
     @staticmethod
@@ -121,8 +119,7 @@ class ModulePresentation:
         for col in doc["relations"]:
             out = {}
             for comp, text in enumerate(col):
-                p = parse_poly(spec.qring, text)
-                for exps, c in p.terms.items():
+                for exps, c in parse_poly(spec.qring, text).items():
                     out[(exps, comp)] = c
             cols.append(out)
         return ModulePresentation(spec, gens, cols, doc.get("name", "M"))
@@ -135,7 +132,7 @@ class ModulePresentation:
             for comp in range(len(self.gens)):
                 terms = {exps: c for (exps, cc), c in col.items()
                          if cc == comp}
-                entries.append(poly_to_string(Poly(ring, terms)))
+                entries.append(poly_to_string(ring, terms))
             cols.append(entries)
         return {
             "name": self.name,
@@ -175,7 +172,7 @@ class ModulePresentation:
         cols = [dict(col) for col in self.relations]
         for f in self.spec.relations:
             for g in range(len(self.gens)):
-                cols.append({(exps, g): c for exps, c in f.terms.items()})
+                cols.append({(exps, g): c for exps, c in f.items()})
         return cols
 
     def cache_key_data(self):
@@ -334,9 +331,10 @@ class SemifreeResolution:
 class KoszulComplex:
     """A bounded complex of finite free Q-modules with a strict E-action.
 
-    ``basis[h]`` lists (internal degree, color) labels; ``diff[h]`` maps
-    F_h -> F_{h-1} and ``eact[i][h]`` maps F_h -> F_{h+1}, both as
-    {(row, col): poly terms dict}.
+    ``basis[h]`` lists (internal degree, color) labels.  ``diff[h]`` maps
+    F_h -> F_{h-1} (None at h = 0) and ``eact[i][h]`` maps F_h -> F_{h+1}
+    (None at the top); each map is a list of columns, one per label of F_h,
+    the column being that label's image as a Q-vector {(exps, row): scalar}.
     """
 
     def __init__(self, spec, basis, diff, eact, module=None):
@@ -357,46 +355,30 @@ class KoszulComplex:
 
     def rows(self, h, i=None):
         """``diff[h]`` (i None) or ``eact[i][h]`` grouped by row, as
-        {row: [(col, poly terms dict), ...]} in matrix order; built once per
-        matrix and shared by every caller on this complex."""
+        {row: [(col, exps, scalar), ...]} with columns ascending; built once
+        per map and shared by every caller on this complex."""
         key = (h, i)
         grouped = self._rows.get(key)
         if grouped is None:
-            matrix = self.diff[h] if i is None else self.eact[i][h]
+            columns = self.diff[h] if i is None else self.eact[i][h]
             grouped = {}
-            for (row, col), poly in (matrix or {}).items():
-                grouped.setdefault(row, []).append((col, poly))
+            for col, vec in enumerate(columns or ()):
+                for (exps, row), c in vec.items():
+                    grouped.setdefault(row, []).append((col, exps, c))
             self._rows[key] = grouped
         return grouped
 
-    # -- applying matrices with color bookkeeping -------------------------
-
-    def apply_matrix(self, matrix, map_color, vec):
-        """Apply a matrix of a color-homogeneous map to a Q-vector.
-
-        vec: {(exps, col): scalar}; a map of color sigma satisfies
-        phi(x^a b) = chi(sigma, color(x^a)) x^a phi(b).
-        """
+    def _apply(self, columns, map_color, vec):
+        """Apply a map of color ``map_color`` (None: plain) to a Q-vector
+        {(exps, col): scalar}: phi(x^a b) = chi(sigma, color(x^a)) x^a phi(b)
+        with phi(b) the column of b."""
         ring = self.spec.qring
         out = {}
         for (alpha, col), coeff in vec.items():
-            tw = coeff
             if map_color is not None and any(alpha):
-                tw = tw * ring.chi(map_color, ring.color(alpha))
-            for (row, ccol), poly in matrix.items():
-                if ccol != col:
-                    continue
-                for exps, c in poly.items():
-                    s, prod = ring.mono_mul(alpha, exps)
-                    add_term(out, (prod, row), tw * c * s)
+                coeff = coeff * ring.chi(map_color, ring.color(alpha))
+            add_scaled(out, mono_mul_vector(ring, coeff, alpha, columns[col]))
         return out
-
-    def fmul_vec(self, poly: dict, vec):
-        """Left multiplication by an element of Q (plain, no twist)."""
-        return poly_mul_vector(self.spec.qring, poly, vec)
-
-    def unit_vec(self, h, col):
-        return {(self.spec.qring.zero_exp(), col): CycScalar.one(self.spec.m)}
 
     # -- invariants --------------------------------------------------------
 
@@ -411,10 +393,12 @@ class KoszulComplex:
     def verify_invariants(self):
         """d^2 = 0, d e_i + e_i d = f_i, e_i^2 = 0, and e-commutation."""
         spec = self.spec
+        ring = spec.qring
+        one = CycScalar.one(spec.m)
         errors = []
         for h in range(len(self.basis)):
             for col in range(len(self.basis[h])):
-                v = self.unit_vec(h, col)
+                v = {(ring.zero_exp(), col): one}
                 dv = self._d(h, v)
                 if self._d(h - 1, dv):
                     errors.append(("d2", h, col))
@@ -422,10 +406,8 @@ class KoszulComplex:
                     eiv = self._e(i, h, v)
                     lhs = self._d(h + 1, eiv)
                     add_scaled(lhs, self._e(i, h - 1, dv))
-                    f_terms = {e: c for e, c in
-                               spec.relations[i].terms.items()}
-                    rhs = self.fmul_vec(f_terms, v)
-                    add_scaled(lhs, rhs, -CycScalar.one(spec.m))
+                    rhs = poly_mul_vector(ring, spec.relations[i], v)
+                    add_scaled(lhs, rhs, -one)
                     if lhs:
                         errors.append(("homotopy", i, h, col))
                     if self._e(i, h + 1, eiv):
@@ -441,36 +423,27 @@ class KoszulComplex:
         return errors
 
     def _d(self, h, vec):
-        if not vec or h < 1 or h >= len(self.diff) or self.diff[h] is None:
+        if not vec or not 1 <= h < len(self.basis):
             return {}
-        return self.apply_matrix(self.diff[h], None, vec)
+        return self._apply(self.diff[h], None, vec)
 
     def _e(self, i, h, vec):
-        if not vec or h < 0 or h + 1 >= len(self.basis):
+        if not vec or not 0 <= h < self.length:
             return {}
-        mat = self.eact[i][h]
-        if mat is None:
-            return {}
-        return self.apply_matrix(mat, self.spec.cf[i], vec)
+        return self._apply(self.eact[i][h], self.spec.cf[i], vec)
 
     def verify_exactness(self):
         """Certify H_0 = M and H_h = 0 for h >= 1 via Groebner membership."""
         ring = self.spec.qring
         errors = []
         top = self.length
-        cols_by_h = {}
-        for h in range(1, top + 1):
-            cols_by_h[h] = [
-                self.apply_matrix(self.diff[h], None, self.unit_vec(h, c))
-                for c in range(len(self.basis[h]))
-            ]
         # kernel of the top map must vanish
-        if top >= 1 and syzygy_module(cols_by_h[top], ring):
+        if top >= 1 and syzygy_module(self.diff[top], ring):
             errors.append(("top_kernel_nonzero", top))
         # middle exactness: cycles at h lie in the image from h+1
         for h in range(1, top):
-            cycles = syzygy_module(cols_by_h[h], ring)
-            gb_im = buchberger(cols_by_h[h + 1], ring)
+            cycles = syzygy_module(self.diff[h], ring)
+            gb_im = buchberger(self.diff[h + 1], ring)
             for z in cycles:
                 if not gb_im.contains(z):
                     errors.append(("homology", h))
@@ -479,7 +452,7 @@ class KoszulComplex:
         mod = self.module
         if mod is not None:
             k0 = mod.q_relations()
-            image = cols_by_h.get(1, [])
+            image = self.diff[1] if top >= 1 else []
             gb_k0 = buchberger(k0, ring)
             gb_im = buchberger(image, ring)
             for col in image:
@@ -495,23 +468,24 @@ class KoszulComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
+        """Each map as its nonzero entries [row, col, poly string], sorted."""
         ring = self.spec.qring
 
-        def poly_str(terms):
-            return poly_to_string(Poly(ring, terms))
-
-        def mat_json(matrix):
-            return [[r, c, poly_str(p)] for (r, c), p in
-                    sorted(matrix.items())]
+        def entries(columns):
+            polys = {}
+            for col, vec in enumerate(columns or ()):
+                for (exps, row), c in vec.items():
+                    polys.setdefault((row, col), {})[exps] = c
+            return [[r, c, poly_to_string(ring, p)]
+                    for (r, c), p in sorted(polys.items())]
 
         return {
             "ring": self.spec.to_json(),
             "module": self.module.to_json() if self.module else None,
             "basis": [[[d, list(c)] for d, c in layer]
                       for layer in self.basis],
-            "diff": [mat_json(m) if m else [] for m in self.diff],
-            "eact": [[mat_json(m) if m else [] for m in family]
-                     for family in self.eact],
+            "diff": [entries(m) for m in self.diff],
+            "eact": [[entries(m) for m in family] for family in self.eact],
         }
 
     @staticmethod
@@ -522,17 +496,18 @@ class KoszulComplex:
         if doc.get("module"):
             module = ModulePresentation.from_json(spec, doc["module"])
         basis = [[(d, tuple(c)) for d, c in layer] for layer in doc["basis"]]
+        top = len(basis) - 1
 
-        def mat_load(entries):
-            out = {}
+        def columns(entries, h):
+            out = [{} for _ in basis[h]]
             for r, c, text in entries:
-                p = parse_poly(ring, text)
-                out[(r, c)] = dict(p.terms)
+                for exps, v in parse_poly(ring, text).items():
+                    out[c][(exps, r)] = v
             return out
 
-        diff = [mat_load(m) if m else {} for m in doc["diff"]]
-        diff[0] = None
-        eact = [[mat_load(m) if m else {} for m in family]
+        diff = [None] + [columns(m, h)
+                         for h, m in enumerate(doc["diff"]) if h]
+        eact = [[columns(m, h) for h, m in enumerate(family[:top])] + [None]
                 for family in doc["eact"]]
         return KoszulComplex(spec, basis, diff, eact, module)
 
@@ -566,15 +541,6 @@ def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
         f"no free cokernel by homological degree {top} = gl.dim Q")
 
 
-def _matrix(columns):
-    """{(row, col): poly terms} from Q-vector columns {(exps, row): scalar}."""
-    mat = {}
-    for cidx, vec in enumerate(columns):
-        for (alpha, row), c in vec.items():
-            add_term(mat.setdefault((row, cidx), {}), alpha, c)
-    return {k: v for k, v in mat.items() if v}
-
-
 def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
     """F_0 .. F_cut with F_cut replaced by the free cokernel on ``kept``;
     ``proj`` writes each F_cut component over the kept ones."""
@@ -597,9 +563,9 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
             add_scaled(out, poly_mul_vector(ring, {alpha: c}, proj[comp]))
         return {(e, remap_top[comp]): v for (e, comp), v in out.items()}
 
-    diff = [None] + [_matrix(res.images[h]) for h in range(1, cut)]
+    diff = [None] + res.images[1:cut]
     if cut:
-        diff.append(_matrix([res.images[cut][k] for k in kept]))
+        diff.append([res.images[cut][k] for k in kept])
 
     eact = []
     for i in range(spec.c):
@@ -612,7 +578,7 @@ def _assemble_truncation(res: SemifreeResolution, cut, kept, proj):
                 qvec = {(alpha, index[h + 1][(tmask, tg)]): c
                         for (alpha, tmask, tg), c in img.items()}
                 columns.append(project_top(qvec) if h + 1 == cut else qvec)
-            family.append(_matrix(columns))
+            family.append(columns)
         family.append(None)
         eact.append(family)
 

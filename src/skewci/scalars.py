@@ -50,18 +50,21 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _polydiv_exact(num: list, den: list) -> list:
-    """Exact division of integer polynomials (used for Phi_m only)."""
+def _polydiv_exact(num, den):
+    """num / den in Z[t], coefficients low degree first and den[-1] != 0,
+    or None when the division is not exact."""
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+    while num and num[-1] == 0:
+        num.pop()
+    q = [0] * max(len(num) - len(den) + 1, 0)
     for i in range(len(q) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            return None
         q[i] = c // den[-1]
         for j, d in enumerate(den):
             num[i + j] -= q[i] * d
-    assert all(c == 0 for c in num)
-    return q
+    return None if any(num) else q
 
 
 @lru_cache(maxsize=None)

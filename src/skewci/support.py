@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .colorcore import Poly, QRing, RingSpec, poly_to_string
+from .colorcore import QRing, RingSpec, poly_to_string
 from .operators import (
     _tensor_k_dims,
     build_operator_complex,
@@ -25,7 +25,7 @@ from .operators import (
 )
 from .qgrobner import Order, interreduce_ideal, monomial_dimension
 from .resolve import ModulePresentation, minimal_R_resolution
-from .scalars import CycScalar
+from .scalars import CycScalar, _polydiv_exact
 from .store import current
 
 __all__ = [
@@ -102,7 +102,7 @@ class ThetaAlgebra:
         out = []
         for g in gens:
             terms = {exps: c for (exps, _comp), c in g.items()}
-            out.append(poly_to_string(Poly(self.ring, terms)))
+            out.append(poly_to_string(self.ring, terms))
         return out
 
 
@@ -110,40 +110,12 @@ class ThetaAlgebra:
 # integer polynomial helpers (series arithmetic for Poincare data)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divexact(num, den):
-    """num / den in Z[t] or None if not exact."""
-    num = list(num)
-    _poly_trim(num)
-    if not num:
-        return []
-    if len(num) < len(den):
-        return None
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            return None
-        q[i] = c // den[-1]
-        if q[i]:
-            for j, d in enumerate(den):
-                num[i + j] -= q[i] * d
-    if any(num):
-        return None
-    return _poly_trim(q)
-
-
 def _divide_out(p, factor, limit):
     """Divide p by factor while the division is exact, at most limit times;
     returns (quotient, number of divisions)."""
     count = 0
     while count < limit:
-        q = _poly_divexact(p, factor)
+        q = _polydiv_exact(p, factor)
         if q is None:
             break
         p = q
@@ -162,9 +134,6 @@ class PoincareSeries:
         self.cprime = cprime
         self.method = method
         self.window = window
-
-    def complexity(self):
-        return self.cprime
 
     def coefficients(self, upto):
         out = [0] * (upto + 1)
@@ -398,7 +367,7 @@ def _pair_series(m, n, window):
             f"(1-t^2)^{c} * P has support at degree "
             f"{last} with only {len(u) - 1 - last} trailing zeros "
             f"(need {2 * c})")
-    p, removed = _divide_out(_poly_trim(u[: last + 1]), ONE_MINUS_T2, c)
+    p, removed = _divide_out(u[: last + 1], ONE_MINUS_T2, c)
     if p and sum(p) == 0:
         raise AssertionError("fit numerator vanishes at t=1")
     return PoincareSeries(p or [0], c - removed if p else 0, "fit", win)

@@ -371,6 +371,28 @@ def test_missing_module_rejected():
         run(example_config("support", {"module": "Zed"}))
 
 
+def test_reserved_module_names_are_refused(tmp_path, capsys):
+    # a config module named k or R would shadow the built-in module, and
+    # change the answer of every job whose default other is k
+    for name in ("k", "R"):
+        modules = {"M": {"quotient": ["x1"]}, name: {"quotient": ["x2"]}}
+        for command in ("poincare", "complexity", "support"):
+            config = example_config(command, {"module": "M"}, modules)
+            with pytest.raises(JobError, match=f"{name!r} is reserved"):
+                run(config)
+    config_path = tmp_path / "job.json"
+    with open(config_path, "w") as handle:
+        json.dump(config, handle)
+    assert main(["--config", str(config_path)]) == 2
+    assert "reserved" in capsys.readouterr().err
+    # so the names are checked on an object, and every command refuses
+    # modules that are not one
+    config = example_config("check")
+    config["modules"] = ["k"]
+    with pytest.raises(JobError, match="modules must be an object"):
+        run(config)
+
+
 def test_malformed_config_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"ring": [,]}')

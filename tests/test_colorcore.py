@@ -1,16 +1,19 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from skewci.colorcore import (
-    Poly,
     RingSpec,
     chi,
+    dict_mul,
     parse_poly,
-    poly_mul,
+    poly_to_string,
     validate_ring,
 )
 from skewci.scalars import CycScalar
+from skewci.sparse import add_term
 
 from fixtures import example_ring, random_exponent, random_ring
 
@@ -89,25 +92,23 @@ def test_c_pair_bicharacter_in_first_argument():
 
 def test_poly_mul_defining_relation():
     spec = example_ring()
-    x = Poly.variable(spec.qring, 0)
-    y = Poly.variable(spec.qring, 1)
-    prod = poly_mul(y, x)
+    one = spec.one()
+    prod = dict_mul(spec.qring, {(0, 1): one}, {(1, 0): one})
     # x2 x1 = q_21 x1 x2
-    assert prod == Poly.monomial(spec.qring, (1, 1), chi(spec, (0, 1), (1, 0)))
+    assert prod == {(1, 1): chi(spec, (0, 1), (1, 0))}
 
 
 def test_poly_mul_cross_terms_cancel_at_q_minus_one():
     spec = RingSpec(2, 2, [[0, 1], [1, 0]])  # q_12 = -1
-    x = Poly.variable(spec.qring, 0)
-    y = Poly.variable(spec.qring, 1)
-    sq = (x + y) * (x + y)
-    assert sq == x * x + y * y
+    ring = spec.qring
+    s = parse_poly(ring, "x1 + x2")
+    assert dict_mul(ring, s, s) == parse_poly(ring, "x1^2 + x2^2")
 
 
 def test_poly_mul_unit():
     spec = example_ring()
     p = parse_poly(spec.qring, "x1^2 + 3*x1*x2")
-    assert Poly.constant(spec.qring, 1) * p == p
+    assert dict_mul(spec.qring, {(0, 0): spec.one()}, p) == p
 
 
 def test_poly_mul_associativity_and_color():
@@ -117,22 +118,21 @@ def test_poly_mul_associativity_and_color():
         ring = spec.qring
 
         def rand_poly():
-            p = Poly.zero(ring)
+            p = {}
             for _ in range(rng.randint(1, 3)):
                 exps = random_exponent(rng, spec.n, 3)
-                p = p + Poly.monomial(ring, exps,
-                                      CycScalar.zeta(spec.m, rng.randrange(spec.m)))
+                add_term(p, exps, CycScalar.zeta(spec.m, rng.randrange(spec.m)))
             return p
 
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a * b) * c == a * (b * c)
-        am, bm = Poly.monomial(ring, random_exponent(rng, spec.n, 3)), \
-            Poly.monomial(ring, random_exponent(rng, spec.n, 3))
-        prod = am * bm
-        if prod:
-            expected = tuple(
-                x + y for x, y in zip(am.color(), bm.color()))
-            assert prod.color() == expected
+        assert (dict_mul(ring, dict_mul(ring, a, b), c)
+                == dict_mul(ring, a, dict_mul(ring, b, c)))
+        ea = random_exponent(rng, spec.n, 3)
+        eb = random_exponent(rng, spec.n, 3)
+        (prod,) = dict_mul(ring, {ea: spec.one()}, {eb: spec.one()})
+        expected = tuple(
+            x + y for x, y in zip(ring.color(ea), ring.color(eb)))
+        assert ring.color(prod) == expected
 
 
 def test_homogeneous_elements_are_normal():
@@ -142,11 +142,13 @@ def test_homogeneous_elements_are_normal():
         spec = random_ring(rng)
         ring = spec.qring
         exps = random_exponent(rng, spec.n, 4)
-        f = Poly.monomial(ring, exps)
+        f = {exps: spec.one()}
         for j in range(spec.n):
-            xj = Poly.variable(ring, j)
             ej = tuple(1 if k == j else 0 for k in range(spec.n))
-            assert f * xj == (xj * f) * chi(spec, exps, ej)
+            xj = {ej: spec.one()}
+            twist = chi(spec, exps, ej)
+            assert dict_mul(ring, f, xj) == {
+                e: c * twist for e, c in dict_mul(ring, xj, f).items()}
 
 
 def test_validate_example_ring():
@@ -182,9 +184,39 @@ def test_parse_and_print_roundtrip():
     spec = example_ring()
     ring = spec.qring
     p = parse_poly(ring, "2*x1^2*x2 - z*x2 + 3")
-    text = str(p)
+    text = poly_to_string(ring, p)
     again = parse_poly(ring, text)
     assert again == p
+
+
+def test_parse_poly_forms_and_errors():
+    spec = example_ring()                    # m = 4, z = i
+    ring = spec.qring
+    z = CycScalar.zeta(4)
+    one = spec.one()
+    accepted = [
+        (spec, "z^-1*x1", {(1, 0): z.inverse()}),
+        (spec, "3/2*x1", {(1, 0): CycScalar.from_rational(4, Fraction(3, 2))}),
+        (spec, "-x1 - -x2", {(1, 0): -one, (0, 1): one}),
+        (spec, "x1^0", {(0, 0): one}),
+        (spec, "2*x1 - 2*x1", {}),
+        (RingSpec(2, 2, [[0, 1], [1, 0]]), "(x1 + x2)^2",     # q_12 = -1
+         {(2, 0): CycScalar.one(2), (0, 2): CycScalar.one(2)}),
+    ]
+    for sp, text, want in accepted:
+        assert parse_poly(sp.qring, text) == want, text
+    refused = [
+        ("x1/x2", "division only by scalars"),
+        ("x1^-1", "negative powers only on scalars"),
+        ("x1^x2", "exponent must be an integer"),
+        ("(x1", "missing closing parenthesis"),
+        ("x1 x2", "trailing input at token 'x2'"),
+        ("x9", "unknown variable 'x9'"),
+        ("x1 &", "bad character at position 2"),
+    ]
+    for text, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly(ring, text)
 
 
 def test_ring_spec_json_roundtrip():

@@ -47,20 +47,21 @@ def paper_display_complex(spec):
         [(1, (1, 0)), (2, (0, 2))],
         [(3, (1, 2))],
     ]
+    # each map as its columns {(exps, row): scalar}
     diff = [
         None,
-        {(0, 0): {(1, 0): one}, (0, 1): {(0, 2): one}},
-        {(0, 0): {(0, 2): one}, (1, 0): {(1, 0): one}},
+        [{((1, 0), 0): one}, {((0, 2), 0): one}],
+        [{((0, 2), 0): one, ((1, 0), 1): one}],
     ]
     eact = [
         [  # e_1
-            {(0, 0): {(1, 0): one}},
-            {(0, 1): {(1, 0): one}},
+            [{((1, 0), 0): one}],
+            [{}, {((1, 0), 0): one}],
             None,
         ],
         [  # e_2
-            {(1, 0): {(0, 0): one}},
-            {(0, 0): {(0, 0): one}},
+            [{((0, 0), 1): one}],
+            [{((0, 0), 0): one}, {}],
             None,
         ],
     ]
@@ -467,7 +468,7 @@ def _golden_actions(spec, tables):
     from skewci.colorcore import parse_poly
 
     def scalar(text):
-        return parse_poly(spec.qring, text).constant_term()
+        return parse_poly(spec.qring, text)[spec.qring.zero_exp()]
 
     return {name: {tuple(src): (tuple(tgt), [
                 {r: scalar(row[c]) for r, row in enumerate(rows)
@@ -743,7 +744,7 @@ def test_theta_modules_match_golden():
     # off Ext over the chi-ring.  Over Q(zeta_9) (t = 3) chi(f_1, f_2)^t =
     # zeta_9^3 is not +-1, so the stored columns carry the twist from
     # rewriting chi_i^t as theta_i.
-    from skewci.colorcore import Poly, poly_to_string
+    from skewci.colorcore import poly_to_string
     from skewci.qgrobner import (
         annihilator_ideal,
         buchberger,
@@ -772,7 +773,7 @@ def test_theta_modules_match_golden():
         ring, gen_degs, columns = _golden_theta_module(spec, doc)
         twisted |= any(not is_rational(c) for col in columns
                        for c in col.values())
-        ideal = [poly_to_string(Poly(ring, {e: c for (e, _), c in g.items()}))
+        ideal = [poly_to_string(ring, {e: c for (e, _), c in g.items()})
                  for g in annihilator_ideal(columns, len(gen_degs), ring)]
         leads = [m for m, _ in buchberger(columns, ring).leads] \
             if columns else []
@@ -874,8 +875,8 @@ def _closed_form_rings():
 
 
 def _generic_self_e(ctx, spec, sym):
-    """dx, lam_i, lamp_i and x_l-multiplication of u = x^alpha e_S through
-    the generic DGAlgebra.mul/diff, as ordered item lists."""
+    """dx, lam_i and lamp_i of u = x^alpha e_S through the generic
+    DGAlgebra.mul/diff, as ordered item lists."""
     one = spec.one()
     u = {(sym[0], sym[1], ()): one}
 
@@ -892,9 +893,6 @@ def _generic_self_e(ctx, spec, sym):
         prod = ctx.mul(u, ctx.term(smask=1 << i))
         out[("lam", i)] = strip({k: v * scal for k, v in prod.items()})
         out[("lamp", i)] = strip(ctx.mul(ctx.term(smask=1 << i), u))
-    for l in range(spec.n):
-        delta = tuple(1 if k == l else 0 for k in range(spec.n))
-        out[("xmul", l)] = strip(ctx.mul(ctx.term(exps=delta), u))
     return out
 
 
@@ -913,8 +911,6 @@ def test_self_e_closed_forms_match_generic_products():
                     for i in range(spec.c):
                         got[("lam", i)] = list(x.lam(i, sym).items())
                         got[("lamp", i)] = list(x.lamp(i, sym).items())
-                    for l in range(spec.n):
-                        got[("xmul", l)] = list(x.xmul(l, sym).items())
                     want = _generic_self_e(ctx, spec, sym)
                     assert got == want, (spec, sym)
                     nontrivial += any(not is_rational(c)
@@ -933,17 +929,17 @@ def _sigma(x, sym):
                                        x.cx.basis[p][b][1]))
 
 
-def _scan_compose(x, sym, matrix, layer):
-    """alpha o matrix by a scan of every matrix entry, each term twisted by
-    chi(sigma, x^beta) C(x^beta, x^nexps) and reduced in N."""
+def _scan_compose(x, sym, columns, layer):
+    """alpha o M by a scan of every entry of every column of M, each term
+    twisted by chi(sigma, x^beta) C(x^beta, x^nexps) and reduced in N."""
     p, b, (nexps, comp) = sym
     ring = x.spec.qring
     sigma = _sigma(x, sym)
     out = {}
-    for (row, col), poly in matrix.items():
-        if row != b:
-            continue
-        for exps, c in poly.items():
+    for col, vec in enumerate(columns):
+        for (exps, row), c in vec.items():
+            if row != b:
+                continue
             scal = (c * ring.chi(sigma, ring.color(exps))
                     * ring.cpair(exps, nexps))
             key = (tuple(a + e for a, e in zip(exps, nexps)), comp)
@@ -1022,18 +1018,20 @@ def _chi_action(opcx, i, sym):
 
 
 def test_actions_are_chain_maps():
-    # x_l and chi_i commute with d on every symbol of a small window, for
-    # module targets and S (x) E.  chi(f_t, x_l)^2 != 1 over Q(zeta_5), so
-    # a wrong sign of the twist of x_l past chi^w shows.
+    # x_l (module targets, the only ones x_action serves) and chi_i (also
+    # S (x) E) commute with d on every symbol of a small window.
+    # chi(f_t, x_l)^2 != 1 over Q(zeta_5), so a wrong sign of the twist of
+    # x_l past chi^w shows.
     rx = ModulePresentation.cyclic(N3C3M5, ["x1"])
     cx = finite_koszul_resolution(rx)
-    cases = [build_operator_complex(cx, ModulePresentation.residue_field(
-                 N3C3M5)),
-             build_operator_complex(cx, rx),
-             build_operator_complex(N3C3M5, "self-E")]
-    for opcx in cases:
+    cases = [(build_operator_complex(cx, ModulePresentation.residue_field(
+                  N3C3M5)), True),
+             (build_operator_complex(cx, rx), True),
+             (build_operator_complex(N3C3M5, "self-E"), False)]
+    for opcx, with_x in cases:
         spec = opcx.spec
-        ops = [lambda s, l=l: opcx.x_action(l, s) for l in range(spec.n)]
+        ops = [lambda s, l=l: opcx.x_action(l, s)
+               for l in range(spec.n if with_x else 0)]
         ops += [lambda s, i=i: _chi_action(opcx, i, s)
                 for i in range(spec.c)]
         checked = 0

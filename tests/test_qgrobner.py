@@ -1,7 +1,6 @@
 import random
 
 from skewci.colorcore import (
-    Poly,
     QRing,
     RingSpec,
     parse_poly,
@@ -58,7 +57,7 @@ def gb_to_json(gb: GroebnerBasis, ncomps: int):
         for comp in range(ncomps):
             terms = {exps: c for (exps, cc), c in element.items()
                      if cc == comp}
-            entries.append(poly_to_string(Poly(ring, terms)))
+            entries.append(poly_to_string(ring, terms))
         elements.append(entries)
     return {
         "order": {"terms": "degrevlex", "modules": "position-over-term",
@@ -73,15 +72,14 @@ def gb_from_json(doc, ring) -> GroebnerBasis:
     for entries in doc["elements"]:
         element = {}
         for comp, text in enumerate(entries):
-            p = parse_poly(ring, text)
-            for exps, c in p.terms.items():
+            for exps, c in parse_poly(ring, text).items():
                 element[(exps, comp)] = c
         elements.append(element)
     return GroebnerBasis(ring, Order(ring), elements)
 
 
-def vec(ring, poly: Poly, comp=0):
-    return {(e, comp): c for e, c in poly.terms.items()}
+def vec(ring, poly, comp=0):
+    return {(e, comp): c for e, c in poly.items()}
 
 
 def poly_vec(ring, text, comp=0):

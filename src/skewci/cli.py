@@ -9,7 +9,6 @@ recomputed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -370,35 +369,71 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="skewci",
-        description="Exact cohomology operators and support varieties "
-                    "over skew complete intersections.")
-    parser.add_argument("--config", required=True,
-                        help="path to the JSON job configuration")
-    parser.add_argument("--cache", default=None,
-                        help="cache directory for resolutions and theta "
-                             "modules")
-    parser.add_argument("--out", default=None,
-                        help="path for the JSON report")
-    parser.add_argument("--window", default=None,
-                        help="window bounds, e.g. c=6,D=8,j=-8")
-    args = parser.parse_args(argv)
+_USAGE = ("usage: skewci [-h] --config CONFIG [--cache CACHE] [--out OUT] "
+          "[--window WINDOW]")
+_HELP = _USAGE + """
 
+Exact cohomology operators and support varieties over skew complete
+intersections.
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  path to the JSON job configuration
+  --cache CACHE    cache directory for resolutions and theta modules
+  --out OUT        path for the JSON report
+  --window WINDOW  window bounds, e.g. c=6,D=8,j=-8"""
+_FLAGS = ("--config", "--cache", "--out", "--window")
+
+
+def _parse_args(argv):
+    """{flag: value} from ``--flag value`` and ``--flag=value`` arguments.
+
+    Parsed here rather than by ``argparse``, whose import and ``gettext``
+    lookups every job would otherwise pay for four flags.  ``--help``
+    prints the help and exits 0; a malformed command line prints the usage
+    and the error and exits 2.
+    """
+    args = {}
+    rest = list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg in ("-h", "--help"):
+            print(_HELP)
+            raise SystemExit(0)
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(f"unrecognized argument {arg!r}")
+        if not eq:
+            if not rest:
+                _usage_error(f"argument {flag}: expected one argument")
+            value = rest.pop(0)
+        args[flag[2:]] = value
+    if "config" not in args:
+        _usage_error("the following argument is required: --config")
+    return args
+
+
+def _usage_error(message):
+    print(f"{_USAGE}\nskewci: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def main(argv=None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config = load_config(args.config)
-        window = _parse_window(args.window)
-        code, report, text = run(config, cache_dir=args.cache,
+        config = load_config(args["config"])
+        window = _parse_window(args.get("window"))
+        code, report, text = run(config, cache_dir=args.get("cache"),
                                  window_override=window)
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
+    out = args.get("out")
+    if out:
+        with open(out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
+        print(f"report written to {out}")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     return code

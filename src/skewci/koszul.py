@@ -16,10 +16,12 @@ d^2 = 0 and Leibniz property tests.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from .colorcore import RingSpec, monomials_of_degree
 from .linalg import Echelon
+from .qgrobner import _divides
 from .scalars import CycScalar
 from .sparse import add_scaled, add_term
 
@@ -28,6 +30,7 @@ __all__ = [
     "koszul_algebra",
     "diagonal_context",
     "phi_expand",
+    "monomial_koszul_maps",
     "verify_diagonal_resolution",
     "DiagonalReport",
 ]
@@ -283,6 +286,75 @@ def diagonal_context(spec: RingSpec) -> DGAlgebra:
         add_scaled(dy, ctx.term(smask=1 << i), -ctx._one)
         ctx.even_diff[i] = dy
     return ctx
+
+
+# -- the closed-form F of a monomial module ------------------------------------
+
+def monomial_koszul_maps(module):
+    """(basis, diff, eact) of the skew Koszul complex on g_1..g_r, the
+    monomials minimal under divisibility among the relations of a cyclic
+    module and the f_i, in the layout of ``resolve.KoszulComplex``; None
+    unless all of those are non-constant monomials and the g_s have
+    pairwise disjoint supports (then g is a regular sequence on Q).
+
+    Labels of F_h are the h-subsets S of {1..r}, and with
+    c(S, s) = (-1)^(position of s in S) prod_{u in S, u < s} chi(g_u, g_s),
+    d(e_S) = sum_{s in S} c(S, s) g_s e_{S-s}; for f_i = a x^(h + g_j),
+    g_j the first g dividing f_i, e_i(e_S) = a / (c(S+j, j) C(h, g_j))
+    x^h e_{S+j} when j is not in S, and 0 otherwise.
+    """
+    spec = module.spec
+    ring = spec.qring
+    if (len(module.gens) != 1
+            or any(len(col) > 1 for col in module.relations)
+            or any(len(f) != 1 for f in spec.relations)):
+        return None
+    terms = ({exps for col in module.relations for exps, _g in col}
+             | {exps for f in spec.relations for exps in f})
+    if not all(any(exps) for exps in terms):
+        return None
+    gs = sorted((e for e in terms
+                 if not any(o != e and _divides(o, e) for o in terms)),
+                reverse=True)
+    if any(sum(1 for g in gs if g[v]) > 1 for v in range(spec.n)):
+        return None
+    r = len(gs)
+    chi = [[ring.chi_exp(u, s) for s in gs] for u in gs]
+    layers = [list(combinations(range(r), h)) for h in range(r + 1)]
+    index = [{S: pos for pos, S in enumerate(lay)} for lay in layers]
+
+    def c_scalar(S, p, shift=0):
+        """c(S, S[p]) times zeta^shift."""
+        z = ring.zeta_pow(sum(chi[u][S[p]] for u in S[:p]) + shift)
+        return -z if p % 2 else z
+
+    deg0, col0 = module.gens[0]
+    basis = [[(deg0 + sum(ring.deg(gs[s]) for s in S),
+               tuple(map(sum, zip(col0, *(ring.color(gs[s]) for s in S)))))
+              for S in lay] for lay in layers]
+    diff = [None] + [[{(gs[s], index[h - 1][S[:p] + S[p + 1:]]):
+                       c_scalar(S, p) for p, s in enumerate(S)}
+                      for S in layers[h]] for h in range(1, r + 1)]
+    eact = []
+    for f in spec.relations:
+        (fexp, a), = f.items()
+        j = next(j for j, g in enumerate(gs) if _divides(g, fexp))
+        hexp = tuple(x - y for x, y in zip(fexp, gs[j]))
+        cp = ring.cpair_exp(hexp, gs[j])
+        family = []
+        for h in range(r):
+            columns = []
+            for S in layers[h]:
+                if j in S:
+                    columns.append({})
+                    continue
+                T = tuple(sorted(S + (j,)))
+                # c(T, j) C(h, g_j) = +-zeta^e, inverted from a unit table
+                c = c_scalar(T, T.index(j), cp)
+                columns.append({(hexp, index[h + 1][T]): a * c.inverse()})
+            family.append(columns)
+        eact.append(family + [None])
+    return basis, diff, eact
 
 
 # -- diagonal approximation ---------------------------------------------------

@@ -14,6 +14,7 @@ s-pair reductions with full lift tracking.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import lcm
 
 from .colorcore import QRing
 from .scalars import CycScalar
@@ -251,11 +252,18 @@ def syzygy_module(gens, ring):
     gens = list(gens)
     gb = buchberger(gens, ring, want_syzygies=True)
     out = [s for s in gb.syzygies if s]
-    return sorted(out, key=_canonical_vec_key)
+    return _canonical_sorted(out)
 
 
-def _canonical_vec_key(vec):
-    return sorted((m, tuple(c.c)) for m, c in vec.items())
+def _canonical_sorted(vecs):
+    """vecs ordered by their sorted terms, each coefficient read as its
+    power-basis rationals; the numerators are taken over the common
+    denominator of every coefficient, so integers order as the rationals
+    do."""
+    den = lcm(*(c.d for vec in vecs for c in vec.values()))
+    return sorted(vecs, key=lambda vec: sorted(
+        (mono, tuple([x * (den // c.d) for x in c.n]))
+        for mono, c in vec.items()))
 
 
 # -- presentations -----------------------------------------------------------
@@ -406,7 +414,7 @@ def interreduce_ideal(gens, ring):
                              leads[:i] + leads[i + 1:], False)
         _, lc = leading(nf, order)
         final.append(vector_scale(nf, lc.inverse()))
-    return sorted(final, key=_canonical_vec_key)
+    return _canonical_sorted(final)
 
 
 def colon_ideal(columns, ring, comp):

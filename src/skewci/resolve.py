@@ -7,8 +7,11 @@ Three layers:
 * ``SemifreeResolution``: the E-semifree resolution, one ``stage`` per degree,
   killing homology classes; cycles come from exact syzygy computations over
   Q, so no truncation heuristics enter the construction.
-* ``finite_koszul_resolution``: the bounded strongly-perfect model obtained
-  by replacing the top with a free cokernel, certified exactly (freeness,
+* ``finite_koszul_resolution``: the bounded strongly-perfect model F, the
+  skew Koszul complex on the module's monomial generators when
+  ``koszul.monomial_koszul_maps`` covers the module, else the semifree
+  resolution with its top replaced by a free cokernel
+  (``semifree_finite_resolution``); either is certified exactly (freeness,
   d^2 = 0, the homotopy identities for the e-actions, and exactness).
 
 The independent Betti oracle ``minimal_R_resolution`` works degreewise by
@@ -24,7 +27,7 @@ from .colorcore import (
     poly_to_string,
     standard_monomials,
 )
-from .koszul import koszul_algebra
+from .koszul import koszul_algebra, monomial_koszul_maps
 from .linalg import Echelon
 from .qgrobner import (
     buchberger,
@@ -42,6 +45,7 @@ __all__ = [
     "SemifreeResolution",
     "KoszulComplex",
     "finite_koszul_resolution",
+    "semifree_finite_resolution",
     "minimal_R_resolution",
     "BettiTable",
 ]
@@ -513,6 +517,21 @@ class KoszulComplex:
 
 
 def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
+    """Bounded complex of finite free Q-modules, strict E-action, = M,
+    certified once (``KoszulComplex.certify``): the skew Koszul complex of
+    ``koszul.monomial_koszul_maps`` where that covers the module, else
+    ``semifree_finite_resolution``."""
+    maps = monomial_koszul_maps(module)
+    if maps is None:
+        return semifree_finite_resolution(module)
+    complex_ = KoszulComplex(module.spec, *maps, module)
+    errors = complex_.certify()
+    if errors:
+        raise AssertionError(f"Koszul complex failed certification: {errors}")
+    return complex_
+
+
+def semifree_finite_resolution(module: ModulePresentation) -> KoszulComplex:
     """Bounded complex of finite free Q-modules, strict E-action, = M.
 
     Builds the semifree resolution one degree at a time and truncates at the
@@ -627,22 +646,6 @@ def _r_basis_per_degree(spec, dmax):
             for d in range(dmax + 1)]
 
 
-def _reducible(spec, exps):
-    for lead in spec.rel_exps:
-        if all(a >= b for a, b in zip(exps, lead)):
-            return True
-    return False
-
-
-def _rmul_mono(spec, delta, key, coeff):
-    """x^delta * (x^alpha e_comp) in R; None if it dies in the quotient."""
-    alpha, comp = key
-    exps = tuple(a + b for a, b in zip(delta, alpha))
-    if _reducible(spec, exps):
-        return None
-    return (exps, comp), coeff * spec.qring.cpair(delta, alpha)
-
-
 def minimal_R_resolution(module: ModulePresentation, imax: int,
                          dmax: int) -> BettiTable:
     """Graded Betti numbers of M over R by degreewise linear algebra.
@@ -741,10 +744,19 @@ def _col_degree(spec, col, gen_degs):
 
 
 def _mult_into_slice(spec, delta, col):
+    """x^delta * col in R, where a term whose monomial is divisible by a
+    relation's dies; distinct terms of col stay distinct, so each product
+    term is stored as it is."""
+    ring = spec.qring
+    leads = spec.rel_exps
+    m = spec.m
     out = {}
-    for key, c in col.items():
-        moved = _rmul_mono(spec, delta, key, c)
-        if moved is None:
-            continue
-        add_term(out, *moved)
+    for (alpha, comp), c in col.items():
+        exps = tuple([a + b for a, b in zip(delta, alpha)])
+        for lead in leads:
+            if all([a >= b for a, b in zip(exps, lead)]):
+                break
+        else:
+            e = ring.cpair_exp(delta, alpha) % m
+            out[(exps, comp)] = c * ring.zeta_pow(e) if e else c
     return out

@@ -11,12 +11,13 @@ The inverse of a non-rational a is the product of its non-trivial Galois
 conjugates sigma_k(a), k in (Z/m)^x minus {1}, divided by the rational norm
 a * prod sigma_k(a).  The roots of unity +-zeta^k, which most pivots are,
 take their inverse +-zeta^(-k) from a per-field table.  No floating point
-anywhere.
+anywhere, and no ``fractions``: rationals come in and go out as integers,
+and the ``Fraction`` arguments the constructors accept are read through
+their ``numerator`` and ``denominator``, as ints are.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -195,6 +196,11 @@ def _scale(a: "CycScalar", p: int, q: int) -> "CycScalar":
     return _reduced(a.m, [x * p for x in a.n], a.d * q)
 
 
+def _is_rational(x) -> bool:
+    """Is x an int or a Fraction?  Both carry numerator and denominator."""
+    return hasattr(x, "denominator")
+
+
 class CycScalar:
     """An element of Q(zeta_m) in reduced power-basis form.
 
@@ -205,7 +211,9 @@ class CycScalar:
     __slots__ = ("m", "n", "d")
 
     def __init__(self, m: int, coeffs):
-        coeffs = [Fraction(x) for x in coeffs]
+        """The scalar with power-basis coefficients ``coeffs``, ints or
+        Fractions."""
+        coeffs = list(coeffs)
         d = lcm(*(x.denominator for x in coeffs))
         self.m = m
         # with d the lcm of reduced denominators, gcd(d, *n) == 1
@@ -215,6 +223,8 @@ class CycScalar:
     @property
     def c(self) -> tuple:
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
+
         d = self.d
         return tuple(Fraction(x, d) for x in self.n)
 
@@ -230,7 +240,7 @@ class CycScalar:
 
     @staticmethod
     def from_rational(m: int, value) -> "CycScalar":
-        value = Fraction(value)
+        """An int or a Fraction as a scalar."""
         return _make(m, (value.numerator,) + (0,) * (_field(m).phi - 1),
                      value.denominator)
 
@@ -247,7 +257,7 @@ class CycScalar:
                 raise ConductorMismatch(
                     f"conductor mismatch: {self.m} vs {other.m}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return CycScalar.from_rational(self.m, other)
         return NotImplemented
 
@@ -379,13 +389,14 @@ class CycScalar:
     # -- hashing / comparison / display -------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, CycScalar):
+            return (self.m == other.m and self.n == other.n
+                    and self.d == other.d)
+        if _is_rational(other):
             n = self.n
             return (not any(n[1:])
                     and n[0] * other.denominator == other.numerator * self.d)
-        if not isinstance(other, CycScalar):
-            return NotImplemented
-        return self.m == other.m and self.n == other.n and self.d == other.d
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.m, self.n, self.d))
@@ -396,16 +407,19 @@ class CycScalar:
     def to_string(self) -> str:
         """Render as 'a0 + a1*z + ...' omitting zero terms."""
         parts = []
-        for k, a in enumerate(self.c):
-            if not a:
+        d = self.d
+        for k, x in enumerate(self.n):
+            if not x:
                 continue
+            g = gcd(x, d)
+            a = f"{x // g}" if g == d else f"{x // g}/{d // g}"
             if k == 0:
-                parts.append(str(a))
+                parts.append(a)
             else:
                 z = "z" if k == 1 else f"z^{k}"
-                if a == 1:
+                if x == d:
                     parts.append(z)
-                elif a == -1:
+                elif x == -d:
                     parts.append(f"-{z}")
                 else:
                     parts.append(f"{a}*{z}")

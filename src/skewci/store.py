@@ -34,7 +34,6 @@ import contextlib
 import contextvars
 import json
 import os
-from fractions import Fraction
 
 from . import operators, resolve
 from .resolve import KoszulComplex, ModulePresentation
@@ -81,8 +80,7 @@ def _theta_to_json(tm):
 
 def _theta_from_json(spec, doc):
     m = spec.m
-    columns = [{(tuple(exps), comp):
-                CycScalar(m, [Fraction(x, d) for x in n])
+    columns = [{(tuple(exps), comp): CycScalar(m, n) / d
                 for exps, comp, n, d in col}
                for col in doc["columns"]]
     return operators.ThetaModule(spec, doc["gen_degs"], columns)
@@ -156,7 +154,7 @@ class ResolutionCache:
                 obj = load(doc["payload"])
                 self.hits += 1
                 return obj
-        except (KeyError, IndexError, TypeError, ValueError,
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError,
                 ZeroDivisionError):
             pass
         self.corrupt += 1

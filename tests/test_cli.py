@@ -585,3 +585,59 @@ def test_cli_jobs_leave_openssl_unloaded(tmp_path):
     cold, warm = (json.loads(p.read_text())["cache"] for p in reports)
     assert cold == {"hits": 0, "misses": 1, "corrupt": 0}
     assert warm == {"hits": 1, "misses": 0, "corrupt": 0}
+
+
+def test_cli_jobs_load_no_argparse_or_fractions(tmp_path):
+    # the command line is parsed without argparse and scalars print, sort
+    # and load from the store in integers: a cold support job and a warm
+    # one on its cache load none of these modules
+    import subprocess
+    import sys
+
+    import skewci
+
+    src = os.path.dirname(os.path.dirname(skewci.__file__))
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps(
+        example_config("support", {"module": "M"})))
+    reports = [tmp_path / "cold.json", tmp_path / "warm.json"]
+    heavy = {"argparse", "gettext", "fractions", "decimal"}
+    code = ("import sys; from skewci.cli import main; "
+            "args = ['--config', sys.argv[1], '--cache', sys.argv[2]]; "
+            "assert main(args + ['--out', sys.argv[3]]) == 0; "
+            "assert main(args + ['--out', sys.argv[4]]) == 0; "
+            f"loaded = sorted({heavy!r} & set(sys.modules)); "
+            "assert not loaded, loaded")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config_path),
+         str(tmp_path / "cache")] + [str(p) for p in reports],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = (json.loads(p.read_text())["cache"] for p in reports)
+    assert cold == {"hits": 0, "misses": 2, "corrupt": 0}
+    assert warm == {"hits": 1, "misses": 0, "corrupt": 0}
+
+
+def test_command_line_flags(tmp_path, capsys):
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps(example_config("check")))
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "e.g. c=6,D=8,j=-8" in capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main([f"--config={config_path}", f"--out={out}",
+                 "--window", "D=4"]) == 0
+    assert json.loads(out.read_text())["windows"] == {"dmax": 4}
+    capsys.readouterr()
+    for argv in (["--config", str(config_path), "--bogus"],
+                 ["--out", str(out)], ["--config"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        usage = [line for line in captured.err.splitlines()
+                 if line.startswith("usage: skewci ")]
+        assert len(usage) == 1 and not captured.out, argv
+        assert "Traceback" not in captured.err

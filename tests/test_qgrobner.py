@@ -389,3 +389,29 @@ def test_weighted_degrees_supported():
     assert report.ok
     # H_R = (1-t^2)(1-t^4)/((1-t)(1-t^2)) = (1+t)(1+t^2)
     assert report.hilbert_dims[:6] == [1, 1, 1, 1, 0, 0]
+
+
+def test_canonical_order_matches_rational_order():
+    # syzygies and reduced bases are sorted on integer numerators over one
+    # common denominator; the order is the one the Fraction coefficients
+    # give, here on vectors that share monomials and differ in scalars
+    from fractions import Fraction
+
+    from skewci.qgrobner import _canonical_sorted
+
+    rng = random.Random(25)
+    for m in (1, 5, 12):
+        phi = len(CycScalar.one(m).n)
+        monos = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)]
+        vecs = []
+        for _ in range(40):
+            vec = {}
+            for mono in rng.sample(monos, rng.randint(1, 3)):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                          for _ in range(phi)]
+                if any(coeffs):
+                    vec[mono] = CycScalar(m, coeffs)
+            vecs.append(vec)
+        want = sorted(vecs, key=lambda vec: sorted(
+            (mono, c.c) for mono, c in vec.items()))
+        assert _canonical_sorted(vecs) == want

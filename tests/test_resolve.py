@@ -4,13 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from skewci.colorcore import RingSpec
+from skewci.colorcore import RingSpec, validate_ring
+from skewci.koszul import monomial_koszul_maps
+from skewci.operators import (
+    build_operator_complex,
+    ext_over_theta,
+    homology_bigraded,
+)
 from skewci.resolve import (
     KoszulComplex,
     ModulePresentation,
     SemifreeResolution,
     finite_koszul_resolution,
     minimal_R_resolution,
+    semifree_finite_resolution,
 )
 
 from fixtures import (
@@ -247,13 +254,13 @@ def _golden_modules(spec):
 
 
 def test_finite_resolutions_match_golden():
-    # the canonical JSON of F for k, R/(x1) and R/(x1x2) on four rings, one
-    # over Q(zeta_9); any change to a generator, its order or a matrix entry
-    # fails here
+    # the canonical JSON of the semifree F for k, R/(x1) and R/(x1x2) on
+    # four rings, one over Q(zeta_9); any change to a generator, its order
+    # or a matrix entry fails here
     doc = {}
     for name, spec in _GOLDEN_RINGS.items():
         for mod in _golden_modules(spec):
-            cx = finite_koszul_resolution(mod)
+            cx = semifree_finite_resolution(mod)
             doc[f"{name} {mod.name}"] = json.loads(canonical_json(cx))
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     golden = Path(__file__).parent / "data" / "resolutions.json"
@@ -276,7 +283,7 @@ def test_each_label_differential_computed_once(monkeypatch):
     for spec in (example_ring(), three_var_ring(), _GOLDEN_RINGS["n3c3m5"]):
         for mod in _golden_modules(spec):
             seen.clear()
-            finite_koszul_resolution(mod)
+            semifree_finite_resolution(mod)
             assert seen and len(set(seen)) == len(seen), mod.name
 
 
@@ -295,7 +302,7 @@ def test_no_semifree_stage_past_the_cut(monkeypatch):
     for spec in (example_ring(), three_var_ring(), _GOLDEN_RINGS["n3c3m5"]):
         for mod in _golden_modules(spec):
             built.clear()
-            cx = finite_koszul_resolution(mod)
+            cx = semifree_finite_resolution(mod)
             top = max(h for h, _d, _c in built[0].gens)
             assert top <= cx.length + 1, (mod.name, top, cx.length)
 
@@ -319,3 +326,94 @@ def test_finite_resolution_length_within_global_dimension():
                    for module in modules]
         assert lengths[0] == spec.n, (spec, lengths)
         assert max(lengths) <= spec.n, (spec, lengths)
+
+
+def _closed_form_rings():
+    """Random rings with m in {5, 6, 8, 12}, n <= 4 and c <= 3, and two
+    rings with non-unit degrees whose relations x1*x2 and x1^2*x3 are not
+    powers of one variable."""
+    rng = random.Random(25)
+    specs = [random_ring(rng, nmax=4, cmax=3, conductors=(5, 6, 8, 12))
+             for _ in range(10)]
+    specs.append(RingSpec(3, 6, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+                          degrees=[1, 2, 1], relations=["x1*x2", "x3^2"]))
+    specs.append(RingSpec(3, 8, [[0, 3, 1], [-3, 0, 2], [-1, -2, 0]],
+                          degrees=[2, 1, 3], relations=["x1^2*x3", "x2^2"]))
+    for spec in specs:
+        assert validate_ring(spec).ok, spec.to_json()
+    return specs
+
+
+def test_closed_form_matches_semifree_builder():
+    # k, R, each R/(x_v), R/(x1, x2^2) and R/(x1x2) where covered: the
+    # Koszul complex of rank 2^r and the semifree F give the same Ext into
+    # k and into the module itself, and the same Ext over the chi-ring
+    covered = 0
+    for spec in _closed_form_rings():
+        modules = [ModulePresentation.residue_field(spec),
+                   ModulePresentation.free(spec)]
+        modules += [ModulePresentation.cyclic(spec, [f"x{v + 1}"])
+                    for v in range(spec.n)]
+        if spec.n >= 2:
+            modules += [ModulePresentation.cyclic(spec, ["x1", "x2^2"]),
+                        ModulePresentation.cyclic(spec, ["x1*x2"])]
+        for mod in modules:
+            if monomial_koszul_maps(mod) is None:
+                continue
+            covered += 1
+            closed = finite_koszul_resolution(mod)
+            semifree = semifree_finite_resolution(mod)
+            assert sum(closed.ranks()) == 2 ** closed.length
+            assert sum(closed.ranks()) <= sum(semifree.ranks())
+            for target in (ModulePresentation.residue_field(spec), mod):
+                dims = [homology_bigraded(build_operator_complex(cx, target),
+                                          4, 8, jmin=-8).dims
+                        for cx in (closed, semifree)]
+                assert dims[0] == dims[1], (spec.to_json(), mod.name)
+            thetas = [ext_over_theta(cx) for cx in (closed, semifree)]
+            assert (thetas[0].hilbert_numerator(), thetas[0].dimension()) \
+                == (thetas[1].hilbert_numerator(), thetas[1].dimension())
+    assert covered >= 50, covered
+
+
+def test_uncovered_modules_fall_back_to_the_semifree_builder():
+    # R/(x1x2) (x1x2, x1^2 and x2^2 share variables), a two-generator
+    # module and the zero module R/(1)
+    spec = example_ring()
+    k = ModulePresentation.residue_field(spec)
+    two_gens = ModulePresentation(
+        spec, k.gens * 2,
+        k.relations + [{(e, 1): v for (e, _c), v in col.items()}
+                       for col in k.relations], name="k+k")
+    for mod in (ModulePresentation.cyclic(spec, ["x1*x2"]), two_gens,
+                ModulePresentation.cyclic(spec, ["1"])):
+        assert monomial_koszul_maps(mod) is None, mod.name
+        assert canonical_json(finite_koszul_resolution(mod)) \
+            == canonical_json(semifree_finite_resolution(mod)), mod.name
+
+
+def _column_lists(diff, eact):
+    """The column list of every map of d and of the e_i."""
+    return [columns for columns in diff + [c for fam in eact for c in fam]
+            if columns]
+
+
+def test_closed_form_sign_flips_fail_the_certificate():
+    # negating any one entry of d or of an e_i breaks the certificate
+    n3c3m5 = _GOLDEN_RINGS["n3c3m5"]
+    for spec, mod in (
+            (three_var_ring(),
+             ModulePresentation.residue_field(three_var_ring())),
+            (n3c3m5, ModulePresentation.cyclic(n3c3m5, ["x1"]))):
+        basis, diff, eact = monomial_koszul_maps(mod)
+        assert not KoszulComplex(spec, basis, diff, eact, mod).certify()
+        flips = [(m, col, key)
+                 for m, columns in enumerate(_column_lists(diff, eact))
+                 for col, vec in enumerate(columns) for key in vec]
+        assert flips
+        for m, col, key in flips:
+            basis, diff, eact = monomial_koszul_maps(mod)
+            vec = _column_lists(diff, eact)[m][col]
+            vec[key] = -vec[key]
+            cx = KoszulComplex(spec, basis, diff, eact, mod)
+            assert cx.certify(), (mod.name, m, col, key)

@@ -127,6 +127,29 @@ def test_string_roundtrip_rendering():
     assert CycScalar.zero(4).to_string() == "0"
 
 
+def _fraction_rendering(s):
+    """to_string written over the Fraction coefficients, as a reference."""
+    parts = []
+    for k, a in enumerate(s.c):
+        if a:
+            z = "z" if k == 1 else f"z^{k}"
+            parts.append(str(a) if k == 0 else z if a == 1 else
+                         f"-{z}" if a == -1 else f"{a}*{z}")
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def test_rendering_matches_fraction_reference():
+    rng = random.Random(25)
+    for m in (4, 5, 12):
+        for _ in range(60):
+            s = _random_scalar(rng, m)
+            for value in (s, -s, s * s, s + 1, CycScalar.zeta(m, 3) - s):
+                assert value.to_string() == _fraction_rendering(value)
+
+
 # -- fields of degree phi(m) > 2 --------------------------------------------
 
 LARGE_PHI = (5, 7, 9, 12, 15)

@@ -90,6 +90,26 @@ def test_corrupt_theta_entry_is_rebuilt(tmp_path):
     assert got == expected
 
 
+@pytest.mark.parametrize("numerator", ["1", 0.5, None])
+def test_theta_entry_with_non_integer_numerators_is_corrupt(tmp_path,
+                                                           numerator):
+    # a theta file whose hash matches a payload that holds no integer
+    # numerator is refused as corrupt, not read as a scalar
+    spec = example_ring()
+    mod = ModulePresentation.cyclic(spec, ["x1"], name="M")
+    ResolutionCache(str(tmp_path)).theta_module(mod)
+    path = _only(tmp_path, "theta-")
+    with open(path) as handle:
+        doc = json.load(handle)
+    doc["payload"]["columns"][0][0][2][0] = numerator
+    doc["sha256"] = store._sha256(json.dumps(doc["payload"], sort_keys=True))
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    cache = ResolutionCache(str(tmp_path))
+    cache.theta_module(mod)
+    assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 1}
+
+
 def test_one_build_per_module_within_a_store(monkeypatch):
     counts = {"res": 0, "theta": 0}
     build_res = resolve.finite_koszul_resolution
@@ -144,9 +164,11 @@ def test_warm_cli_support_serves_theta_from_disk(tmp_path, monkeypatch):
 
 def test_t_keyed_theta_entry_is_a_miss_not_corrupt(tmp_path):
     # tests/data/t_keyed_cache holds the two files a support job wrote when
-    # theta entries were keyed and stored with t: the resolution file is
-    # byte-identical to today's and loads as a hit; the old theta file has
-    # another key, so it is never read and the theta module is rebuilt
+    # theta entries were keyed and stored with t: the resolution file, a
+    # semifree F of ranks [1, 3, 2], has today's key and loads as a hit,
+    # although a fresh build writes the Koszul complex on (x1, x2^2) there;
+    # the old theta file has another key, so it is never read and the theta
+    # module is rebuilt
     data = Path(__file__).parent / "data" / "t_keyed_cache"
     old = {path.name: path.read_text() for path in data.iterdir()}
     assert sorted(name.split("-")[0] for name in old) == ["res", "theta"]
@@ -161,7 +183,9 @@ def test_t_keyed_theta_entry_is_a_miss_not_corrupt(tmp_path):
     fresh = tmp_path / "fresh"
     code1, cold, _ = run(config, cache_dir=str(fresh))
     res = Path(_only(fresh, "res-"))
-    assert old[res.name] == res.read_text()
+    assert res.name in old
+    layers = json.loads(res.read_text())["payload"]["basis"]
+    assert [len(layer) for layer in layers] == [1, 2, 1]
     code2, report, _ = run(config, cache_dir=str(tmp_path))
     assert code1 == code2 == 0
     assert report["cache"] == {"hits": 1, "misses": 1, "corrupt": 0}

@@ -1,5 +1,7 @@
-"""The skew Koszul DG algebra E, and the diagonal resolution obtained from
-its enveloping algebra E^e by adjoining divided-power variables.
+"""The skew Koszul DG algebra E, the diagonal resolution obtained from its
+enveloping algebra E^e by adjoining divided-power variables, and the skew
+Taylor complex: the closed-form F of every module whose relation columns
+and f_i have one term each.
 
 Elements live in a graded color commutative algebra over Q generated by odd
 exterior variables (homological degree 1) and even divided-power variables
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import sub
 
 from .colorcore import RingSpec, monomials_of_degree
 from .linalg import Echelon
@@ -30,7 +33,7 @@ __all__ = [
     "koszul_algebra",
     "diagonal_context",
     "phi_expand",
-    "monomial_koszul_maps",
+    "taylor_maps",
     "verify_diagonal_resolution",
     "DiagonalReport",
 ]
@@ -78,16 +81,9 @@ class DGAlgebra:
 
     def term_color(self, key):
         exps, smask, hvec = key
-        col = list(self.ring.color(exps))
-        for i in range(self.nodd):
-            if smask >> i & 1:
-                for k, v in enumerate(self.odd_colors[i]):
-                    col[k] += v
-        for j, h in enumerate(hvec):
-            if h:
-                for k, v in enumerate(self.even_colors[j]):
-                    col[k] += h * v
-        return tuple(col)
+        return tuple(map(sum, zip(self.ring.color(exps),
+                                  self._smask_color(smask),
+                                  self._hvec_color(hvec))))
 
     def _smask_color(self, smask):
         col = [0] * self.spec.n
@@ -288,72 +284,77 @@ def diagonal_context(spec: RingSpec) -> DGAlgebra:
     return ctx
 
 
-# -- the closed-form F of a monomial module ------------------------------------
+# -- the closed-form F of a module with one-term relations ---------------------
 
-def monomial_koszul_maps(module):
-    """(basis, diff, eact) of the skew Koszul complex on g_1..g_r, the
-    monomials minimal under divisibility among the relations of a cyclic
-    module and the f_i, in the layout of ``resolve.KoszulComplex``; None
-    unless all of those are non-constant monomials and the g_s have
-    pairwise disjoint supports (then g is a regular sequence on Q).
+def taylor_maps(module):
+    """(basis, diff, eact) of the skew Taylor complex of a module whose
+    relation columns and f_i have one term each, in the layout of
+    ``resolve.KoszulComplex``: the direct sum over the generators b of the
+    complex on g_1..g_r, the monomials minimal under divisibility among b's
+    relations and the f_i, sorted descending.
 
-    Labels of F_h are the h-subsets S of {1..r}, and with
-    c(S, s) = (-1)^(position of s in S) prod_{u in S, u < s} chi(g_u, g_s),
-    d(e_S) = sum_{s in S} c(S, s) g_s e_{S-s}; for f_i = a x^(h + g_j),
-    g_j the first g dividing f_i, e_i(e_S) = a / (c(S+j, j) C(h, g_j))
-    x^h e_{S+j} when j is not in S, and 0 otherwise.
+    Labels of b's summand in F_h are the h-subsets S of {1..r}.  With
+    m_S = lcm{g_s : s in S}, beta_S = color(b) + m_S and
+    sigma(u, v) = zeta^cpair_exp(u, v): for T = S - S[p] and u = m_S - m_T,
+    d(e_S) = sum_p (-1)^p sigma(u, beta_T)^-1 x^u e_T; for f_i = a x^F,
+    g_j the first g dividing F, T = S + j and u = F + m_S - m_T,
+    e_i(e_S) = (-1)^(position of j in T) a sigma(u, beta_T)^-1
+    sigma(F, beta_S) x^u e_T when j is not in S, and 0 otherwise.  This is
+    the Taylor DG algebra (Taylor 1966; Gemeda 1976) twisted by the cocycle
+    sigma.  With pairwise disjoint supports m_S = sum g_s, and it is the
+    Koszul complex on g; otherwise it is not minimal (R/(x1x2) over
+    Q/(x1^2, x2^2) gets ranks [1, 3, 3, 1]), and its length, the largest
+    r, can exceed n.
     """
     spec = module.spec
     ring = spec.qring
-    if (len(module.gens) != 1
-            or any(len(col) > 1 for col in module.relations)
-            or any(len(f) != 1 for f in spec.relations)):
-        return None
-    terms = ({exps for col in module.relations for exps, _g in col}
-             | {exps for f in spec.relations for exps in f})
-    if not all(any(exps) for exps in terms):
-        return None
-    gs = sorted((e for e in terms
-                 if not any(o != e and _divides(o, e) for o in terms)),
-                reverse=True)
-    if any(sum(1 for g in gs if g[v]) > 1 for v in range(spec.n)):
-        return None
-    r = len(gs)
-    chi = [[ring.chi_exp(u, s) for s in gs] for u in gs]
-    layers = [list(combinations(range(r), h)) for h in range(r + 1)]
-    index = [{S: pos for pos, S in enumerate(lay)} for lay in layers]
+    fs = [next(iter(f.items())) for f in spec.relations]
+    summands = []
+    for b in range(len(module.gens)):
+        terms = ({e for col in module.relations for e, g in col if g == b}
+                 | {fexp for fexp, _a in fs})
+        summands.append(sorted((e for e in terms if not any(
+            o != e and _divides(o, e) for o in terms)), reverse=True))
+    top = max(map(len, summands), default=0)
+    basis = [[] for _ in range(top + 1)]
+    diff = [None] + [[] for _ in range(top)]
+    eact = [[[] for _ in range(top)] + [None] for _ in fs]
+    for (deg, color), gs in zip(module.gens, summands):
+        subsets = [S for h in range(len(gs) + 1)
+                   for S in combinations(range(len(gs)), h)]
+        lcm, beta, index = {}, {}, {}
+        for S in subsets:
+            lcm[S] = tuple(max((gs[s][v] for s in S), default=0)
+                           for v in range(spec.n))
+            beta[S] = tuple(map(sum, zip(color, ring.color(lcm[S]))))
+            index[S] = len(basis[len(S)])
+            basis[len(S)].append((deg + ring.deg(lcm[S]), beta[S]))
 
-    def c_scalar(S, p, shift=0):
-        """c(S, S[p]) times zeta^shift."""
-        z = ring.zeta_pow(sum(chi[u][S[p]] for u in S[:p]) + shift)
-        return -z if p % 2 else z
+        def entry(T, u, shift, p):
+            """The term (-1)^p zeta^shift sigma(u, beta_T)^-1 x^u e_T."""
+            z = ring.zeta_pow(shift - ring.cpair_exp(u, beta[T]))
+            return (u, index[T]), -z if p % 2 else z
 
-    deg0, col0 = module.gens[0]
-    basis = [[(deg0 + sum(ring.deg(gs[s]) for s in S),
-               tuple(map(sum, zip(col0, *(ring.color(gs[s]) for s in S)))))
-              for S in lay] for lay in layers]
-    diff = [None] + [[{(gs[s], index[h - 1][S[:p] + S[p + 1:]]):
-                       c_scalar(S, p) for p, s in enumerate(S)}
-                      for S in layers[h]] for h in range(1, r + 1)]
-    eact = []
-    for f in spec.relations:
-        (fexp, a), = f.items()
-        j = next(j for j, g in enumerate(gs) if _divides(g, fexp))
-        hexp = tuple(x - y for x, y in zip(fexp, gs[j]))
-        cp = ring.cpair_exp(hexp, gs[j])
-        family = []
-        for h in range(r):
-            columns = []
-            for S in layers[h]:
+        first = [next(j for j, g in enumerate(gs) if _divides(g, fexp))
+                 for fexp, _a in fs]
+        for S in subsets:
+            h = len(S)
+            if h:
+                faces = [S[:p] + S[p + 1:] for p in range(h)]
+                diff[h].append(dict(
+                    entry(T, tuple(map(sub, lcm[S], lcm[T])), 0, p)
+                    for p, T in enumerate(faces)))
+            if h == top:
+                continue
+            for i, ((fexp, a), j) in enumerate(zip(fs, first)):
                 if j in S:
-                    columns.append({})
+                    eact[i][h].append({})
                     continue
                 T = tuple(sorted(S + (j,)))
-                # c(T, j) C(h, g_j) = +-zeta^e, inverted from a unit table
-                c = c_scalar(T, T.index(j), cp)
-                columns.append({(hexp, index[h + 1][T]): a * c.inverse()})
-            family.append(columns)
-        eact.append(family + [None])
+                u = tuple(f + x - y for f, x, y in zip(fexp, lcm[S], lcm[T]))
+                key, z = entry(T, u, ring.cpair_exp(fexp, beta[S]),
+                               T.index(j))
+                eact[i][h].append({key: a * z})
     return basis, diff, eact
 
 

@@ -7,12 +7,13 @@ Three layers:
 * ``SemifreeResolution``: the E-semifree resolution, one ``stage`` per degree,
   killing homology classes; cycles come from exact syzygy computations over
   Q, so no truncation heuristics enter the construction.
-* ``finite_koszul_resolution``: the bounded strongly-perfect model F, the
-  skew Koszul complex on the module's monomial generators when
-  ``koszul.monomial_koszul_maps`` covers the module, else the semifree
-  resolution with its top replaced by a free cokernel
-  (``semifree_finite_resolution``); either is certified exactly (freeness,
+* ``finite_koszul_resolution``: the bounded strongly-perfect model F of
+  the normalized module, certified exactly in one place (freeness,
   d^2 = 0, the homotopy identities for the e-actions, and exactness).
+  When every relation column and every f_i has one term, F is the skew
+  Taylor complex of ``koszul.taylor_maps``; otherwise it is the semifree
+  resolution with its top replaced by a free cokernel
+  (``semifree_finite_resolution``).
 
 The independent Betti oracle ``minimal_R_resolution`` works degreewise by
 plain linear algebra over the coefficient field using R normal forms and
@@ -27,7 +28,7 @@ from .colorcore import (
     poly_to_string,
     standard_monomials,
 )
-from .koszul import koszul_algebra, monomial_koszul_maps
+from .koszul import koszul_algebra, taylor_maps
 from .linalg import Echelon
 from .qgrobner import (
     buchberger,
@@ -63,6 +64,13 @@ class ModulePresentation:
         self.gens = [(int(d), tuple(c)) for d, c in gens]
         self.relations = [dict(col) for col in relations]
         self.name = name
+        if any(len(c) != spec.n for _d, c in self.gens):
+            raise ValueError(f"a generator color of {name} does not have "
+                             f"length n = {spec.n}")
+        if any(not 0 <= g < len(self.gens)
+               for col in self.relations for _e, g in col):
+            raise ValueError(f"a relation of {name} has more entries than "
+                             f"its {len(self.gens)} generators")
         self._check_homogeneous()
 
     def _check_homogeneous(self):
@@ -145,18 +153,11 @@ class ModulePresentation:
         }
 
     def is_residue_field(self):
-        if len(self.gens) != 1 or self.gens[0][0] != 0:
-            return False
-        want = set()
-        for i in range(self.spec.n):
-            want.add(tuple(1 if k == i else 0 for k in range(self.spec.n)))
-        got = set()
-        for col in self.relations:
-            if len(col) != 1:
-                return False
-            (exps, _), _ = next(iter(col.items()))
-            got.add(exps)
-        return got == want
+        n = self.spec.n
+        return (len(self.gens) == 1 and self.gens[0][0] == 0
+                and all(len(col) == 1 for col in self.relations)
+                and {e for col in self.relations for e, _g in col}
+                == {tuple(int(k == i) for k in range(n)) for i in range(n)})
 
     def normalized(self):
         """Eliminate constant entries so the presentation is minimal."""
@@ -195,14 +196,14 @@ class SemifreeResolution:
     """F = (+) E.g over the generators, with d(g) recorded per generator.
 
     F-elements are dicts {(exps, odd bitmask, gen index): scalar}.  Starts
-    with the degree-0 generators of the normalized module; each ``stage``
+    with the degree-0 generators of a normalized module; each ``stage``
     adjoins the generators of the next homological degree.
     ``images[h]`` (h >= 1) holds d of each ``basis(h)`` label as a Q-vector
     over ``basis(h - 1)``, in ``basis(h)`` order.
     """
 
     def __init__(self, module: ModulePresentation):
-        self.module = module.normalized()
+        self.module = module
         self.spec = module.spec
         self.ctx = koszul_algebra(self.spec)
         # (hdeg, ideg, color) and the F-element d(g), one per generator
@@ -249,14 +250,9 @@ class SemifreeResolution:
 
     def term_color(self, key):
         alpha, smask, g = key
-        col = list(self.spec.qring.color(alpha))
-        for k, v in enumerate(self.gens[g][2]):
-            col[k] += v
-        for i in range(self.spec.c):
-            if smask >> i & 1:
-                for k, v in enumerate(self.spec.cf[i]):
-                    col[k] += v
-        return tuple(col)
+        return tuple(map(sum, zip(
+            self.spec.qring.color(alpha), self.gens[g][2],
+            *(cf for i, cf in enumerate(self.spec.cf) if smask >> i & 1))))
 
     # -- Q-basis bookkeeping ----------------------------------------------
 
@@ -518,28 +514,33 @@ class KoszulComplex:
 
 def finite_koszul_resolution(module: ModulePresentation) -> KoszulComplex:
     """Bounded complex of finite free Q-modules, strict E-action, = M,
-    certified once (``KoszulComplex.certify``): the skew Koszul complex of
-    ``koszul.monomial_koszul_maps`` where that covers the module, else
-    ``semifree_finite_resolution``."""
-    maps = monomial_koszul_maps(module)
-    if maps is None:
-        return semifree_finite_resolution(module)
-    complex_ = KoszulComplex(module.spec, *maps, module)
+    certified once (``KoszulComplex.certify``).  When every relation column
+    of the normalized module and every f_i has one term, F is the skew
+    Taylor complex of ``koszul.taylor_maps``: not minimal when the
+    monomials of a generator share variables, and of length the largest
+    number of them, which can exceed n.  Otherwise F is
+    ``semifree_finite_resolution``'s."""
+    module = module.normalized()
+    if (all(len(col) <= 1 for col in module.relations)
+            and all(len(f) == 1 for f in module.spec.relations)):
+        complex_ = KoszulComplex(module.spec, *taylor_maps(module), module)
+    else:
+        complex_ = semifree_finite_resolution(module)
     errors = complex_.certify()
     if errors:
-        raise AssertionError(f"Koszul complex failed certification: {errors}")
+        raise AssertionError(f"resolution failed certification: {errors}")
     return complex_
 
 
 def semifree_finite_resolution(module: ModulePresentation) -> KoszulComplex:
-    """Bounded complex of finite free Q-modules, strict E-action, = M.
+    """Bounded complex of finite free Q-modules, strict E-action, = M, for
+    a normalized module; ``finite_koszul_resolution`` certifies it.
 
     Builds the semifree resolution one degree at a time and truncates at the
     first homological degree, from 0, where the cokernel of the incoming
-    differential is Q-free (certified by presentation minimalization), then
-    certifies the finite object once (``KoszulComplex.certify``).  Q has
-    global dimension n (Hilbert's syzygy theorem), so that cokernel is free
-    by degree n; failing to reach it fails the certificate.
+    differential is Q-free (certified by presentation minimalization).  Q
+    has global dimension n (Hilbert's syzygy theorem), so that cokernel is
+    free by degree n.
     """
     res = SemifreeResolution(module)
     ring = res.spec.qring
@@ -548,14 +549,8 @@ def semifree_finite_resolution(module: ModulePresentation) -> KoszulComplex:
         res.stage()
         kept, leftover, proj = minimalize_presentation(
             len(res.basis(cut)), res.images[cut + 1], ring)
-        if any(leftover):
-            continue
-        complex_ = _assemble_truncation(res, cut, kept, proj)
-        errors = complex_.certify()
-        if errors:
-            raise AssertionError(
-                f"truncation at {cut} failed certification: {errors}")
-        return complex_
+        if not any(leftover):
+            return _assemble_truncation(res, cut, kept, proj)
     raise AssertionError(
         f"no free cokernel by homological degree {top} = gl.dim Q")
 

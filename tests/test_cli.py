@@ -130,6 +130,20 @@ def test_quotient_given_as_string_exit_code(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, config, "quotient")
 
 
+def test_relation_column_longer_than_gens_exit_code(tmp_path, capsys):
+    # a second entry names a generator the module does not have
+    config = example_config("support", {"module": "M"}, modules={
+        "M": {"gens": [{"degree": 0}], "relations": [["x1", "x2"]]}})
+    _assert_config_error(tmp_path, capsys, config, "invalid module 'M'")
+
+
+def test_generator_color_of_wrong_length_exit_code(tmp_path, capsys):
+    config = example_config("support", {"module": "M"}, modules={
+        "M": {"gens": [{"degree": 0, "color": [0]}],
+              "relations": [["x1"]]}})
+    _assert_config_error(tmp_path, capsys, config, "length n = 2")
+
+
 def test_arc_window_not_above_r_exit_code(tmp_path, capsys):
     config = example_config("arc", {"module": "M", "r": 3, "window": 3})
     _assert_config_error(tmp_path, capsys, config, "window")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from skewci.colorcore import RingSpec, validate_ring
-from skewci.koszul import monomial_koszul_maps
+from skewci.koszul import taylor_maps
 from skewci.operators import (
     build_operator_complex,
     ext_over_theta,
@@ -307,10 +307,25 @@ def test_no_semifree_stage_past_the_cut(monkeypatch):
             assert top <= cx.length + 1, (mod.name, top, cx.length)
 
 
+def _minimal_monomials(module):
+    """Per generator of the normalized module, the monomials minimal under
+    divisibility among its one-term relations and the f_i."""
+    module = module.normalized()
+    out = []
+    for b in range(len(module.gens)):
+        terms = ({e for col in module.relations for e, g in col if g == b}
+                 | {e for f in module.spec.relations for e in f})
+        out.append([e for e in terms if not any(
+            o != e and all(x <= y for x, y in zip(o, e)) for o in terms)])
+    return out
+
+
 def test_finite_resolution_length_within_global_dimension():
-    # Q has global dimension n, so the cokernel is free by degree n
-    # (Hilbert's syzygy theorem): k, R, each R/(x_v) and R/(x1x2); and
-    # pd_Q k = n, so F has length exactly n for k
+    # Q has global dimension n, so the semifree cokernel is free by degree
+    # n (Hilbert's syzygy theorem): k, R, each R/(x_v) and R/(x1x2).  The
+    # Taylor complex has length max_b r_b instead, the largest number of
+    # minimal monomials of a generator, which is n for k and exceeds n for
+    # R/(x1x2) over Q/(x1^2, x2^2)
     rng = random.Random(21)
     specs = fixture_rings() + [random_ring(rng, nmax=4, cmax=3,
                                            conductors=(5, 6, 8, 12))
@@ -322,10 +337,16 @@ def test_finite_resolution_length_within_global_dimension():
                     for v in range(spec.n)]
         if spec.n >= 2:
             modules.append(ModulePresentation.cyclic(spec, ["x1*x2"]))
+        semifree = [semifree_finite_resolution(module) for module in modules]
+        assert not any(cx.certify() for cx in semifree), spec
+        assert max(cx.length for cx in semifree) <= spec.n, spec
         lengths = [finite_koszul_resolution(module).length
                    for module in modules]
         assert lengths[0] == spec.n, (spec, lengths)
-        assert max(lengths) <= spec.n, (spec, lengths)
+        assert lengths == [max(map(len, _minimal_monomials(module)))
+                           for module in modules], (spec, lengths)
+    x1x2 = ModulePresentation.cyclic(example_ring(), ["x1*x2"])
+    assert finite_koszul_resolution(x1x2).length == 3
 
 
 def _closed_form_rings():
@@ -344,27 +365,50 @@ def _closed_form_rings():
     return specs
 
 
+def _shifted_sum(spec):
+    """R/(x1) plus R/(x1x2) (R/(x1) when n = 1) on a generator shifted by
+    the degree and color of x_n."""
+    one = spec.one()
+    x1 = tuple(int(v == 0) for v in range(spec.n))
+    second = tuple(int(v < 2) for v in range(spec.n))
+    return ModulePresentation(
+        spec, [(0, (0,) * spec.n),
+               (spec.degrees[-1], tuple(int(v == spec.n - 1)
+                                        for v in range(spec.n)))],
+        [{(x1, 0): one}, {(second, 1): one}], name="shifted sum")
+
+
 def test_closed_form_matches_semifree_builder():
-    # k, R, each R/(x_v), R/(x1, x2^2) and R/(x1x2) where covered: the
-    # Koszul complex of rank 2^r and the semifree F give the same Ext into
-    # k and into the module itself, and the same Ext over the chi-ring
-    covered = 0
+    # k, R, each R/(x_v), R/(x1, x2^2), R/(x1x2), R/(x1x3, x2x3),
+    # R/(x1x2, x2x3, x1x3), a sum with a shifted generator and R/(1): the
+    # Taylor complex of rank sum_b 2^(r_b) and the semifree F give the same
+    # Ext into k and into the module itself, and the same Ext over the
+    # chi-ring; with disjoint supports it is the minimal Koszul complex
+    modules_seen = 0
     for spec in _closed_form_rings():
         modules = [ModulePresentation.residue_field(spec),
-                   ModulePresentation.free(spec)]
+                   ModulePresentation.free(spec),
+                   ModulePresentation.cyclic(spec, ["1"]),
+                   _shifted_sum(spec)]
         modules += [ModulePresentation.cyclic(spec, [f"x{v + 1}"])
                     for v in range(spec.n)]
         if spec.n >= 2:
             modules += [ModulePresentation.cyclic(spec, ["x1", "x2^2"]),
                         ModulePresentation.cyclic(spec, ["x1*x2"])]
+        if spec.n >= 3:
+            modules += [
+                ModulePresentation.cyclic(spec, ["x1*x3", "x2*x3"]),
+                ModulePresentation.cyclic(spec, ["x1*x2", "x2*x3", "x1*x3"])]
         for mod in modules:
-            if monomial_koszul_maps(mod) is None:
-                continue
-            covered += 1
+            modules_seen += 1
+            gs = _minimal_monomials(mod)
             closed = finite_koszul_resolution(mod)
-            semifree = semifree_finite_resolution(mod)
-            assert sum(closed.ranks()) == 2 ** closed.length
-            assert sum(closed.ranks()) <= sum(semifree.ranks())
+            semifree = semifree_finite_resolution(mod.normalized())
+            assert not semifree.certify(), (spec.to_json(), mod.name)
+            assert sum(closed.ranks()) == sum(2 ** len(g) for g in gs)
+            if all(sum(1 for g in gb if g[v]) <= 1
+                   for gb in gs for v in range(spec.n)):
+                assert sum(closed.ranks()) <= sum(semifree.ranks())
             for target in (ModulePresentation.residue_field(spec), mod):
                 dims = [homology_bigraded(build_operator_complex(cx, target),
                                           4, 8, jmin=-8).dims
@@ -373,12 +417,13 @@ def test_closed_form_matches_semifree_builder():
             thetas = [ext_over_theta(cx) for cx in (closed, semifree)]
             assert (thetas[0].hilbert_numerator(), thetas[0].dimension()) \
                 == (thetas[1].hilbert_numerator(), thetas[1].dimension())
-    assert covered >= 50, covered
+    assert modules_seen >= 100, modules_seen
 
 
 def test_uncovered_modules_fall_back_to_the_semifree_builder():
     # R/(x1x2) (x1x2, x1^2 and x2^2 share variables), a two-generator
-    # module and the zero module R/(1)
+    # module and the zero module R/(1) take the Taylor complex; a module
+    # with a multi-term relation column takes the semifree F
     spec = example_ring()
     k = ModulePresentation.residue_field(spec)
     two_gens = ModulePresentation(
@@ -387,9 +432,21 @@ def test_uncovered_modules_fall_back_to_the_semifree_builder():
                        for col in k.relations], name="k+k")
     for mod in (ModulePresentation.cyclic(spec, ["x1*x2"]), two_gens,
                 ModulePresentation.cyclic(spec, ["1"])):
-        assert monomial_koszul_maps(mod) is None, mod.name
-        assert canonical_json(finite_koszul_resolution(mod)) \
-            == canonical_json(semifree_finite_resolution(mod)), mod.name
+        cx = finite_koszul_resolution(mod)
+        assert not cx.certify(), mod.name
+        norm = mod.normalized()
+        assert canonical_json(cx) == canonical_json(
+            KoszulComplex(spec, *taylor_maps(norm), norm)), mod.name
+    m5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                  relations=["x1^2", "x2^2"])
+    # x3 g0 + x1 g1 + x2 g2 = 0
+    tangled = ModulePresentation.from_json(m5, {
+        "gens": [{"degree": 0, "color": [1, 1, 0]},
+                 {"degree": 0, "color": [0, 1, 1]},
+                 {"degree": 0, "color": [1, 0, 1]}],
+        "relations": [["x3", "x1", "x2"]]})
+    assert canonical_json(finite_koszul_resolution(tangled)) \
+        == canonical_json(semifree_finite_resolution(tangled))
 
 
 def _column_lists(diff, eact):
@@ -399,20 +456,22 @@ def _column_lists(diff, eact):
 
 
 def test_closed_form_sign_flips_fail_the_certificate():
-    # negating any one entry of d or of an e_i breaks the certificate
+    # negating any one entry of d or of an e_i breaks the certificate, for
+    # the Koszul case and for overlapping supports (R/(x1x2))
     n3c3m5 = _GOLDEN_RINGS["n3c3m5"]
     for spec, mod in (
             (three_var_ring(),
              ModulePresentation.residue_field(three_var_ring())),
-            (n3c3m5, ModulePresentation.cyclic(n3c3m5, ["x1"]))):
-        basis, diff, eact = monomial_koszul_maps(mod)
+            (n3c3m5, ModulePresentation.cyclic(n3c3m5, ["x1"])),
+            (n3c3m5, ModulePresentation.cyclic(n3c3m5, ["x1*x2"]))):
+        basis, diff, eact = taylor_maps(mod)
         assert not KoszulComplex(spec, basis, diff, eact, mod).certify()
         flips = [(m, col, key)
                  for m, columns in enumerate(_column_lists(diff, eact))
                  for col, vec in enumerate(columns) for key in vec]
         assert flips
         for m, col, key in flips:
-            basis, diff, eact = monomial_koszul_maps(mod)
+            basis, diff, eact = taylor_maps(mod)
             vec = _column_lists(diff, eact)[m][col]
             vec[key] = -vec[key]
             cx = KoszulComplex(spec, basis, diff, eact, mod)

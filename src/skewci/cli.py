@@ -21,6 +21,7 @@ from .support import (
     arc_check,
     complexity,
     compute_t,
+    degree_bound,
     is_perfect,
     poincare_series,
     support_variety,
@@ -201,7 +202,8 @@ def _cmd_resolve(spec, config, params):
 def _cmd_betti(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     imax = params.get("imax", params.get("cmax", 6))
-    dmax = params.get("dmax", 2 * sum(spec.df) + imax)
+    dmax = params["dmax"] if "dmax" in params else degree_bound(
+        current().get_or_build(mod), imax)
     table = minimal_R_resolution(mod, imax, dmax)
     result = {"module": mod.name, "betti": table.to_json(),
               "totals": table.totals()}
@@ -333,8 +335,8 @@ def _cmd_arc(spec, config, params):
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "
              f"{report.verdict}",
              f"  detail: {report.detail}"]
-    jmin, jmax = report.jrange
-    windows = {"r": r, "window": window, "jmin": jmin, "jmax": jmax}
+    windows = {"r": r, "window": window, "jmin": -report.jmax,
+               "jmax": report.jmax}
     return report.verdict != "fail", result, lines, windows
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .sparse import add_scaled
 
-__all__ = ["Echelon", "kernel_basis", "rank"]
+__all__ = ["Echelon", "kernel_basis"]
 
 
 class Echelon:
@@ -52,14 +52,6 @@ class Echelon:
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def rank(vectors) -> int:
-    ech = Echelon()
-    for v in vectors:
-        if v:
-            ech.add(v)
-    return ech.rank
 
 
 def kernel_basis(columns, one):

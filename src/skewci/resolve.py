@@ -634,13 +634,6 @@ class BettiTable:
         return f"BettiTable(totals={self.totals()})"
 
 
-def _r_basis_per_degree(spec, dmax):
-    """Standard monomials of R, as lists per degree 0..dmax, each in the
-    order of ``monomials_of_degree``."""
-    return [standard_monomials(spec.qring, d, spec.rel_exps)
-            for d in range(dmax + 1)]
-
-
 def minimal_R_resolution(module: ModulePresentation, imax: int,
                          dmax: int) -> BettiTable:
     """Graded Betti numbers of M over R by degreewise linear algebra.
@@ -656,9 +649,11 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
     entries = {}
 
     gen_degs = [d for d, _ in module.gens]
-    # a monomial factor has degree at most dmax minus the lowest generator
-    # degree; reducible factors only ever give zero, so they are skipped
-    rbasis = _r_basis_per_degree(spec, dmax - min(gen_degs + [0]))
+    # the standard monomials of R per degree: a monomial factor has degree
+    # at most dmax minus the lowest generator degree; reducible factors only
+    # ever give zero, so they are skipped
+    rbasis = [standard_monomials(spec.qring, d, spec.rel_exps)
+              for d in range(dmax - min(gen_degs + [0]) + 1)]
 
     def r_basis(d):
         return rbasis[d] if d >= 0 else ()

@@ -15,7 +15,7 @@ dimension is its Krull dimension, which equals the complexity of the pair.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .colorcore import QRing, RingSpec, poly_to_string
 from .operators import (
@@ -39,11 +39,13 @@ __all__ = [
     "poincare_series",
     "is_perfect",
     "arc_check",
+    "degree_bound",
 ]
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+def _colors(spec):
+    """The generator colors, then the relation colors cf_i."""
+    return [*spec.qring.colors, *spec.cf]
 
 
 def compute_t(spec: RingSpec) -> int:
@@ -52,9 +54,7 @@ def compute_t(spec: RingSpec) -> int:
     The image is generated by the chi values on generator and relation
     colors; all are roots of unity for a validated ring.
     """
-    colors = [tuple(1 if k == i else 0 for k in range(spec.n))
-              for i in range(spec.n)]
-    colors += [cf for cf in spec.cf]
+    colors = _colors(spec)
     e = 1
     for sigma in colors:
         for tau in colors:
@@ -62,7 +62,7 @@ def compute_t(spec: RingSpec) -> int:
             order = value.unit_order()
             if order is None:
                 raise ValueError("commutation parameter is not a root of unity")
-            e = _lcm(e, order)
+            e = lcm(e, order)
     t = 1
     while (t * t) % e != 0:
         t += 1
@@ -85,8 +85,7 @@ class ThetaAlgebra:
     def __init__(self, spec: RingSpec, t: int | None = None):
         self.spec = spec
         self.t = compute_t(spec) if t is None else t
-        colors = [tuple(1 if k == i else 0 for k in range(spec.n))
-                  for i in range(spec.n)] + list(spec.cf)
+        colors = _colors(spec)
         for sigma in colors:
             for tau in colors:
                 if not (spec.chi(sigma, tau) ** (self.t * self.t)).is_one():
@@ -426,14 +425,25 @@ def complexity(m: ModulePresentation, n=None,
                             {"method": "rational-fit", **series.window})
 
 
+def degree_bound(cx, imax: int) -> int:
+    """A degree above which Ext^{i,j}_R(M, k) = 0 for i <= imax, cx = F
+    resolving M: the symbol (w, b), b in F_p, has i = 2|w| + p and j = sum
+    w df + deg b <= top label degree + (imax // 2) max df; plus one max df."""
+    top = max((d for layer in cx.basis for d, _c in layer), default=0)
+    return top + (imax // 2 + 1) * max(cx.spec.df, default=0)
+
+
 def is_perfect(m: ModulePresentation) -> bool:
-    """True iff the support over k is empty in Proj; cross-checked against
-    Betti vanishing in the oracle window."""
-    spec = m.spec
-    report = support_variety(m, "k")
-    empty = report.proj_empty
-    betti = minimal_R_resolution(m, spec.n + spec.c + 3,
-                                 3 * (sum(spec.df) + 2))
+    """True iff pd_R M is finite, i.e. iff the support over k is empty;
+    certified by the Betti oracle at imax = n - c + 1 and degree_bound.  A
+    finite pd_R M is at most n - c (graded Auslander-Buchsbaum; Kaplansky's
+    change of rings over Q of global dimension n) and beta vanishes from
+    its first zero on, so beta_{n-c+1} = 0 exactly when pd is finite."""
+    _tm, dim, series = _theta_data(m, compute_t(m.spec))
+    empty = dim <= 0
+    imax = m.spec.n - m.spec.c + 1
+    betti = minimal_R_resolution(
+        m, imax, degree_bound(current().get_or_build(m), imax))
     pd = betti.projective_dimension()
     if empty and pd is None:
         raise AssertionError(
@@ -441,17 +451,18 @@ def is_perfect(m: ModulePresentation) -> bool:
     if not empty and pd is not None:
         raise AssertionError(
             f"support nonempty but projective dimension is finite ({pd})")
+    if betti.totals() != series.coefficients(imax):
+        raise AssertionError(f"oracle totals {betti.totals()} vs {series}")
     return empty
 
 
 class ArcReport:
-    """A verdict with its detail; ``jrange`` is the (jmin, jmax) of the
-    internal-degree window the Ext tables were computed on."""
+    """A verdict with its detail, from Ext tables on |j| <= ``jmax``."""
 
-    def __init__(self, verdict, detail, jrange):
+    def __init__(self, verdict, detail, jmax):
         self.verdict = verdict
         self.detail = detail
-        self.jrange = jrange
+        self.jmax = jmax
 
     def __repr__(self):
         return f"ArcReport({self.verdict}: {self.detail})"
@@ -463,36 +474,36 @@ class ArcReport:
 def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
     """Vanishing criterion for projective dimension.
 
-    Verifies Ext^i(M, M + R) = 0 for r < i <= window; when the hypothesis
-    holds, independently computes pd from the Betti oracle and checks both
-    pd <= r and pd = sup{i : Ext^i(M,R) != 0} within the window.
+    Verifies Ext^i(M, M + R) = 0 for r < i <= window and |j| <= jmax =
+    degree_bound(F, window), Ext^{r+1}(M, M) first; when it holds, computes
+    pd from the Betti oracle at (window, jmax) and checks both pd <= r and
+    pd = sup{i : Ext^i(M,R) != 0} within the window.
     """
-    spec = m.spec
     if window <= r:
         raise ValueError("window must exceed r")
     cx = current().get_or_build(m)
-    free = ModulePresentation.free(spec)
-    top_basis_deg = max((d for layer in cx.basis for d, _c in layer),
-                        default=0)
-    jmax = (window // 2 + 1) * max(spec.df, default=0) + top_basis_deg
-    jmin = -jmax
-    table_m = homology_bigraded(build_operator_complex(cx, m), window, jmax,
-                                jmin=jmin)
-    table_r = homology_bigraded(build_operator_complex(cx, free), window,
-                                jmax, jmin=jmin)
-    failures = [i for i in range(r + 1, window + 1)
-                if table_m.ext_dim(i) or table_r.ext_dim(i)]
+    jmax = degree_bound(cx, window)
+    opcx_m = build_operator_complex(cx, m)
+    # Ext^{r+1}(M, M) alone is cheap, and most modules already fail there
+    failures = [r + 1] if homology_bigraded(
+        opcx_m, r + 1, jmax, imin=r + 1, jmin=-jmax).ext_dim(r + 1) else []
+    if not failures:
+        free = ModulePresentation.free(m.spec)
+        table_m, table_r = (
+            homology_bigraded(opcx, window, jmax, jmin=-jmax)
+            for opcx in (opcx_m, build_operator_complex(cx, free)))
+        failures = [i for i in range(r + 1, window + 1)
+                    if table_m.ext_dim(i) or table_r.ext_dim(i)]
     if failures:
         return ArcReport("hypothesis not satisfied",
                          {"first_nonvanishing": failures[0],
-                          "window": window}, (jmin, jmax))
-    betti = minimal_R_resolution(m, window, jmax)
-    pd = betti.projective_dimension()
+                          "window": window}, jmax)
+    pd = minimal_R_resolution(m, window, jmax).projective_dimension()
     if pd is None:
         return ArcReport("fail", {"reason": "oracle Betti numbers persist",
-                                  "window": window}, (jmin, jmax))
+                                  "window": window}, jmax)
     ext_r_sup = max((i for i in range(window + 1) if table_r.ext_dim(i)),
                     default=0)
     ok = pd <= r and pd == ext_r_sup
     detail = {"pd": pd, "r": r, "sup_ext_R": ext_r_sup, "window": window}
-    return ArcReport("pass" if ok else "fail", detail, (jmin, jmax))
+    return ArcReport("pass" if ok else "fail", detail, jmax)

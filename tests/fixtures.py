@@ -4,6 +4,7 @@ import json
 import random
 
 from skewci.colorcore import RingSpec, validate_ring
+from skewci.linalg import Echelon
 
 
 def example_ring():
@@ -62,6 +63,15 @@ def random_exponent(rng, n, total_max):
     for _ in range(rng.randint(0, total_max)):
         exps[rng.randrange(n)] += 1
     return tuple(exps)
+
+
+def rank(vectors):
+    """The rank of a list of sparse vectors {key: scalar}."""
+    ech = Echelon()
+    for v in vectors:
+        if v:
+            ech.add(v)
+    return ech.rank
 
 
 def is_rational(c):

@@ -477,7 +477,8 @@ def test_default_windows_are_reported():
     cases = [
         ("ext", {"module": "M"}, {"cmax": 6, "dmax": 8, "jmin": -8}),
         ("hh", {}, {"cmax": 6, "dmax": 8}),
-        ("betti", {"module": "M"}, {"imax": 6, "dmax": 14}),
+        # F of M = R/(x1) tops out at degree 3 (x1 and x2^2), and df = (2, 2)
+        ("betti", {"module": "M"}, {"imax": 6, "dmax": 3 + (6 // 2 + 1) * 2}),
         ("arc", {"module": "M"}, {"r": 0, "window": 4, "jmin": -9, "jmax": 9}),
         ("ext", {"module": "M", "cmax": 3, "dmax": 2},
          {"cmax": 3, "dmax": 2, "jmin": -2}),

@@ -28,6 +28,7 @@ from fixtures import (
     hypersurface_ring,
     is_rational,
     random_ring,
+    rank,
     three_var_ring,
 )
 
@@ -249,7 +250,6 @@ def test_rank_only_dims_match_references():
 def _dims_keeping_every_slice(opcx, imax, jmax, imin, jmin):
     """The window's homology dims with every slice matrix built before any
     is ranked: what a routine that keeps every slice holds at once."""
-    from skewci.linalg import rank
     from skewci.operators import _d_columns
 
     cols = {(i, j): list(_d_columns(opcx, opcx.slice_symbols(i, j),
@@ -278,13 +278,21 @@ def test_dims_only_memory_scales_with_a_slice():
         finally:
             tracemalloc.stop()
 
-    for spec, window in ((example_ring(), 8), (three_var_ring(), 5)):
+    # The traced peaks depend on the interpreter's free lists, which
+    # whatever ran before leaves filled; the most X-parts a fresh complex
+    # holds at once, against the number it computes, does not.
+    for spec, window, xparts in ((example_ring(), 8, (387, 513)),
+                                 (three_var_ring(), 5, (551, 780))):
         opcx = build_operator_complex(spec, "self-E")
         _dims_keeping_every_slice(opcx, window, window, -spec.c, -window)
         dims, peak = traced(homology_bigraded, opcx, window)
         all_dims, all_peak = traced(_dims_keeping_every_slice, opcx, window)
         assert dims == all_dims
         assert peak <= 0.2 * all_peak, (window, peak, all_peak)
+        fresh = build_operator_complex(spec, "self-E")
+        counting = _CountingX(fresh)
+        homology_bigraded(fresh, window, window, imin=-spec.c, jmin=-window)
+        assert (counting.most_alive, len(counting.dx_calls)) == xparts
 
 
 class _CountingX:
@@ -481,8 +489,6 @@ def _golden_actions(spec, tables):
 def _quotient_dims(table, actions, imax):
     """Per cohomological degree i <= imax: dim H^i minus the rank of the
     images of the given actions landing in degree i."""
-    from skewci.linalg import rank
-
     images = {}
     for acts in actions.values():
         for tgt, columns in acts.values():

@@ -7,7 +7,6 @@ from skewci.colorcore import (
     poly_to_string,
     standard_monomials,
 )
-from skewci.linalg import rank
 from skewci.qgrobner import (
     GroebnerBasis,
     Order,
@@ -23,7 +22,7 @@ from skewci.qgrobner import (
 from skewci.scalars import CycScalar
 from skewci.sparse import add_scaled
 
-from fixtures import example_ring, random_exponent, random_ring
+from fixtures import example_ring, random_exponent, random_ring, rank
 
 
 def commutative_ring(nvars, names=None):

@@ -2,14 +2,20 @@ import random
 
 import pytest
 
+from skewci.cli import run
 from skewci.colorcore import RingSpec
-from skewci.resolve import ModulePresentation
+from skewci.resolve import (
+    ModulePresentation,
+    finite_koszul_resolution,
+    minimal_R_resolution,
+)
 from skewci.support import (
     RationalityError,
     ThetaAlgebra,
     arc_check,
     complexity,
     compute_t,
+    degree_bound,
     is_perfect,
     poincare_series,
     support_variety,
@@ -17,7 +23,9 @@ from skewci.support import (
 
 from fixtures import (
     example_ring,
+    fixture_rings,
     hypersurface_ring,
+    random_ring,
     skew_hypersurface_ring,
     three_var_ring,
 )
@@ -224,6 +232,68 @@ def test_is_perfect_finite_pd_module():
     assert is_perfect(m)
 
 
+# k_q[x1, x2, x3]/(x1^2, x2^2) with q12 = i, q23 = i
+N3C2M4 = {"n": 3, "m": 4, "qexp": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+          "relations": ["x1^2", "x2^2"]}
+
+
+def _result_on_n3c2m4(command, quotient):
+    """The result of command on R/(quotient) over N3C2M4, default windows."""
+    code, report, _ = run({"ring": N3C2M4,
+                           "modules": {"M": {"quotient": [quotient]}},
+                           "command": command, "params": {"module": "M"}})
+    assert code == 0, report
+    return report["result"]
+
+
+def test_perfect_sees_a_relation_beyond_a_fixed_degree_window():
+    # x1*x3^20 has degree 21: a fixed oracle window dmax = 3 (sum df + 2)
+    # = 18 saw R/(x1*x3^20) as free and failed the certificate against its
+    # nonempty support
+    assert _result_on_n3c2m4("perfect", "x1*x3^20")["perfect"] is False
+
+
+def test_betti_default_window_reaches_a_high_degree_relation():
+    # pd R/(x3^20) = 1; a default dmax = 2 sum df + imax = 14 truncated
+    # beta_1, which sits in degree 20
+    assert _result_on_n3c2m4("betti", "x3^20")["totals"] \
+        == [1, 1, 0, 0, 0, 0, 0]
+    assert _result_on_n3c2m4("perfect", "x3^20")["perfect"] is True
+
+
+def test_finite_projective_dimension_is_at_most_n_minus_c():
+    # is_perfect reads finiteness off beta_{n-c+1} alone: a finite pd_R M is
+    # at most n - c.  Checked in a wider window, three more homological
+    # degrees and their degree bound, which also decides is_perfect
+    rng = random.Random(27)
+    specs = fixture_rings() + [
+        skew_hypersurface_ring(),
+        RingSpec(3, 6, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+                 relations=["x1^2"]),
+        RingSpec.from_json(N3C2M4),
+    ] + [random_ring(rng, nmax=3, cmax=2, conductors=(5, 8))
+         for _ in range(3)]
+    finite = []
+    for spec in specs:
+        n = spec.n
+        quotients = [[f"x{v + 1}" for v in range(n)], [], ["1"]]
+        quotients += [[f"x{v + 1}"] for v in range(n)]
+        quotients += [[f"x{n}^3"], [f"x1*x{n}^2"]]
+        if n >= 3:
+            quotients += [["x2", "x3"], ["x2*x3"], ["x1*x2", "x3^2"]]
+        for quotient in quotients:
+            mod = ModulePresentation.cyclic(spec, quotient)
+            imax = n - spec.c + 4
+            dmax = degree_bound(finite_koszul_resolution(mod), imax)
+            pd = minimal_R_resolution(mod, imax, dmax).projective_dimension()
+            assert (pd is not None) == is_perfect(mod), (spec, quotient)
+            if pd is not None:
+                assert pd <= n - spec.c, (spec.to_json(), quotient, pd)
+                finite.append(pd == n - spec.c)
+    # the bound is reached, so imax = n - c + 1 is as small as it can be
+    assert len(finite) >= 20 and any(finite), finite
+
+
 def test_arc_check_pass_on_finite_pd():
     spec = skew_hypersurface_ring()
     m = ModulePresentation.cyclic(spec, ["x2"])  # pd 1
@@ -245,6 +315,27 @@ def test_arc_check_hypothesis_fails_for_k():
     report = arc_check(k, 1, 5)
     assert report.verdict == "hypothesis not satisfied"
 
+
+def test_arc_check_first_failure_matches_the_full_tables():
+    # arc_check computes Ext^{r+1}(M, M) alone first; its verdict is the one
+    # the full tables of Ext(M, M) and Ext(M, R) give
+    from skewci.operators import build_operator_complex, homology_bigraded
+
+    spec = three_var_ring()
+    for quotient in (["x1"], ["x3"], ["x1*x3"], ["x3^2", "x1*x2"]):
+        m = ModulePresentation.cyclic(spec, quotient)
+        cx = finite_koszul_resolution(m)
+        jmax = degree_bound(cx, 4)
+        tables = [homology_bigraded(build_operator_complex(cx, n), 4, jmax,
+                                    jmin=-jmax)
+                  for n in (m, ModulePresentation.free(spec))]
+        for r in range(4):
+            report = arc_check(m, r, 4)
+            failures = [i for i in range(r + 1, 5)
+                        if any(t.ext_dim(i) for t in tables)]
+            assert report.jmax == jmax
+            assert report.detail.get("first_nonvanishing") \
+                == (failures[0] if failures else None), (quotient, r)
 
 def test_poincare_closed_form_on_random_rings():
     # P^R_k = (1+t)^n/(1-t^2)^c for every skew complete intersection,

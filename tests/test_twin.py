@@ -46,7 +46,8 @@ def _modules(spec):
 _JOBS = (("support", {}), ("complexity", {}), ("poincare", {"cmax": 6}),
          ("betti", {"imax": 4}),
          ("ext", {"other": "k", "cmax": 3, "dmax": 3}),
-         ("ext", {"other": "SELF", "cmax": 3, "dmax": 3}))
+         ("ext", {"other": "SELF", "cmax": 3, "dmax": 3}),
+         ("perfect", {}), ("arc", {"r": 0, "window": 4}))
 
 
 def _drop_t(value):

@@ -649,11 +649,11 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
     entries = {}
 
     gen_degs = [d for d, _ in module.gens]
-    # the standard monomials of R per degree: a monomial factor has degree
-    # at most dmax minus the lowest generator degree; reducible factors only
-    # ever give zero, so they are skipped
+    # degrees from the lowest generator's up; a monomial factor has degree
+    # at most dmax minus that, and reducible factors only ever give zero
+    degrees = range(min(gen_degs, default=0), dmax + 1)
     rbasis = [standard_monomials(spec.qring, d, spec.rel_exps)
-              for d in range(dmax - min(gen_degs + [0]) + 1)]
+              for d in range(len(degrees))]
 
     def r_basis(d):
         return rbasis[d] if d >= 0 else ()
@@ -672,7 +672,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
         kernel_slices = {}
         if step == 1:
             # the kernel of F_0 -> M is spanned by the relation columns
-            for d in range(dmax + 1):
+            for d in degrees:
                 ech = Echelon()
                 vecs = []
                 for col in curr_columns:
@@ -685,7 +685,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
                                 vecs.append(moved)
                 kernel_slices[d] = vecs
         else:
-            for d in range(dmax + 1):
+            for d in degrees:
                 cols_d, keys_d = [], []
                 for comp, cd in enumerate(curr_degs):
                     for mono in r_basis(d - cd):
@@ -703,7 +703,7 @@ def minimal_R_resolution(module: ModulePresentation, imax: int,
 
         # minimal generators: kernel slice modulo x_l * (lower slices)
         new_cols, new_degs = [], []
-        for d in range(dmax + 1):
+        for d in degrees:
             ech = Echelon()
             for l in range(spec.n):
                 delta = tuple(1 if k == l else 0 for k in range(spec.n))

@@ -237,10 +237,12 @@ N3C2M4 = {"n": 3, "m": 4, "qexp": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
           "relations": ["x1^2", "x2^2"]}
 
 
-def _result_on_n3c2m4(command, quotient):
-    """The result of command on R/(quotient) over N3C2M4, default windows."""
-    code, report, _ = run({"ring": N3C2M4,
-                           "modules": {"M": {"quotient": [quotient]}},
+def _result_on_n3c2m4(command, module):
+    """The result of command on the module doc over N3C2M4, default
+    windows; a string is the one relation of a cyclic module."""
+    if isinstance(module, str):
+        module = {"quotient": [module]}
+    code, report, _ = run({"ring": N3C2M4, "modules": {"M": module},
                            "command": command, "params": {"module": "M"}})
     assert code == 0, report
     return report["result"]
@@ -259,6 +261,18 @@ def test_betti_default_window_reaches_a_high_degree_relation():
     assert _result_on_n3c2m4("betti", "x3^20")["totals"] \
         == [1, 1, 0, 0, 0, 0, 0]
     assert _result_on_n3c2m4("perfect", "x3^20")["perfect"] is True
+
+
+def test_betti_oracle_reads_generators_of_negative_degree():
+    # R/(x3) and R/(x1) on a generator of degree -3: the oracle scans the
+    # degrees from the lowest generator's up, not from 0, where it missed
+    # the relation in degree -2 and reported totals 1, 4, 8, ...
+    for relation, totals, perfect in (("x3", [1, 1, 0, 0, 0, 0, 0], True),
+                                      ("x1", [1] * 7, False)):
+        module = {"gens": [{"degree": -3, "color": [0, 0, 0]}],
+                  "relations": [[relation]]}
+        assert _result_on_n3c2m4("betti", module)["totals"] == totals
+        assert _result_on_n3c2m4("perfect", module)["perfect"] is perfect
 
 
 def test_finite_projective_dimension_is_at_most_n_minus_c():

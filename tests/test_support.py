@@ -249,24 +249,22 @@ def _result_on_n3c2m4(command, module):
 
 
 def test_perfect_sees_a_relation_beyond_a_fixed_degree_window():
-    # x1*x3^20 has degree 21: a fixed oracle window dmax = 3 (sum df + 2)
-    # = 18 saw R/(x1*x3^20) as free and failed the certificate against its
-    # nonempty support
+    # x1*x3^20 has degree 21: an oracle window that does not reach it sees
+    # a free module and contradicts the nonempty support
     assert _result_on_n3c2m4("perfect", "x1*x3^20")["perfect"] is False
 
 
 def test_betti_default_window_reaches_a_high_degree_relation():
-    # pd R/(x3^20) = 1; a default dmax = 2 sum df + imax = 14 truncated
-    # beta_1, which sits in degree 20
+    # pd R/(x3^20) = 1, with beta_1 in degree 20: the default window must
+    # follow the module's degrees
     assert _result_on_n3c2m4("betti", "x3^20")["totals"] \
         == [1, 1, 0, 0, 0, 0, 0]
     assert _result_on_n3c2m4("perfect", "x3^20")["perfect"] is True
 
 
 def test_betti_oracle_reads_generators_of_negative_degree():
-    # R/(x3) and R/(x1) on a generator of degree -3: the oracle scans the
-    # degrees from the lowest generator's up, not from 0, where it missed
-    # the relation in degree -2 and reported totals 1, 4, 8, ...
+    # R/(x3) and R/(x1) on a generator of degree -3: the oracle must scan
+    # from the lowest generator degree, below the relation in degree -2
     for relation, totals, perfect in (("x3", [1, 1, 0, 0, 0, 0, 0], True),
                                       ("x1", [1] * 7, False)):
         module = {"gens": [{"degree": -3, "color": [0, 0, 0]}],

@@ -79,7 +79,7 @@ def _module(spec, config, label, params_key="module"):
     raise JobError(f"module {label!r} is not defined in the config")
 
 
-# the params that docs/config.schema.json types
+# the params that docs/config.schema.json allows; any other key is refused
 _PARAM_TYPES = {
     **dict.fromkeys(("cmax", "dmax", "imax", "jmin", "r", "window", "bound",
                      "diagonal_dmax"), int),
@@ -107,8 +107,11 @@ def run(config, cache_dir=None, window_override=None):
     params = {**params, **(window_override or {})}
     for key, value in params.items():
         want = _PARAM_TYPES.get(key)
+        if want is None:
+            raise JobError(f"unknown params key {key!r}; expected one of "
+                           + ", ".join(sorted(_PARAM_TYPES)))
         # type(), not isinstance(): JSON true is not an integer
-        if want is not None and type(value) is not want:
+        if type(value) is not want:
             raise JobError(f"params.{key} must be of type {want.__name__}, "
                            f"got {value!r}")
         if key in _NONNEGATIVE and value < 0:
@@ -231,6 +234,8 @@ def _cmd_ext(spec, config, params):
     cmax = params.get("cmax", 6)
     dmax = params.get("dmax", 8)
     jmin = params.get("jmin", -dmax)
+    if jmin > dmax:
+        raise JobError(f"ext window is empty: jmin = {jmin} > dmax = {dmax}")
     table = homology_bigraded(opcx, cmax, dmax, jmin=jmin)
     result = {
         "pair": [mod.name, other.name],

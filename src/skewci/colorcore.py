@@ -455,6 +455,15 @@ def standard_monomials(ring, deg, leads):
     return out
 
 
+def compositions(parts, total):
+    """All w in N^parts with |w| = total, in ascending lexicographic
+    order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(e,) + rest for e in range(total + 1)
+            for rest in compositions(parts - 1, total - e)]
+
+
 def validate_ring(spec: RingSpec, cutoff=None) -> ValidationReport:
     """Certify the ring data: homogeneity of each f_i and regularity of f.
 

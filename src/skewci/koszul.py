@@ -18,11 +18,11 @@ d^2 = 0 and Leibniz property tests.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import sub
 
-from .colorcore import RingSpec, monomials_of_degree
+from .colorcore import RingSpec, compositions, monomials_of_degree
 from .linalg import Echelon
 from .qgrobner import _divides
 from .scalars import CycScalar
@@ -209,29 +209,13 @@ class DGAlgebra:
         return sorted(out)
 
     def _hvecs(self, two_h, ideg_cap):
+        """Divided-power vectors of homological degree two_h and internal
+        degree at most ideg_cap."""
         if two_h % 2:
             return []
-        target = two_h // 2
-        out = []
-        hvec = [0] * self.neven
-
-        def walk(j, rem, icap):
-            if j == self.neven:
-                if rem == 0:
-                    out.append(tuple(hvec))
-                return
-            e = 0
-            while e <= rem and e * self.even_idegs[j] <= icap:
-                hvec[j] = e
-                walk(j + 1, rem - e, icap - e * self.even_idegs[j])
-                e += 1
-            hvec[j] = 0
-
-        walk(0, target, ideg_cap)
-        del walk    # break the closure's self-reference cycle
-        if self.neven == 0:
-            return [()] if target == 0 else []
-        return out
+        return [hvec for hvec in compositions(self.neven, two_h // 2)
+                if sum(h * d for h, d in zip(hvec, self.even_idegs))
+                <= ideg_cap]
 
 
 def _bits(mask):
@@ -366,26 +350,18 @@ def phi_expand(spec: RingSpec, hvec):
     Returns [(H', H'', scalar)] with
     scalar = prod_{i<j} chi(f_i, f_j)^{h'_j h''_i} over all H' + H'' = H.
     """
-    hvec = tuple(hvec)
     c = len(hvec)
     out = []
-
-    def walk(idx, hp):
-        if idx == c:
-            hpp = tuple(h - p for h, p in zip(hvec, hp))
-            scal = CycScalar.one(spec.m)
-            for i in range(c):
-                for j in range(i + 1, c):
-                    e = hp[j] * hpp[i]
-                    if e:
-                        scal = scal * spec.chi_ff(i, j) ** e
-            out.append((tuple(hp), hpp, scal))
-            return
-        for p in range(hvec[idx] + 1):
-            walk(idx + 1, hp + [p])
-
-    walk(0, [])
-    del walk    # break the closure's self-reference cycle
+    # H' in lexicographic order, its first coordinate slowest
+    for hp in product(*(range(h + 1) for h in hvec)):
+        hpp = tuple(h - p for h, p in zip(hvec, hp))
+        scal = CycScalar.one(spec.m)
+        for i in range(c):
+            for j in range(i + 1, c):
+                e = hp[j] * hpp[i]
+                if e:
+                    scal = scal * spec.chi_ff(i, j) ** e
+        out.append((hp, hpp, scal))
     return out
 
 

@@ -18,7 +18,7 @@ the (i, j) layout of graded Betti tables.
 
 from __future__ import annotations
 
-from .colorcore import QRing, RingSpec, standard_monomials
+from .colorcore import QRing, RingSpec, compositions, standard_monomials
 from .koszul import koszul_algebra
 from .linalg import Echelon, kernel_basis
 from .qgrobner import (
@@ -101,17 +101,20 @@ class ModuleBasis:
 
 
 # -- X interfaces -------------------------------------------------------------
-# Each interface gives symbols, dx, the two e-actions lam and lamp, and
-# hx_range: the homological degrees its symbols occupy, from which slices
-# enumerate exactly the chi-weights that can occur.  Hom(F, N) also gives
-# x-multiplication, which only ``_tensor_k_dims`` uses.
+# Each interface gives symbols, hx_range (the homological degrees its
+# symbols occupy, from which slices enumerate exactly the chi-weights that
+# can occur) and parts(xsym) -> (dx, [op_i]): in one call, everything one
+# symbol contributes to the operator differential, with op_i = lam_i -
+# lam_i' the difference of the two e_i-actions.  The parts are fresh dicts
+# without zero entries.  Hom(F, N) also gives x-multiplication, which only
+# ``_tensor_k_dims`` uses.
 
 class _HomIntoModule:
     """X = Hom_Q(F, N) for a module N (a ModuleBasis): symbols (p, b, key)
     meaning b* tensor key, of homological degree -p.
 
-    d_N and each e_i^N are zero, so dx and lam only precompose and lam' is
-    zero.
+    d_N and each e_i^N are zero, so dx and lam_i only precompose and lam_i'
+    is zero.
     """
 
     def __init__(self, cx: KoszulComplex, nbasis):
@@ -130,9 +133,6 @@ class _HomIntoModule:
             return []
         return [(p, b, key) for b, (bd, _bc) in enumerate(self.cx.basis[p])
                 for key in self.nb.basis_of_degree(idegx + bd)]
-
-    def hdeg(self, sym):
-        return -sym[0]
 
     def _twist_part(self, color, nexps):
         """Exponents linear in a color: chi(color, x_k) C(x_k, x^nexps) for
@@ -163,11 +163,26 @@ class _HomIntoModule:
                 self.cx.basis[p][b][1], self.spec.qring.zero_exp())
         return tuple(x - y for x, y in zip(plus, minus))
 
-    def _compose(self, sym, h, i, negate):
-        """(-1)^negate alpha o M, as a dict of symbols, for M: F_h -> F_p
-        either diff[h] (i None) or chi(f_i, sigma) eact[i][h]."""
-        p, b, (nexps, comp) = sym
+    def parts(self, sym):
+        """(dx, [lam_i]) of sym = (p, b, key), of degree |alpha| = -p:
+        d(alpha) = -(-1)^{|alpha|} alpha o dF and lam_i alpha =
+        (-1)^{|alpha|} chi(f_i, sigma) alpha o e_i."""
+        p = sym[0]
+        cx = self.cx
         t = self._twists(sym)
+        dx = {}
+        if p + 1 < len(cx.basis) and cx.diff[p + 1] is not None:
+            dx = self._compose(sym, t, p + 1, None, p % 2 == 0)
+        ops = [self._compose(sym, t, p - 1, i, p % 2 == 1)
+               if p and cx.eact[i][p - 1] else {}
+               for i in range(self.spec.c)]
+        return dx, ops
+
+    def _compose(self, sym, t, h, i, negate):
+        """(-1)^negate alpha o M, as a dict of symbols, for M: F_h -> F_p
+        either diff[h] (i None) or chi(f_i, sigma) eact[i][h]; t is
+        ``_twists(sym)``."""
+        p, b, (nexps, comp) = sym
         e0 = 0 if i is None else t[self.spec.n + i]
         units = self._units[negate]
         m = len(units)
@@ -184,23 +199,6 @@ class _HomIntoModule:
             for k2, c2 in nf.items():
                 add_term(out, (h, col, k2), c2 * scal)
         return out
-
-    def dx(self, sym):
-        # d(alpha) = -(-1)^{|alpha|} alpha o dF
-        p = sym[0]
-        if p + 1 < len(self.cx.basis) and self.cx.diff[p + 1] is not None:
-            return self._compose(sym, p + 1, None, self.hdeg(sym) % 2 == 0)
-        return {}
-
-    def lam(self, i, sym):
-        p = sym[0]
-        if p - 1 < 0 or not self.cx.eact[i][p - 1]:
-            return {}
-        # (-1)^{|alpha|} chi(f_i, sigma) alpha o e_i
-        return self._compose(sym, p - 1, i, self.hdeg(sym) % 2 == 1)
-
-    def lamp(self, i, sym):
-        return {}
 
     def xmul(self, l, sym):
         p, b, key = sym
@@ -244,21 +242,28 @@ class _SelfE:
         units = self._units[flips % 2]
         return units[e % len(units)]
 
-    def dx(self, sym):
+    def parts(self, sym):
+        """(dx, [lam_i - lamp_i]) of u = sym."""
         # d(u) = sum_l (-1)^l chi(e_{s_0}..e_{s_l-1}, f_{s_l})
         #        x^alpha f_{s_l} e_{S - s_l}, x^a x^b = C(a, b) x^(a+b)
         exps, smask = sym
         ring = self.spec.qring
         bits = self._bits[smask]
-        out = {}
+        dx = {}
         for l, s in enumerate(bits):
             e = sum(self._ff[r][s] for r in bits[:l])
             rest = smask & ~(1 << s)
             for beta, c in self.spec.relations[s].items():
                 unit = self._unit(l, e + ring.cpair_exp(exps, beta))
-                out[(tuple(a + b for a, b in zip(exps, beta)), rest)] = \
+                dx[(tuple(a + b for a, b in zip(exps, beta)), rest)] = \
                     unit if c.is_one() else c * unit
-        return out
+        ops = []
+        for i in range(self.spec.c):
+            op = self.lam(i, sym)
+            for xk, c in self.lamp(i, sym).items():
+                add_term(op, xk, -c)
+            ops.append(op)
+        return dx, ops
 
     def lam(self, i, sym):
         # (1 (x) e_i) . u = (-1)^{|u|} chi(f_i, u) u e_i, and moving e_i
@@ -301,10 +306,10 @@ class OperatorComplex:
     is 2|w| - hdeg(xsym) and the internal index is sum w df - ideg(xsym).
 
     Only a zeta-power depends on w, so the X-parts of the differential
-    (dx and each lam_i - lam_i') are computed once per X-symbol and the
-    w-scalars once per (operator, w); both memos belong to this instance.
-    ``homology_bigraded`` drops the X-parts it computed once no later
-    internal index uses them.
+    (``parts``: dx and each lam_i - lam_i') are computed once per X-symbol
+    and the w-scalars once per (operator, w); both memos belong to this
+    instance.  ``homology_bigraded`` drops the X-parts it computed once no
+    later internal index uses them.
     """
 
     def __init__(self, spec: RingSpec, xiface, description):
@@ -322,7 +327,7 @@ class OperatorComplex:
         xsyms = {}
         # hx = 2|w| - i must lie in the X-part's homological range
         for size in range(max(0, (i + lo + 1) // 2), (i + hi) // 2 + 1):
-            for w in _chi_weights(spec.c, size):
+            for w in compositions(spec.c, size):
                 key = (2 * size - i,
                        sum(a * d for a, d in zip(w, spec.df)) - j)
                 if key not in xsyms:
@@ -331,18 +336,11 @@ class OperatorComplex:
         return sorted(out)
 
     def _xpart(self, xsym):
-        """(dx, [lam_i - lam_i' for each i]) of one X-symbol, zeros dropped."""
+        """The memoised ``parts`` of one X-symbol; shared, so callers must
+        not mutate it."""
         part = self._xparts.get(xsym)
         if part is None:
-            # every X interface returns fresh dicts without zero entries
-            dx = self.x.dx(xsym)
-            ops = []
-            for i in range(self.spec.c):
-                op = self.x.lam(i, xsym)
-                for xk, c in self.x.lamp(i, xsym).items():
-                    add_term(op, xk, -c)
-                ops.append(op)
-            part = self._xparts[xsym] = (dx, ops)
+            part = self._xparts[xsym] = self.x.parts(xsym)
         return part
 
     def _w_scalar(self, kind, i, w):
@@ -369,38 +367,30 @@ class OperatorComplex:
         self._scalars[key] = scal
         return scal
 
-    def differential(self, sym):
-        """d(sym) as {symbol: scalar}, landing in (i+1, j); a fresh dict."""
+    def _column(self, sym, index, l=None):
+        """The column of d (l None) or of left multiplication by x_l (an X
+        with ``xmul``; (i, j) -> (i, j - d_l)) on sym, as a fresh
+        {position: scalar} in the target slice, whose symbols index maps to
+        their positions.  A term outside that slice is an error."""
         w, xsym = sym
-        dx, ops = self._xpart(xsym)
-        out = {(w, xk): c for xk, c in dx.items()}
-        for i, op in enumerate(ops):
-            if not op:
-                continue
-            # distinct i give distinct w2, so no two parts share a key
-            w2 = w[:i] + (w[i] + 1,) + w[i + 1:]
-            scal = self._w_scalar("d", i, w)
-            for xk, c in op.items():
-                out[(w2, xk)] = c if scal is None else c * scal
-        return out
-
-    def x_action(self, l, sym):
-        """Left multiplication by x_l: (i,j) -> (i, j - d_l), for an X
-        with ``xmul`` (Hom(F, N))."""
-        w, xsym = sym
-        scal = self._w_scalar("x", l, w)
+        if l is None:
+            dx, ops = self._xpart(xsym)
+            # distinct i give distinct w2, so no two parts share a position
+            pieces = [(w, dx, None)] + [
+                (w[:i] + (w[i] + 1,) + w[i + 1:], op,
+                 self._w_scalar("d", i, w))
+                for i, op in enumerate(ops) if op]
+        else:
+            pieces = [(w, self.x.xmul(l, xsym), self._w_scalar("x", l, w))]
         out = {}
-        for xk, c in self.x.xmul(l, xsym).items():
-            add_term(out, (w, xk), c if scal is None else c * scal)
+        for w2, part, scal in pieces:
+            for xk, c in part.items():
+                idx = index.get((w2, xk))
+                if idx is None:
+                    raise AssertionError(
+                        f"map escapes the enumerated slice: {(w2, xk)}")
+                out[idx] = c if scal is None else c * scal
         return out
-
-
-def _chi_weights(c, total):
-    """All w in N^c with |w| = total."""
-    if c == 0:
-        return [()] if total == 0 else []
-    return [(e,) + rest for e in range(total + 1)
-            for rest in _chi_weights(c - 1, total - e)]
 
 
 def build_operator_complex(resolution, target) -> OperatorComplex:
@@ -481,8 +471,10 @@ def homology_bigraded(opcx: OperatorComplex, imax, jmax, imin=0,
                     last = (imax + hx) // 2 * dfmax - idegx
                     expiry.setdefault(min(last, jmax), set()).add(xsym)
             nxt = opcx.slice_symbols(i + 1, j)
+            index = {sym: idx for idx, sym in enumerate(nxt)}
             ech = Echelon()
-            for col in _d_columns(opcx, syms, nxt):
+            for sym in syms:
+                col = opcx._column(sym, index)
                 if col:
                     ech.add(col)
             if i >= imin:
@@ -516,16 +508,19 @@ def _tensor_k_dims(opcx: OperatorComplex, imax, jmax, jmin):
     one = CycScalar.one(spec.m)
     js = range(jmax, jmin - 1, -1)
     syms = {j: opcx.slice_symbols(0, j) for j in js}
-    bounds = {j: list(_d_columns(opcx, opcx.slice_symbols(-1, j), syms[j]))
-              for j in js}
+    index = {j: {sym: idx for idx, sym in enumerate(syms[j])} for j in js}
+    bounds = {j: [opcx._column(sym, index[j])
+                  for sym in opcx.slice_symbols(-1, j)] for j in js}
     out = []
     for i in range(imax + 1):
         nxt = {j: opcx.slice_symbols(i + 1, j) for j in js}
-        cols = {j: list(_d_columns(opcx, syms[j], nxt[j])) for j in js}
+        nxt_index = {j: {sym: idx for idx, sym in enumerate(nxt[j])}
+                     for j in js}
+        cols = {j: [opcx._column(sym, nxt_index[j]) for sym in syms[j]]
+                for j in js}
         reps = {}
         total = 0
         for j in js:
-            index = {sym: idx for idx, sym in enumerate(syms[j])}
             ech = Echelon()
             for col in bounds[j]:
                 if col:
@@ -535,8 +530,8 @@ def _tensor_k_dims(opcx: OperatorComplex, imax, jmax, jmin):
                 for rep in reps.get(j + deg, ()):
                     image = {}
                     for idx, c in rep.items():
-                        add_scaled(image, _slice_vector(opcx.x_action(
-                            l, syms[j + deg][idx]), index), c)
+                        add_scaled(image, opcx._column(
+                            syms[j + deg][idx], index[j], l), c)
                     if image and ech.add(image)[0] is not None:
                         kept.append(image)
             for kv in kernel_basis(cols[j], one):
@@ -545,29 +540,7 @@ def _tensor_k_dims(opcx: OperatorComplex, imax, jmax, jmin):
                     total += 1
             reps[j] = kept
         out.append(total)
-        syms, bounds = nxt, cols
-    return out
-
-
-def _d_columns(opcx, syms, target):
-    """The columns of d on the symbols syms over the slice whose symbols
-    are target, one at a time."""
-    index = {sym: idx for idx, sym in enumerate(target)}
-    return (_slice_vector(opcx.differential(sym), index) for sym in syms)
-
-
-def _slice_vector(mapping, index):
-    """{symbol: scalar} as {slice index: scalar}; a nonzero term outside
-    the enumerated slice is an error."""
-    out = {}
-    for sym, c in mapping.items():
-        idx = index.get(sym)
-        if idx is None:
-            if c:
-                raise AssertionError(
-                    f"map escapes the enumerated slice: {sym}")
-            continue
-        add_term(out, idx, c)
+        syms, index, bounds = nxt, nxt_index, cols
     return out
 
 
@@ -612,7 +585,7 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
             got = table.dim(i, j)
             expected = 0
             if i >= 0 and i % 2 == 0:
-                for w in _chi_weights(spec.c, i // 2):
+                for w in compositions(spec.c, i // 2):
                     d = sum(a * b for a, b in zip(w, spec.df)) - j
                     if 0 <= d <= rcut:
                         expected += rdims[d]
@@ -717,7 +690,8 @@ def ext_over_theta(resolution: KoszulComplex) -> ThetaModule:
     kergens = syzygy_module(columns, sring)   # in canonical order
     h_degs = []
     for kg in kergens:
-        degs = {sring.deg(e) - x.hdeg(xsyms[c]) for (e, c) in kg}
+        # the symbol (p, b, key) has homological degree -p
+        degs = {sring.deg(e) + xsyms[c][0] for (e, c) in kg}
         if len(degs) != 1:
             raise AssertionError("inhomogeneous kernel generator")
         h_degs.append(degs.pop())

@@ -5,6 +5,7 @@ import random
 
 from skewci.colorcore import RingSpec, validate_ring
 from skewci.linalg import Echelon
+from skewci.sparse import add_scaled
 
 
 def example_ring():
@@ -82,3 +83,36 @@ def is_rational(c):
 def canonical_json(cx):
     """A KoszulComplex as sorted-key JSON text, for exact comparisons."""
     return json.dumps(cx.to_json(), sort_keys=True)
+
+
+def slice_columns(opcx, i, j, l=None):
+    """The symbols of the target slice, and the columns in its positions,
+    from the operator complex's column writer, of d ((i, j) -> (i + 1, j))
+    when l is None, else of x_l ((i, j) -> (i, j - deg x_l)), on the
+    symbols of the slice (i, j), in order."""
+    target = opcx.slice_symbols(i + 1, j) if l is None \
+        else opcx.slice_symbols(i, j - opcx.spec.degrees[l])
+    index = {sym: idx for idx, sym in enumerate(target)}
+    return target, [opcx._column(sym, index, l)
+                    for sym in opcx.slice_symbols(i, j)]
+
+
+def slice_images(opcx, i, j, l=None):
+    """{symbol: its image, keyed by symbol} over the slice (i, j), read
+    from ``slice_columns``."""
+    target, cols = slice_columns(opcx, i, j, l)
+    return {sym: {target[idx]: c for idx, c in col.items()}
+            for sym, col in zip(opcx.slice_symbols(i, j), cols)}
+
+
+def d_squares_to_zero(opcx, i, j):
+    """Whether d o d, both read from the column writer, vanishes on every
+    symbol of the slice (i, j)."""
+    second = slice_images(opcx, i + 1, j)
+    for once in slice_images(opcx, i, j).values():
+        twice = {}
+        for sym, c in once.items():
+            add_scaled(twice, second[sym], c)
+        if twice:
+            return False
+    return True

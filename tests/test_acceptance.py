@@ -31,6 +31,7 @@ from skewci.support import (
 )
 
 from fixtures import (
+    d_squares_to_zero,
     example_ring,
     fixture_rings,
     hypersurface_ring,
@@ -172,23 +173,7 @@ def test_criterion_06_braided_hochschild():
 # -- criterion 7 --------------------------------------------------------------
 
 def _check_opcx_d_squared(opcx, islice, jslice):
-    for i in islice:
-        for j in jslice:
-            for sym in opcx.slice_symbols(i, j):
-                once = opcx.differential(sym)
-                twice = {}
-                for s2, c in once.items():
-                    for s3, c2 in opcx.differential(s2).items():
-                        cur = twice.get(s3)
-                        val = c * c2
-                        cur = val if cur is None else cur + val
-                        if cur:
-                            twice[s3] = cur
-                        else:
-                            del twice[s3]
-                if twice:
-                    return False
-    return True
+    return all(d_squares_to_zero(opcx, i, j) for i in islice for j in jslice)
 
 
 def test_criterion_07_structural_invariants_randomized():

@@ -433,6 +433,40 @@ def test_negative_window_bounds_are_rejected(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+N3C3M5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
+                  relations=["x1^2", "x2^2", "x3^2"])
+
+
+def test_empty_ext_window_exit_code(tmp_path, capsys):
+    # jmin above dmax leaves no internal index: refused, not read as
+    # vanishing Ext, whether jmin comes from params or from --window
+    config = example_config("ext", {"module": "M", "other": "N", "cmax": 2,
+                                    "dmax": 2})
+    config["ring"] = N3C3M5.to_json()
+    code, report, _ = run(config)
+    assert code == 0 and report["result"]["ext_dims"] == [2, 0, 0]
+    config_path = tmp_path / "job.json"
+    for jmin in (3, 5):
+        with pytest.raises(JobError, match="ext window is empty"):
+            run(config, window_override={"jmin": jmin})
+        config["params"]["jmin"] = jmin
+        _assert_config_error(tmp_path, capsys, config, "ext window is empty")
+        del config["params"]["jmin"]
+        with open(config_path, "w") as handle:
+            json.dump(config, handle)
+        assert main(["--config", str(config_path),
+                     "--window", f"j={jmin}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ext window is empty" in err
+    # jmin = dmax is a window of one internal index
+    assert run(config, window_override={"jmin": 2})[0] == 0
+
+
+def test_unknown_param_exit_code(tmp_path, capsys):
+    config = example_config("ext", {"module": "M", "cmx": 1})
+    _assert_config_error(tmp_path, capsys, config, "unknown params key 'cmx'")
+
+
 def test_window_too_small_exit_code():
     config = example_config(
         "poincare", {"module": "M", "other": "M", "cmax": 3, "dmax": 6})
@@ -512,6 +546,7 @@ def _schema(name):
 def test_schemas_agree_with_the_cli():
     config = _schema("config.schema.json")["properties"]
     json_types = {"integer": int, "string": str}
+    assert config["params"]["additionalProperties"] is False
     params = config["params"]["properties"]
     assert {key: json_types[prop["type"]] for key, prop
             in params.items()} == _PARAM_TYPES

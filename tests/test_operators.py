@@ -23,12 +23,15 @@ from skewci.scalars import CycScalar
 from skewci.sparse import add_scaled, add_term
 
 from fixtures import (
+    d_squares_to_zero,
     example_ring,
     fixture_rings,
     hypersurface_ring,
     is_rational,
     random_ring,
     rank,
+    slice_columns,
+    slice_images,
     three_var_ring,
 )
 
@@ -104,19 +107,7 @@ def test_operator_differential_squares_to_zero_on_fixtures():
     opcx = build_operator_complex(cx, k)
     for i in range(0, 4):
         for j in range(0, 5):
-            for sym in opcx.slice_symbols(i, j):
-                once = opcx.differential(sym)
-                twice = {}
-                for s2, c in once.items():
-                    for s3, c2 in opcx.differential(s2).items():
-                        cur = twice.get(s3)
-                        val = c * c2
-                        cur = val if cur is None else cur + val
-                        if cur:
-                            twice[s3] = cur
-                        else:
-                            del twice[s3]
-                assert not twice
+            assert d_squares_to_zero(opcx, i, j), (i, j)
 
 
 def test_ext_k_k_dims_match_poincare_series():
@@ -201,13 +192,12 @@ def test_resolution_independence_of_target():
 def _r_chi_dim(spec, i, j):
     """dim of R[chi_1..chi_c] at (i, j): pairs (w, monomial of R) with
     2|w| = i and deg = sum w df - j."""
-    from skewci.colorcore import standard_monomials
-    from skewci.operators import _chi_weights
+    from skewci.colorcore import compositions, standard_monomials
 
     if i < 0 or i % 2:
         return 0
     return sum(len(standard_monomials(spec.qring, d, spec.rel_exps))
-               for w in _chi_weights(spec.c, i // 2)
+               for w in compositions(spec.c, i // 2)
                for d in [sum(a * b for a, b in zip(w, spec.df)) - j]
                if d >= 0)
 
@@ -250,10 +240,7 @@ def test_rank_only_dims_match_references():
 def _dims_keeping_every_slice(opcx, imax, jmax, imin, jmin):
     """The window's homology dims with every slice matrix built before any
     is ranked: what a routine that keeps every slice holds at once."""
-    from skewci.operators import _d_columns
-
-    cols = {(i, j): list(_d_columns(opcx, opcx.slice_symbols(i, j),
-                                    opcx.slice_symbols(i + 1, j)))
+    cols = {(i, j): slice_columns(opcx, i, j)[1]
             for i in range(imin - 1, imax + 1)
             for j in range(jmin, jmax + 1)}
     return {(i, j): len(cols[(i, j)]) - rank(cols[(i, j)])
@@ -292,27 +279,27 @@ def test_dims_only_memory_scales_with_a_slice():
         fresh = build_operator_complex(spec, "self-E")
         counting = _CountingX(fresh)
         homology_bigraded(fresh, window, window, imin=-spec.c, jmin=-window)
-        assert (counting.most_alive, len(counting.dx_calls)) == xparts
+        assert (counting.most_alive, len(counting.parts_calls)) == xparts
 
 
 class _CountingX:
     """An X-interface that counts the X-parts its complex computes: the
-    complex calls dx exactly when it builds the part of a symbol."""
+    complex calls parts exactly when it builds the part of a symbol."""
 
     def __init__(self, opcx):
         self.inner = opcx.x
         self.opcx = opcx
-        self.dx_calls = {}
+        self.parts_calls = {}
         self.most_alive = 0
         opcx.x = self
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def dx(self, xsym):
-        self.dx_calls[xsym] = self.dx_calls.get(xsym, 0) + 1
+    def parts(self, xsym):
+        self.parts_calls[xsym] = self.parts_calls.get(xsym, 0) + 1
         self.most_alive = max(self.most_alive, len(self.opcx._xparts) + 1)
-        return self.inner.dx(xsym)
+        return self.inner.parts(xsym)
 
 
 def _assert_xparts_released(opcx, imax, jmax, imin, jmin):
@@ -321,11 +308,11 @@ def _assert_xparts_released(opcx, imax, jmax, imin, jmin):
     that keeps every slice."""
     counting = _CountingX(opcx)
     dims = homology_bigraded(opcx, imax, jmax, imin=imin, jmin=jmin).dims
-    assert counting.dx_calls
-    assert set(counting.dx_calls.values()) == {1}
+    assert counting.parts_calls
+    assert set(counting.parts_calls.values()) == {1}
     assert not opcx._xparts
-    assert counting.most_alive < len(counting.dx_calls), \
-        (counting.most_alive, len(counting.dx_calls))
+    assert counting.most_alive < len(counting.parts_calls), \
+        (counting.most_alive, len(counting.parts_calls))
     fresh = OperatorComplex(opcx.spec, counting.inner, opcx.description)
     assert dims == _dims_keeping_every_slice(fresh, imax, jmax, imin, jmin)
 
@@ -350,6 +337,65 @@ def test_xparts_are_released_after_their_last_j():
                             2, 0, 0, -3)
 
 
+def test_twists_run_once_per_xpart(monkeypatch):
+    # one parts call builds dx and every lam_i of a symbol from one
+    # _twists, however many of them are nonzero
+    from skewci.operators import _HomIntoModule
+
+    calls = []
+    twists = _HomIntoModule._twists
+
+    def counting(self, sym):
+        calls.append(sym)
+        return twists(self, sym)
+
+    monkeypatch.setattr(_HomIntoModule, "_twists", counting)
+    spec = three_var_ring()
+    cx = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
+    x = build_operator_complex(cx, ModulePresentation.cyclic(spec, ["x2"])).x
+    several = 0
+    for p in range(len(cx.basis)):
+        for idegx in range(-6, 4):
+            for sym in x.symbols(-p, idegx):
+                del calls[:]
+                dx, ops = x.parts(sym)
+                assert calls == [sym]
+                several += bool(dx) + sum(map(bool, ops)) > 1
+    assert several
+
+
+def test_a_part_outside_its_slice_is_refused(monkeypatch):
+    # a dx term of internal degree 10 has no position in the slice d
+    # lands in
+    spec = example_ring()
+    opcx = build_operator_complex(spec, "self-E")
+    parts = opcx.x.parts
+
+    def escaping(sym):
+        dx, ops = parts(sym)
+        return {**dx, ((5, 5), 0): spec.one()}, ops
+
+    monkeypatch.setattr(opcx.x, "parts", escaping)
+    with pytest.raises(AssertionError,
+                       match="map escapes the enumerated slice"):
+        homology_bigraded(opcx, 2, 2, imin=-2, jmin=-2)
+
+
+def test_an_op_breaking_d_squared_is_refused(monkeypatch):
+    # over the commutative k[x]/(x^2) lam = lam', so op = lam + lam' in
+    # place of lam - lam' breaks d o d = 0 and the ranks overcount
+    spec = hypersurface_ring()
+    opcx = build_operator_complex(spec, "self-E")
+    lamp = opcx.x.lamp
+    monkeypatch.setattr(opcx.x, "lamp", lambda i, sym: {
+        k: -c for k, c in lamp(i, sym).items()})
+    assert not all(d_squares_to_zero(opcx, i, j)
+                   for i in range(-1, 3) for j in range(-4, 3))
+    opcx._xparts.clear()
+    with pytest.raises(AssertionError, match="negative homology dim"):
+        homology_bigraded(opcx, 4, 4, imin=-1, jmin=-4)
+
+
 def test_dims_paths_and_hh_agree_on_wider_random_rings():
     # conductors beyond {1, 2, 3, 4}, up to n = 4 and c = 3; small windows
     rng = random.Random(12)
@@ -366,22 +412,22 @@ def test_dims_paths_and_hh_agree_on_wider_random_rings():
 
 
 def _direct_differential(opcx, sym):
-    """The operator differential straight from the X-interface, no memos."""
+    """The operator differential straight from the X-interface's parts, no
+    memos."""
     spec = opcx.spec
     ring = spec.qring
     w, xsym = sym
+    dx, ops = opcx.x.parts(xsym)
     out = {}
-    for xk, c in opcx.x.dx(xsym).items():
+    for xk, c in dx.items():
         add_term(out, (w, xk), c)
-    for i in range(spec.c):
+    for i, op in enumerate(ops):
         scal = spec.one()
         for t in range(i + 1, spec.c):
             scal = scal * ring.chi(spec.cf[t], spec.cf[i]) ** w[t]
         w2 = tuple(a + (1 if t == i else 0) for t, a in enumerate(w))
-        for xk, c in opcx.x.lam(i, xsym).items():
+        for xk, c in op.items():
             add_term(out, (w2, xk), c * scal)
-        for xk, c in opcx.x.lamp(i, xsym).items():
-            add_term(out, (w2, xk), -(c * scal))
     return out
 
 
@@ -392,13 +438,16 @@ def test_differential_returns_a_fresh_dict():
         k = ModulePresentation.residue_field(spec)
         opcx = build_operator_complex(finite_koszul_resolution(k), k)
         for i, j in ((1, 2), (2, 2), (3, 4), (4, 4)):
+            target = opcx.slice_symbols(i + 1, j)
+            index = {sym: idx for idx, sym in enumerate(target)}
             for sym in opcx.slice_symbols(i, j):
-                first = opcx.differential(sym)
-                expected = _direct_differential(opcx, sym)
+                first = opcx._column(sym, index)
+                expected = {index[s]: c for s, c
+                            in _direct_differential(opcx, sym).items()}
                 assert first == expected
                 first.clear()
-                first[sym] = spec.one()
-                assert opcx.differential(sym) == expected
+                first[0] = spec.one()
+                assert opcx._column(sym, index) == expected
 
 
 def test_term_normal_form_matches_reduction_and_is_fresh():
@@ -437,19 +486,23 @@ def test_differential_parts_belong_to_one_complex():
     cxm = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
     into_k = build_operator_complex(cxm, ModulePresentation.residue_field(spec))
     into_n = build_operator_complex(cxm, ModulePresentation.cyclic(spec, ["x2"]))
-    shared = [sym for i in range(-1, 4) for j in range(-2, 5)
-              for sym in into_k.slice_symbols(i, j)
-              if _direct_differential(into_k, sym)
-              != _direct_differential(into_n, sym)]
+    shared = 0
+    for i in range(-1, 4):
+        for j in range(-2, 5):
+            from_k = slice_images(into_k, i, j)
+            from_n = slice_images(into_n, i, j)
+            for sym, image in from_k.items():
+                direct = _direct_differential(into_k, sym)
+                if direct != _direct_differential(into_n, sym):
+                    shared += 1
+                    assert image == direct
+                    assert from_n[sym] == _direct_differential(into_n, sym)
     assert shared
-    for sym in shared:
-        assert into_k.differential(sym) == _direct_differential(into_k, sym)
-        assert into_n.differential(sym) == _direct_differential(into_n, sym)
 
 
 def test_slice_symbols_match_brute_force_enumeration():
     # chi-weights up to a cap far beyond every X-part's homological range
-    from skewci.operators import _chi_weights
+    from skewci.colorcore import compositions
 
     for spec in fixture_rings():
         k = ModulePresentation.residue_field(spec)
@@ -462,7 +515,7 @@ def test_slice_symbols_match_brute_force_enumeration():
                 for j in range(-4, 5):
                     brute = []
                     for size in range((i + 24) // 2 + 1):
-                        for w in _chi_weights(spec.c, size):
+                        for w in compositions(spec.c, size):
                             shift = sum(a * d for a, d in zip(w, spec.df))
                             brute += [(w, xsym) for xsym in opcx.x.symbols(
                                 2 * size - i, shift - j)]
@@ -554,8 +607,8 @@ def test_braided_hh_commutative_hypersurface():
 def test_braided_hh_negative_control():
     # corrupting the chi-scalar in the lambda action breaks d^2 = 0 or the
     # dimension match; either way the verdict must not be "ok"
-    from skewci.operators import _SelfE, OperatorComplex, _chi_weights
-    from skewci.colorcore import standard_monomials
+    from skewci.operators import _SelfE, OperatorComplex
+    from skewci.colorcore import compositions, standard_monomials
 
     spec = example_ring()
 
@@ -577,7 +630,7 @@ def test_braided_hh_negative_control():
         for j in range(-6, 7):
             expected = 0
             if i >= 0 and i % 2 == 0:
-                for w in _chi_weights(spec.c, i // 2):
+                for w in compositions(spec.c, i // 2):
                     d = sum(a * b for a, b in zip(w, spec.df)) - j
                     if 0 <= d <= 20:
                         expected += rdims[d]
@@ -658,19 +711,7 @@ def test_random_instances_operator_d_squared(seed=5150):
         opcx = build_operator_complex(cx, mod)
         for i in range(0, 3):
             for j in range(0, 4):
-                for sym in opcx.slice_symbols(i, j):
-                    once = opcx.differential(sym)
-                    twice = {}
-                    for s2, c in once.items():
-                        for s3, c2 in opcx.differential(s2).items():
-                            cur = twice.get(s3)
-                            val = c * c2
-                            cur = val if cur is None else cur + val
-                            if cur:
-                                twice[s3] = cur
-                            else:
-                                del twice[s3]
-                    assert not twice
+                assert d_squares_to_zero(opcx, i, j), (spec.to_json(), i, j)
         done += 1
 
 
@@ -817,14 +858,15 @@ CUBES_M4 = RingSpec(2, 4, [[0, 1], [-1, 0]], relations=["x1^3", "x2^3"])
 def test_chi_ring_reorders_by_the_d_twist():
     # C(chi^w, chi_i) in the chi-ring is the scalar the operator
     # differential gives chi^w chi_i, so that differential is left linear
-    from skewci.operators import OperatorComplex, _chi_ring, _chi_weights
+    from skewci.colorcore import compositions
+    from skewci.operators import OperatorComplex, _chi_ring
 
     for spec in (N3C3M5, N4C3M2, N2C2M9, CUBES_M4, example_ring()):
         ring = _chi_ring(spec)
         assert ring.degs == (2,) * spec.c
         opcx = OperatorComplex(spec, None, "twists only")
         for size in range(4):
-            for w in _chi_weights(spec.c, size):
+            for w in compositions(spec.c, size):
                 for i in range(spec.c):
                     chi_i = tuple(int(k == i) for k in range(spec.c))
                     d = opcx._w_scalar("d", i, w) or spec.one()
@@ -913,12 +955,19 @@ def test_self_e_closed_forms_match_generic_products():
         for hx in range(spec.c + 1):
             for ideg in range(8):
                 for sym in x.symbols(hx, ideg):
-                    got = {"dx": list(x.dx(sym).items())}
+                    dx, ops = x.parts(sym)
+                    got = {"dx": list(dx.items())}
                     for i in range(spec.c):
                         got[("lam", i)] = list(x.lam(i, sym).items())
                         got[("lamp", i)] = list(x.lamp(i, sym).items())
                     want = _generic_self_e(ctx, spec, sym)
                     assert got == want, (spec, sym)
+                    # parts combines the closed forms into lam_i - lamp_i
+                    for i, op in enumerate(ops):
+                        diff = dict(want[("lam", i)])
+                        for k, c in want[("lamp", i)]:
+                            add_term(diff, k, -c)
+                        assert list(op.items()) == list(diff.items())
                     nontrivial += any(not is_rational(c)
                                       for part in want.values()
                                       for _k, c in part)
@@ -981,12 +1030,13 @@ def test_row_indexed_compose_matches_matrix_scan():
             for idegx in range(-8, 5):
                 for sym in x.symbols(-p, idegx):
                     sigma = _sigma(x, sym)
+                    dx, ops = x.parts(sym)
                     want = {}
                     if p + 1 < len(cx.basis) and cx.diff[p + 1]:
                         sign = -spec.one() if p % 2 == 0 else spec.one()
                         want = {k: v * sign for k, v in _scan_compose(
                             x, sym, cx.diff[p + 1], p + 1).items()}
-                    assert list(x.dx(sym).items()) == list(want.items())
+                    assert list(dx.items()) == list(want.items())
                     seen["dx"] += bool(want)
                     for i in range(spec.c):
                         want = {}
@@ -996,8 +1046,7 @@ def test_row_indexed_compose_matches_matrix_scan():
                                 scal = -scal
                             want = {k: v * scal for k, v in _scan_compose(
                                 x, sym, cx.eact[i][p - 1], p - 1).items()}
-                        assert list(x.lam(i, sym).items()) \
-                            == list(want.items())
+                        assert list(ops[i].items()) == list(want.items())
                         seen["lam"] += bool(want)
                         seen["twisted"] += any(not is_rational(c)
                                                for c in want.values())
@@ -1024,8 +1073,9 @@ def _chi_action(opcx, i, sym):
 
 
 def test_actions_are_chain_maps():
-    # x_l (module targets, the only ones x_action serves) and chi_i (also
-    # S (x) E) commute with d on every symbol of a small window.
+    # x_l (module targets, the only ones with xmul) and chi_i (also
+    # S (x) E) commute with d on every symbol of a small window, with d and
+    # x_l read from the column writer.
     # chi(f_t, x_l)^2 != 1 over Q(zeta_5), so a wrong sign of the twist of
     # x_l past chi^w shows.
     rx = ModulePresentation.cyclic(N3C3M5, ["x1"])
@@ -1036,17 +1086,27 @@ def test_actions_are_chain_maps():
              (build_operator_complex(N3C3M5, "self-E"), False)]
     for opcx, with_x in cases:
         spec = opcx.spec
-        ops = [lambda s, l=l: opcx.x_action(l, s)
-               for l in range(spec.n if with_x else 0)]
+        xls = range(spec.n if with_x else 0)
+        # d on every slice an action moves the window's symbols to; x_l on
+        # the window and on the slices d moves it to
+        d, xmul = {}, {l: {} for l in xls}
+        for i in range(-2, 5):
+            for j in range(-3 - max(spec.degrees), 3 + max(spec.df)):
+                d.update(slice_images(opcx, i, j))
+        for i in range(-2, 4):
+            for j in range(-3, 3):
+                for l in xls:
+                    xmul[l].update(slice_images(opcx, i, j, l))
+        ops = [xmul[l].__getitem__ for l in xls]
         ops += [lambda s, i=i: _chi_action(opcx, i, s)
                 for i in range(spec.c)]
         checked = 0
         for i in range(-2, 3):
             for j in range(-3, 3):
                 for sym in opcx.slice_symbols(i, j):
-                    dsym = opcx.differential(sym)
+                    dsym = d[sym]
                     for op in ops:
-                        assert (_apply(opcx.differential, op(sym))
+                        assert (_apply(d.__getitem__, op(sym))
                                 == _apply(op, dsym)), (opcx.description, sym)
                     checked += bool(dsym)
         assert checked, opcx.description

@@ -10,7 +10,6 @@ from .colorcore import (
     QRing,
     RingSpec,
     ValidationReport,
-    chi,
     parse_poly,
     validate_ring,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "QRing",
     "RingSpec",
     "ValidationReport",
-    "chi",
     "parse_poly",
     "validate_ring",
     "koszul_algebra",

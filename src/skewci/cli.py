@@ -17,6 +17,7 @@ from .koszul import verify_diagonal_resolution
 from .operators import braided_hh, build_operator_complex, homology_bigraded
 from .resolve import ModulePresentation, minimal_R_resolution
 from .support import (
+    EmptyWindowError,
     RationalityError,
     arc_check,
     complexity,
@@ -31,24 +32,6 @@ from .store import ResolutionCache, current, using
 
 class JobError(RuntimeError):
     pass
-
-
-def _parse_window(text):
-    out = {}
-    if not text:
-        return out
-    mapping = {"c": "cmax", "D": "dmax", "j": "jmin"}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in mapping:
-            raise JobError(f"unknown window key {key!r} (use c=, D=, j=)")
-        try:
-            out[mapping[key]] = int(value)
-        except ValueError:
-            raise JobError(f"window value for {key!r} is not an integer: "
-                           f"{value.strip()!r}") from None
-    return out
 
 
 def load_config(path):
@@ -79,17 +62,17 @@ def _module(spec, config, label, params_key="module"):
     raise JobError(f"module {label!r} is not defined in the config")
 
 
-# the params that docs/config.schema.json allows; any other key is refused
+# the types docs/config.schema.json gives the params keys
 _PARAM_TYPES = {
     **dict.fromkeys(("cmax", "dmax", "imax", "jmin", "r", "window", "bound",
                      "diagonal_dmax"), int),
-    **dict.fromkeys(("module", "other", "cache"), str),
+    **dict.fromkeys(("module", "other"), str),
 }
 # the window bounds the schema gives "minimum": 0
 _NONNEGATIVE = ("cmax", "dmax", "imax", "window", "bound", "diagonal_dmax")
 
 
-def run(config, cache_dir=None, window_override=None):
+def run(config, cache_dir=None):
     """Execute one job; returns (exit_code, report dict, text summary)."""
     if not (isinstance(config, dict) and "ring" in config
             and "command" in config):
@@ -101,15 +84,18 @@ def run(config, cache_dir=None, window_override=None):
     except (TypeError, ValueError) as exc:
         raise JobError(f"invalid ring: {exc}") from None
     command = config["command"]
+    if not (isinstance(command, str) and command in _COMMANDS):
+        raise JobError(f"unknown command {command!r}; expected one of "
+                       + ", ".join(sorted(_COMMANDS)))
+    handler, keys = _COMMANDS[command]
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise JobError("params must be an object")
-    params = {**params, **(window_override or {})}
     for key, value in params.items():
-        want = _PARAM_TYPES.get(key)
-        if want is None:
-            raise JobError(f"unknown params key {key!r}; expected one of "
-                           + ", ".join(sorted(_PARAM_TYPES)))
+        if key not in keys:
+            raise JobError(f"unknown params key {key!r} for {command}; "
+                           f"{command} reads " + ", ".join(keys))
+        want = _PARAM_TYPES[key]
         # type(), not isinstance(): JSON true is not an integer
         if type(value) is not want:
             raise JobError(f"params.{key} must be of type {want.__name__}, "
@@ -123,7 +109,7 @@ def run(config, cache_dir=None, window_override=None):
         if name in modules:
             raise JobError(f"module name {name!r} is reserved for the "
                            "built-in module")
-    cache = ResolutionCache(cache_dir or params.get("cache"))
+    cache = ResolutionCache(cache_dir)
     report = {"command": command, "ring": spec.to_json()}
     lines = [f"ring: {spec!r}", f"command: {command}"]
 
@@ -135,13 +121,11 @@ def run(config, cache_dir=None, window_override=None):
         report["ok"] = False
         return 2, report, "\n".join(lines)
 
-    handler = _COMMANDS.get(command) if isinstance(command, str) else None
-    if handler is None:
-        raise JobError(f"unknown command {command!r}; expected one of "
-                       + ", ".join(sorted(_COMMANDS)))
     try:
         with using(cache):
             ok, result, extra_lines, windows = handler(spec, config, params)
+    except EmptyWindowError as exc:
+        raise JobError(str(exc)) from None
     except (RationalityError, AssertionError) as exc:
         code, prefix = _failure(exc)
         report["ok"] = False
@@ -204,7 +188,7 @@ def _cmd_resolve(spec, config, params):
 
 def _cmd_betti(spec, config, params):
     mod = _module(spec, config, params.get("module"))
-    imax = params.get("imax", params.get("cmax", 6))
+    imax = params.get("imax", 6)
     dmax = params["dmax"] if "dmax" in params else degree_bound(
         current().get_or_build(mod), imax)
     table = minimal_R_resolution(mod, imax, dmax)
@@ -332,7 +316,7 @@ def _cmd_perfect(spec, config, params):
 def _cmd_arc(spec, config, params):
     mod = _module(spec, config, params.get("module"))
     r = params.get("r", 0)
-    window = params.get("window", params.get("cmax", r + 4))
+    window = params.get("window", r + 4)
     if window <= r:
         raise JobError(f"arc window {window} must exceed r = {r}")
     report = arc_check(mod, r, window)
@@ -340,7 +324,7 @@ def _cmd_arc(spec, config, params):
     lines = [f"vanishing criterion for {mod.name} (r={r}, window={window}): "
              f"{report.verdict}",
              f"  detail: {report.detail}"]
-    windows = {"r": r, "window": window, "jmin": -report.jmax,
+    windows = {"r": r, "window": window, "jmin": report.jmin,
                "jmax": report.jmax}
     return report.verdict != "fail", result, lines, windows
 
@@ -358,45 +342,45 @@ def _cmd_selftest_appendix(spec, config, params):
     return rep.ok, result, lines, {"bound": bound}
 
 
-# Each handler returns (ok, result, text lines, windows): windows holds the
-# window bounds it ran with, defaults included, and is the report's only
-# source of its "windows" block.
+# Each command's handler and the params keys it reads; run refuses any
+# other key.  A handler returns (ok, result, text lines, windows): windows
+# holds the window bounds it ran with, defaults included, and is the
+# report's only source of its "windows" block.
+_PAIR_KEYS = ("module", "other", "cmax", "dmax", "jmin")
 _COMMANDS = {
-    "check": _cmd_check,
-    "resolve": _cmd_resolve,
-    "betti": _cmd_betti,
-    "ext": _cmd_ext,
-    "hh": _cmd_hh,
-    "support": _cmd_support,
-    "complexity": _cmd_complexity,
-    "poincare": _cmd_poincare,
-    "perfect": _cmd_perfect,
-    "arc": _cmd_arc,
-    "selftest-appendix": _cmd_selftest_appendix,
+    "check": (_cmd_check, ("dmax", "diagonal_dmax")),
+    "resolve": (_cmd_resolve, ("module",)),
+    "betti": (_cmd_betti, ("module", "imax", "dmax")),
+    "ext": (_cmd_ext, _PAIR_KEYS),
+    "hh": (_cmd_hh, ("cmax", "dmax")),
+    "support": (_cmd_support, ("module", "other")),
+    "complexity": (_cmd_complexity, _PAIR_KEYS),
+    "poincare": (_cmd_poincare, _PAIR_KEYS),
+    "perfect": (_cmd_perfect, ("module",)),
+    "arc": (_cmd_arc, ("module", "r", "window")),
+    "selftest-appendix": (_cmd_selftest_appendix, ("bound",)),
 }
 
 
-_USAGE = ("usage: skewci [-h] --config CONFIG [--cache CACHE] [--out OUT] "
-          "[--window WINDOW]")
+_USAGE = "usage: skewci [-h] --config CONFIG [--cache CACHE] [--out OUT]"
 _HELP = _USAGE + """
 
 Exact cohomology operators and support varieties over skew complete
-intersections.
+intersections.  Every window bound is a params key of the config.
 
 options:
   -h, --help       show this help message and exit
   --config CONFIG  path to the JSON job configuration
   --cache CACHE    cache directory for resolutions and theta modules
-  --out OUT        path for the JSON report
-  --window WINDOW  window bounds, e.g. c=6,D=8,j=-8"""
-_FLAGS = ("--config", "--cache", "--out", "--window")
+  --out OUT        path for the JSON report"""
+_FLAGS = ("--config", "--cache", "--out")
 
 
 def _parse_args(argv):
     """{flag: value} from ``--flag value`` and ``--flag=value`` arguments.
 
     Parsed here rather than by ``argparse``, whose import and ``gettext``
-    lookups every job would otherwise pay for four flags.  ``--help``
+    lookups every job would otherwise pay for three flags.  ``--help``
     prints the help and exits 0; a malformed command line prints the usage
     and the error and exits 2.
     """
@@ -429,9 +413,7 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = load_config(args["config"])
-        window = _parse_window(args.get("window"))
-        code, report, text = run(config, cache_dir=args.get("cache"),
-                                 window_override=window)
+        code, report, text = run(config, cache_dir=args.get("cache"))
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

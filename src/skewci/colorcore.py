@@ -25,7 +25,6 @@ __all__ = [
     "QRing",
     "RingSpec",
     "ValidationReport",
-    "chi",
     "validate_ring",
     "parse_poly",
     "poly_to_string",
@@ -361,13 +360,6 @@ class RingSpec:
         rels = ", ".join(poly_to_string(self.qring, f)
                          for f in self.relations)
         return f"RingSpec(n={self.n}, m={self.m}, f=({rels}))"
-
-
-def chi(spec: RingSpec, alpha, beta) -> CycScalar:
-    """Alternating bicharacter on Z^n; chi(e_i, e_j) = q_ij."""
-    if len(alpha) != spec.n or len(beta) != spec.n:
-        raise ValueError("color vector length mismatch")
-    return spec.qring.chi(alpha, beta)
 
 
 class ValidationReport:

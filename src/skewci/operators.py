@@ -74,6 +74,32 @@ class ModuleBasis:
         self._basis_cache[d] = out
         return out
 
+    def top_degree(self):
+        """The top degree of N when it has finite length (its lowest
+        generator degree when N = 0), None when it has infinite length.
+
+        Exact, from the Groebner leads: a component's quotient is finite
+        exactly when its leads hold a pure power x_v^a_v of every variable,
+        and then no standard monomial of it exceeds degree sum (a_v - 1)
+        deg x_v above the generator's.
+        """
+        ring = self.spec.qring
+        bound = None
+        for (gd, _c), leads in zip(self.module.gens, self._leads):
+            dim = monomial_dimension(leads, ring.nvars)
+            if dim > 0:
+                return None
+            if dim == 0:
+                top = gd + sum(
+                    (min(e[v] for e in leads if sum(e) == e[v] > 0) - 1) * w
+                    for v, w in enumerate(ring.degs))
+                bound = top if bound is None else max(bound, top)
+        low = min((d for d, _c in self.module.gens), default=0)
+        if bound is None:
+            return low
+        return next(d for d in range(bound, low - 1, -1)
+                    if self.basis_of_degree(d))
+
     def unit_normal_form(self, key):
         """Memoised normal form in N of the unit term key = (exps, comp);
         shared, so callers must not mutate it."""
@@ -394,26 +420,20 @@ class OperatorComplex:
 
 
 def build_operator_complex(resolution, target) -> OperatorComplex:
-    """The operator complex for Hom(F, target), or S (x) E for "self-E".
+    """The operator complex for Hom(F, target), target a ModulePresentation
+    (anything else is a TypeError).
 
     ``resolution`` is a KoszulComplex that passes ``certify`` (refused with
     ValueError otherwise): one built or loaded by the store already holds
     its certificate, any other complex is certified here, once.
-    ``target`` is a ModulePresentation or "self-E" (in which case
-    ``resolution`` may be a RingSpec); anything else is a TypeError.
     """
-    if target == "self-E":
-        spec = resolution if isinstance(resolution, RingSpec) \
-            else resolution.spec
-        return OperatorComplex(spec, _SelfE(spec), "self-E")
     if not isinstance(target, ModulePresentation):
         raise TypeError(f"unsupported target {target!r}")
-    cx = resolution
-    errors = cx.certify()
+    errors = resolution.certify()
     if errors:
         raise ValueError(f"uncertified resolution refused: {errors[:3]}")
-    iface = _HomIntoModule(cx, ModuleBasis(target))
-    return OperatorComplex(cx.spec, iface, f"Hom(F,{target.name})")
+    iface = _HomIntoModule(resolution, ModuleBasis(target))
+    return OperatorComplex(resolution.spec, iface, f"Hom(F,{target.name})")
 
 
 # -- bigraded homology --------------------------------------------------------
@@ -572,7 +592,7 @@ def braided_hh(spec: RingSpec, cmax: int, dmax: int) -> HHReport:
     The expected bigraded dimension at (i, j) is the number of pairs
     (w, monomial of R) with 2|w| = i and deg = sum w df - j.
     """
-    opcx = build_operator_complex(spec, "self-E")
+    opcx = OperatorComplex(spec, _SelfE(spec), "self-E")
     jmax = (cmax // 2 + spec.c) * max(spec.df, default=0)
     jmin = -dmax
     imin = -spec.c
@@ -624,37 +644,34 @@ class ThetaModule:
         self.gen_degs = list(gen_degs)
         self.columns = [dict(c) for c in columns]
         self.ring = _chi_ring(spec)
+        self._leads = None
 
     def annihilator(self):
         """The left ideal of S killing every generator, as a reduced
         Groebner basis."""
         return annihilator_ideal(self.columns, len(self.gen_degs), self.ring)
 
-    def groebner_leads(self):
-        if not self.columns:
-            return []
-        gb = buchberger(self.columns, self.ring)
-        return [m for m, _ in gb.leads]
+    def _component_leads(self):
+        """The leading exponents of the module's Groebner basis, one list
+        per generator; the basis is computed once per module."""
+        if self._leads is None:
+            self._leads = [[] for _ in self.gen_degs]
+            if self.columns:
+                for (exps, comp), _c in buchberger(self.columns,
+                                                   self.ring).leads:
+                    self._leads[comp].append(exps)
+        return self._leads
 
     def dimension(self):
         """Krull dimension of the module (max over components of LT dims)."""
-        if not self.gen_degs:
-            return -1
-        leads = self.groebner_leads()
-        best = -1
-        for comp in range(len(self.gen_degs)):
-            exps = [e for (e, c) in leads if c == comp]
-            best = max(best, monomial_dimension(exps, self.spec.c))
-        return best
+        return max((monomial_dimension(exps, self.spec.c)
+                    for exps in self._component_leads()), default=-1)
 
     def hilbert_numerator(self):
         """Numerator over (1 - u^2)^c of the cohomological Hilbert series."""
-        leads = self.groebner_leads()
         out = {}
-        for comp, d in enumerate(self.gen_degs):
-            exps = [e for (e, c) in leads if c == comp]
-            num = hilbert_numerator(exps, self.ring.degs)
-            for deg, v in num.items():
+        for d, exps in zip(self.gen_degs, self._component_leads()):
+            for deg, v in hilbert_numerator(exps, self.ring.degs).items():
                 out[deg + d] = out.get(deg + d, 0) + v
         return {k: v for k, v in out.items() if v}
 

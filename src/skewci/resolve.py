@@ -433,36 +433,34 @@ class KoszulComplex:
         return self._apply(self.eact[i][h], self.spec.cf[i], vec)
 
     def verify_exactness(self):
-        """Certify H_0 = M and H_h = 0 for h >= 1 via Groebner membership."""
+        """Certify H_0 = M and H_h = 0 for h >= 1 via Groebner membership.
+
+        One Groebner basis of each map d_h, with its syzygies, gives both
+        the cycles at h and membership in the image at h - 1."""
         ring = self.spec.qring
         errors = []
         top = self.length
+        gbs = {h: buchberger(self.diff[h], ring, want_syzygies=True)
+               for h in range(1, top + 1)}
         # kernel of the top map must vanish
-        if top >= 1 and syzygy_module(self.diff[top], ring):
+        if top >= 1 and any(gbs[top].syzygies):
             errors.append(("top_kernel_nonzero", top))
         # middle exactness: cycles at h lie in the image from h+1
         for h in range(1, top):
-            cycles = syzygy_module(self.diff[h], ring)
-            gb_im = buchberger(self.diff[h + 1], ring)
-            for z in cycles:
-                if not gb_im.contains(z):
-                    errors.append(("homology", h))
-                    break
+            if not all(gbs[h + 1].contains(z) for z in gbs[h].syzygies):
+                errors.append(("homology", h))
         # H_0: image of d_1 (zero at length 0) equals relations + f * gens
         mod = self.module
         if mod is not None:
             k0 = mod.q_relations()
             image = self.diff[1] if top >= 1 else []
+            gb_im = gbs.get(1)    # None at length 0, where the image is 0
             gb_k0 = buchberger(k0, ring)
-            gb_im = buchberger(image, ring)
-            for col in image:
-                if not gb_k0.contains(col):
-                    errors.append(("image_not_in_kernel", 0))
-                    break
-            for col in k0:
-                if col and not gb_im.contains(col):
-                    errors.append(("kernel_not_in_image", 0))
-                    break
+            if not all(gb_k0.contains(col) for col in image):
+                errors.append(("image_not_in_kernel", 0))
+            if any(col and (gb_im is None or not gb_im.contains(col))
+                   for col in k0):
+                errors.append(("kernel_not_in_image", 0))
         return errors
 
     # -- serialization -------------------------------------------------------

@@ -366,26 +366,6 @@ class CycScalar:
             k >>= 1
         return result
 
-    # -- structure ----------------------------------------------------
-
-    def unit_order(self):
-        """Smallest e with self**e == 1, or None if not a root of unity.
-
-        Roots of unity in Q(zeta_m) form the group generated by -1 and
-        zeta_m, of order lcm(2, m).
-        """
-        if not self:
-            raise ZeroDivisionError("unit_order of zero")
-        n = self.m * 2 // gcd(self.m, 2)
-        if not (self ** n).is_one():
-            return None
-        best = n
-        for e in range(1, n + 1):
-            if n % e == 0 and (self ** e).is_one():
-                best = e
-                break
-        return best
-
     # -- hashing / comparison / display -------------------------------
 
     def __eq__(self, other):

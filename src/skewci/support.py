@@ -15,7 +15,7 @@ dimension is its Krull dimension, which equals the complexity of the pair.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .colorcore import QRing, RingSpec, poly_to_string
 from .operators import (
@@ -51,18 +51,15 @@ def _colors(spec):
 def compute_t(spec: RingSpec) -> int:
     """Minimal t > 0 with e | t^2, e the exponent of the bicharacter image.
 
-    The image is generated by the chi values on generator and relation
-    colors; all are roots of unity for a validated ring.
+    The image is generated by the chi values zeta_m^a on generator and
+    relation colors, and zeta_m^a has order m / gcd(a, m).
     """
     colors = _colors(spec)
+    m = spec.m
     e = 1
     for sigma in colors:
         for tau in colors:
-            value = spec.chi(sigma, tau)
-            order = value.unit_order()
-            if order is None:
-                raise ValueError("commutation parameter is not a root of unity")
-            e = lcm(e, order)
+            e = lcm(e, m // gcd(spec.qring.chi_exp(sigma, tau), m))
     t = 1
     while (t * t) % e != 0:
         t += 1
@@ -169,6 +166,11 @@ class PoincareSeries:
 
 class RationalityError(RuntimeError):
     """The window was too small to certify the rational form."""
+
+
+class EmptyWindowError(ValueError):
+    """A fit window with no internal index: jmin above the effective
+    dmax."""
 
 
 def _series_from_theta(tm, c, t):
@@ -374,38 +376,38 @@ def _pair_series(m, n, window):
 
 def _tensor_k_series(m, n, window):
     """Window dims of Ext^i(M,N) (x)_R k, with j-complete windows when the
-    target is finite dimensional (then only the i-truncation remains and
-    the caller's tail validation covers it)."""
+    target has finite length (then only the i-truncation remains and the
+    caller's tail validation covers it).
+
+    The default bounds are those of the degree-0 normalizations of M and N,
+    moved by M's lowest generator degree minus N's, as Ext(M, N) moves in
+    j; a dmax or jmin in ``window`` is taken as given.
+    """
     spec = m.spec
-    imax = (window or {}).get("cmax", 8)
+    window = window or {}
+    imax = window.get("cmax", 8)
     cx = current().get_or_build(m)
     # the zero module has an empty resolution
     top_deg = max((d for layer in cx.basis for d, _c in layer), default=0)
     low_deg = min((d for layer in cx.basis for d, _c in layer), default=0)
     opcx = build_operator_complex(cx, n)
     nb = opcx.x.nb
-    min_n = min((d for d, _c in nb.gens()), default=0)
+    min_n = _low_degree(nb.gens())
+    shift = _generator_degree(cx) - min_n
     # j <= sum(w) df + max basis degree - min target degree, sum(w) <= i/2
     jmax_required = (imax // 2) * max(spec.df, default=0) + top_deg - min_n
-    jmax = max((window or {}).get("dmax", 10), jmax_required)
-    # probe whether the target is finite dimensional; if so the window is
-    # complete below as well
-    probe = top_deg + jmax + 2 * max(spec.degrees)
-    max_n = None
-    for d in range(probe, probe - 2 * max(spec.degrees) - 1, -1):
-        if nb.basis_of_degree(d):
-            break
-    else:
-        max_n = probe
-        while max_n > 0 and not nb.basis_of_degree(max_n):
-            max_n -= 1
+    jmax = max(window.get("dmax", 10 + shift), jmax_required)
+    max_n = nb.top_degree()
     if max_n is not None:
-        jmin_required = low_deg - max_n
-        jmin = min((window or {}).get("jmin", 0), jmin_required)
+        # a target of finite length makes the window complete below too
+        jmin = min(window.get("jmin", shift), low_deg - max_n)
         j_complete = True
     else:
-        jmin = (window or {}).get("jmin", -jmax)
+        jmin = window.get("jmin", 2 * shift - jmax)
         j_complete = False
+    if jmin > jmax:
+        raise EmptyWindowError(
+            f"fit window is empty: jmin = {jmin} > dmax = {jmax}")
     coeffs = _tensor_k_dims(opcx, imax, jmax, jmin)
     return coeffs, {"cmax": imax, "dmax": jmax, "jmin": jmin,
                     "j_complete": j_complete}
@@ -457,11 +459,13 @@ def is_perfect(m: ModulePresentation) -> bool:
 
 
 class ArcReport:
-    """A verdict with its detail, from Ext tables on |j| <= ``jmax``."""
+    """A verdict with its detail, from Ext tables on internal indices
+    ``jmin`` <= j <= ``jmax``."""
 
-    def __init__(self, verdict, detail, jmax):
+    def __init__(self, verdict, detail, jmin, jmax):
         self.verdict = verdict
         self.detail = detail
+        self.jmin = jmin
         self.jmax = jmax
 
     def __repr__(self):
@@ -471,39 +475,56 @@ class ArcReport:
         return {"verdict": self.verdict, **self.detail}
 
 
+def _low_degree(labels):
+    """The lowest degree among (degree, color) labels; 0 for none."""
+    return min((d for d, _c in labels), default=0)
+
+
+def _generator_degree(cx):
+    """The lowest generator degree of the module cx resolves, read off
+    F_0; 0 for the zero module, whose resolution is empty."""
+    return _low_degree(cx.basis[0] if cx.basis else ())
+
+
 def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
     """Vanishing criterion for projective dimension.
 
-    Verifies Ext^i(M, M + R) = 0 for r < i <= window and |j| <= jmax =
-    degree_bound(F, window), Ext^{r+1}(M, M) first; when it holds, computes
-    pd from the Betti oracle at (window, jmax) and checks both pd <= r and
-    pd = sup{i : Ext^i(M,R) != 0} within the window.
+    Verifies Ext^i(M, M + R) = 0 for r < i <= window, Ext^{r+1}(M, M)
+    first.  Ext(M(s), N(s')) is Ext(M, N) moved by s - s' in j, so each
+    table is read on |j| <= J = degree_bound(F, window) - s for the
+    degree-0 normalization of M, moved by M's lowest generator degree s
+    minus the target's.  When it holds, computes pd from the Betti oracle
+    at (window, degree_bound(F, window)) and checks both pd <= r and pd =
+    sup{i : Ext^i(M,R) != 0} within the window.
     """
     if window <= r:
         raise ValueError("window must exceed r")
     cx = current().get_or_build(m)
-    jmax = degree_bound(cx, window)
+    dmax = degree_bound(cx, window)
+    shift = _generator_degree(cx)
+    jmax = dmax - shift
     opcx_m = build_operator_complex(cx, m)
     # Ext^{r+1}(M, M) alone is cheap, and most modules already fail there
     failures = [r + 1] if homology_bigraded(
         opcx_m, r + 1, jmax, imin=r + 1, jmin=-jmax).ext_dim(r + 1) else []
     if not failures:
         free = ModulePresentation.free(m.spec)
-        table_m, table_r = (
-            homology_bigraded(opcx, window, jmax, jmin=-jmax)
-            for opcx in (opcx_m, build_operator_complex(cx, free)))
+        table_m = homology_bigraded(opcx_m, window, jmax, jmin=-jmax)
+        table_r = homology_bigraded(build_operator_complex(cx, free), window,
+                                    jmax + shift, jmin=shift - jmax)
         failures = [i for i in range(r + 1, window + 1)
                     if table_m.ext_dim(i) or table_r.ext_dim(i)]
+    span = (min(0, shift) - jmax, max(0, shift) + jmax)
     if failures:
         return ArcReport("hypothesis not satisfied",
                          {"first_nonvanishing": failures[0],
-                          "window": window}, jmax)
-    pd = minimal_R_resolution(m, window, jmax).projective_dimension()
+                          "window": window}, *span)
+    pd = minimal_R_resolution(m, window, dmax).projective_dimension()
     if pd is None:
         return ArcReport("fail", {"reason": "oracle Betti numbers persist",
-                                  "window": window}, jmax)
+                                  "window": window}, *span)
     ext_r_sup = max((i for i in range(window + 1) if table_r.ext_dim(i)),
                     default=0)
     ok = pd <= r and pd == ext_r_sup
     detail = {"pd": pd, "r": r, "sup_ext_R": ext_r_sup, "window": window}
-    return ArcReport("pass" if ok else "fail", detail, jmax)
+    return ArcReport("pass" if ok else "fail", detail, *span)

@@ -5,6 +5,7 @@ import random
 
 from skewci.colorcore import RingSpec, validate_ring
 from skewci.linalg import Echelon
+from skewci.operators import OperatorComplex, _SelfE
 from skewci.sparse import add_scaled
 
 
@@ -34,6 +35,11 @@ def three_var_ring():
 
 def fixture_rings():
     return [example_ring(), hypersurface_ring(), three_var_ring()]
+
+
+def self_e_complex(spec):
+    """The operator complex S (x) E of ``braided_hh``."""
+    return OperatorComplex(spec, _SelfE(spec), "self-E")
 
 
 def random_ring(rng: random.Random, nmax=3, cmax=2, conductors=(1, 2, 3, 4)):

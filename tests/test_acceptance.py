@@ -36,6 +36,7 @@ from fixtures import (
     fixture_rings,
     hypersurface_ring,
     random_ring,
+    self_e_complex,
     skew_hypersurface_ring,
     three_var_ring,
 )
@@ -195,7 +196,7 @@ def test_criterion_07_structural_invariants_randomized():
             assert _check_opcx_d_squared(opcx, range(0, 3), range(0, 4))
             d2_checked += 1
         if instances % 10 == 0:
-            opcx = build_operator_complex(spec, "self-E")
+            opcx = self_e_complex(spec)
             assert _check_opcx_d_squared(opcx, range(-1, 2), range(-2, 3))
             d2_checked += 1
         instances += 1

@@ -11,7 +11,6 @@ from skewci.cli import (
     _PARAM_TYPES,
     JobError,
     ResolutionCache,
-    _parse_window,
     main,
     run,
 )
@@ -37,32 +36,16 @@ def example_config(command, params=None, modules=None):
     }
 
 
-def test_window_parsing():
-    assert _parse_window("c=6,D=8,j=-2") == {"cmax": 6, "dmax": 8, "jmin": -2}
-    with pytest.raises(JobError):
-        _parse_window("q=3")
-    # no construction bound is configurable: the resolution loop always
-    # stops at its first free cokernel
-    with pytest.raises(JobError):
-        _parse_window("h=4")
-
-
-def test_window_example_in_help_parses(capsys):
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    example = re.search(r"e\.g\.\s+(\S+)", capsys.readouterr().out).group(1)
-    assert _parse_window(example)
-
-
 def test_window_value_not_integer_exit_code(tmp_path, capsys):
     config_path = tmp_path / "job.json"
     with open(config_path, "w") as handle:
-        json.dump(example_config("check"), handle)
-    code = main(["--config", str(config_path), "--window", "c=x"])
+        json.dump(example_config("arc", {"module": "M", "window": "x"}),
+                  handle)
+    code = main(["--config", str(config_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err.startswith("error: params.window must be of type int")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _main_exit_and_stderr(tmp_path, capsys, config):
@@ -417,17 +400,21 @@ def test_malformed_config_reports_position(tmp_path):
 
 
 def test_negative_window_bounds_are_rejected(tmp_path, capsys):
-    for key in _NONNEGATIVE:
+    readers = {"cmax": "ext", "dmax": "check", "imax": "betti",
+               "window": "arc", "bound": "selftest-appendix",
+               "diagonal_dmax": "check"}
+    assert set(readers) == set(_NONNEGATIVE)
+    for key, command in readers.items():
         with pytest.raises(JobError, match=f"params.{key} must be >= 0"):
-            run(example_config("check", {key: -1}))
+            run(example_config(command, {key: -1}))
     # jmin is a signed internal degree
     assert run(example_config("ext", {"module": "M", "jmin": -3}))[0] == 0
     config_path = tmp_path / "job.json"
-    for config, argv in [(example_config("check", {"dmax": -1}), []),
-                         (example_config("hh"), ["--window", "c=-1"])]:
+    for config in (example_config("check", {"dmax": -1}),
+                   example_config("hh", {"cmax": -1})):
         with open(config_path, "w") as handle:
             json.dump(config, handle)
-        code = main(["--config", str(config_path)] + argv)
+        code = main(["--config", str(config_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -439,32 +426,61 @@ N3C3M5 = RingSpec(3, 5, [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],
 
 def test_empty_ext_window_exit_code(tmp_path, capsys):
     # jmin above dmax leaves no internal index: refused, not read as
-    # vanishing Ext, whether jmin comes from params or from --window
+    # vanishing Ext
     config = example_config("ext", {"module": "M", "other": "N", "cmax": 2,
                                     "dmax": 2})
     config["ring"] = N3C3M5.to_json()
     code, report, _ = run(config)
     assert code == 0 and report["result"]["ext_dims"] == [2, 0, 0]
-    config_path = tmp_path / "job.json"
     for jmin in (3, 5):
-        with pytest.raises(JobError, match="ext window is empty"):
-            run(config, window_override={"jmin": jmin})
         config["params"]["jmin"] = jmin
+        with pytest.raises(JobError, match="ext window is empty"):
+            run(config)
         _assert_config_error(tmp_path, capsys, config, "ext window is empty")
-        del config["params"]["jmin"]
-        with open(config_path, "w") as handle:
-            json.dump(config, handle)
-        assert main(["--config", str(config_path),
-                     "--window", f"j={jmin}"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "ext window is empty" in err
     # jmin = dmax is a window of one internal index
-    assert run(config, window_override={"jmin": 2})[0] == 0
+    config["params"]["jmin"] = 2
+    assert run(config)[0] == 0
+
+
+def test_empty_fit_window_exit_code(tmp_path, capsys):
+    # a jmin above the fit's effective dmax leaves no internal index: the
+    # pair fit refuses it as ext does, rather than reading P = 0.  R/(x2)
+    # has infinite length here (x3 is free), so jmin is taken as given.
+    ring = RingSpec(3, 4, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+                    relations=["x1^2", "x2^2"]).to_json()
+    for command in ("poincare", "complexity"):
+        config = example_config(command, {"module": "M", "other": "N",
+                                          "jmin": 50})
+        config["ring"] = ring
+        _assert_config_error(tmp_path, capsys, config,
+                             "fit window is empty: jmin = 50 > dmax = ")
+    config = example_config("poincare", {"module": "M", "other": "N",
+                                         "dmax": 50, "jmin": 50})
+    config["ring"] = ring
+    assert run(config)[0] == 0
 
 
 def test_unknown_param_exit_code(tmp_path, capsys):
     config = example_config("ext", {"module": "M", "cmx": 1})
     _assert_config_error(tmp_path, capsys, config, "unknown params key 'cmx'")
+
+
+def test_param_the_command_does_not_read_exit_code(tmp_path, capsys):
+    # each command reads a fixed set of keys and names them when it refuses
+    # another: betti has no cmax (its depth is imax), support reads no
+    # window, arc no cmax (its window is window), and no command takes the
+    # cache directory, which is the --cache flag
+    cases = [("betti", {"module": "M", "cmax": 6}, "cmax"),
+             ("support", {"module": "M", "window": 4}, "window"),
+             ("arc", {"module": "M", "cmax": 4}, "cmax")]
+    cases += [(command, {"cache": str(tmp_path)}, "cache")
+              for command in _COMMANDS]
+    for command, params, key in cases:
+        _, keys = _COMMANDS[command]
+        _assert_config_error(
+            tmp_path, capsys, example_config(command, params),
+            f"unknown params key {key!r} for {command}; {command} reads "
+            + ", ".join(keys))
 
 
 def test_window_too_small_exit_code():
@@ -528,7 +544,7 @@ def test_default_windows_are_reported():
         ("poincare", {"module": "M", "other": "N", "jmin": -5},
          {"cmax": 10, "dmax": 13, "jmin": -5, "j_complete": True}),
         ("poincare", {"module": "k"}, {"cmax": 10}),
-        ("support", {"module": "M", "cmax": 9}, {}),
+        ("support", {"module": "M"}, {}),
         ("selftest-appendix", {"bound": 3}, {"bound": 3}),
         ("check", {"diagonal_dmax": 3}, {"diagonal_dmax": 3}),
     ]
@@ -550,6 +566,9 @@ def test_schemas_agree_with_the_cli():
     params = config["params"]["properties"]
     assert {key: json_types[prop["type"]] for key, prop
             in params.items()} == _PARAM_TYPES
+    # every key the schema lists is read by some command
+    assert {key for _handler, keys in _COMMANDS.values()
+            for key in keys} == set(_PARAM_TYPES)
     assert {key for key, prop in params.items()
             if prop.get("minimum") == 0} == set(_NONNEGATIVE)
     assert set(config["command"]["enum"]) == set(_COMMANDS)
@@ -671,17 +690,19 @@ def test_cli_jobs_load_no_argparse_or_fractions(tmp_path):
 
 def test_command_line_flags(tmp_path, capsys):
     config_path = tmp_path / "job.json"
-    config_path.write_text(json.dumps(example_config("check")))
+    config_path.write_text(json.dumps(example_config("check", {"dmax": 4})))
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "e.g. c=6,D=8,j=-8" in capsys.readouterr().out
+    assert "--window" not in capsys.readouterr().out
     out = tmp_path / "report.json"
-    assert main([f"--config={config_path}", f"--out={out}",
-                 "--window", "D=4"]) == 0
+    assert main([f"--config={config_path}", f"--out={out}"]) == 0
     assert json.loads(out.read_text())["windows"] == {"dmax": 4}
     capsys.readouterr()
+    # every window bound is a params key: --window is no flag
     for argv in (["--config", str(config_path), "--bogus"],
+                 ["--config", str(config_path), "--window", "D=4"],
+                 ["--config", str(config_path), "--window=D=4"],
                  ["--out", str(out)], ["--config"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -30,6 +30,7 @@ from fixtures import (
     is_rational,
     random_ring,
     rank,
+    self_e_complex,
     slice_columns,
     slice_images,
     three_var_ring,
@@ -73,6 +74,25 @@ def paper_display_complex(spec):
     return KoszulComplex(spec, basis, diff, eact, module)
 
 
+def test_theta_module_builds_its_groebner_basis_once(monkeypatch):
+    from skewci import operators
+
+    spec = three_var_ring()
+    cx = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
+    tm = ext_over_theta(cx)
+    calls = []
+    real = operators.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "buchberger", counted)
+    dim, num = tm.dimension(), tm.hilbert_numerator()
+    assert (tm.dimension(), tm.hilbert_numerator()) == (dim, num)
+    assert len(calls) == 1 and dim == 1
+
+
 def test_paper_display_complex_is_strict_and_exact():
     spec = example_ring()
     cx = paper_display_complex(spec)
@@ -93,11 +113,13 @@ def test_mislabelled_resolution_is_refused():
 
 
 def test_complex_target_is_refused():
-    # Hom(F, -) takes a module target; a complex is a TypeError
+    # Hom(F, -) takes a module target; a complex, a ring or the old
+    # "self-E" label (braided_hh builds S (x) E itself) is a TypeError
     spec = example_ring()
     cx = finite_koszul_resolution(ModulePresentation.cyclic(spec, ["x1"]))
-    with pytest.raises(TypeError):
-        build_operator_complex(cx, cx)
+    for target in (cx, spec, "self-E"):
+        with pytest.raises(TypeError):
+            build_operator_complex(cx, target)
 
 
 def test_operator_differential_squares_to_zero_on_fixtures():
@@ -208,7 +230,9 @@ def _assert_dims_match_references(spec, cx, target, window):
     R[chi] count for "self-E"."""
     imin, jmin = window.get("imin", 0), window.get("jmin", 0)
     imax, jmax = window["imax"], window["jmax"]
-    table = homology_bigraded(build_operator_complex(cx, target), **window)
+    opcx = (self_e_complex(spec) if target == "self-E"
+            else build_operator_complex(cx, target))
+    table = homology_bigraded(opcx, **window)
     if target == "self-E":
         want = {(i, j): _r_chi_dim(spec, i, j)
                 for i in range(imin, imax + 1) for j in range(jmin, jmax + 1)}
@@ -270,13 +294,13 @@ def test_dims_only_memory_scales_with_a_slice():
     # holds at once, against the number it computes, does not.
     for spec, window, xparts in ((example_ring(), 8, (387, 513)),
                                  (three_var_ring(), 5, (551, 780))):
-        opcx = build_operator_complex(spec, "self-E")
+        opcx = self_e_complex(spec)
         _dims_keeping_every_slice(opcx, window, window, -spec.c, -window)
         dims, peak = traced(homology_bigraded, opcx, window)
         all_dims, all_peak = traced(_dims_keeping_every_slice, opcx, window)
         assert dims == all_dims
         assert peak <= 0.2 * all_peak, (window, peak, all_peak)
-        fresh = build_operator_complex(spec, "self-E")
+        fresh = self_e_complex(spec)
         counting = _CountingX(fresh)
         homology_bigraded(fresh, window, window, imin=-spec.c, jmin=-window)
         assert (counting.most_alive, len(counting.parts_calls)) == xparts
@@ -321,7 +345,7 @@ def test_xparts_are_released_after_their_last_j():
     # the braided_hh window of cmax = dmax = 4 on n = 4, c = 2, m = 12
     spec = RingSpec(4, 12, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 1],
                             [-3, -5, -1, 0]], relations=["x1^2", "x2^2"])
-    _assert_xparts_released(build_operator_complex(spec, "self-E"),
+    _assert_xparts_released(self_e_complex(spec),
                             4, (4 // 2 + 2) * 2, -2, -4)
     # Hom(F, N) with F resolving M = R/(x1), N = R/(x2)
     spec = three_var_ring()
@@ -333,7 +357,7 @@ def test_xparts_are_released_after_their_last_j():
     k = ModulePresentation.residue_field(spec)
     _assert_xparts_released(
         build_operator_complex(finite_koszul_resolution(k), k), 3, 3, 0, -3)
-    _assert_xparts_released(build_operator_complex(spec, "self-E"),
+    _assert_xparts_released(self_e_complex(spec),
                             2, 0, 0, -3)
 
 
@@ -368,7 +392,7 @@ def test_a_part_outside_its_slice_is_refused(monkeypatch):
     # a dx term of internal degree 10 has no position in the slice d
     # lands in
     spec = example_ring()
-    opcx = build_operator_complex(spec, "self-E")
+    opcx = self_e_complex(spec)
     parts = opcx.x.parts
 
     def escaping(sym):
@@ -385,7 +409,7 @@ def test_an_op_breaking_d_squared_is_refused(monkeypatch):
     # over the commutative k[x]/(x^2) lam = lam', so op = lam + lam' in
     # place of lam - lam' breaks d o d = 0 and the ranks overcount
     spec = hypersurface_ring()
-    opcx = build_operator_complex(spec, "self-E")
+    opcx = self_e_complex(spec)
     lamp = opcx.x.lamp
     monkeypatch.setattr(opcx.x, "lamp", lambda i, sym: {
         k: -c for k, c in lamp(i, sym).items()})
@@ -510,7 +534,7 @@ def test_slice_symbols_match_brute_force_enumeration():
         cxk, cxm = finite_koszul_resolution(k), finite_koszul_resolution(m)
         for opcx in (build_operator_complex(cxm, k),
                      build_operator_complex(cxk, m),
-                     build_operator_complex(spec, "self-E")):
+                     self_e_complex(spec)):
             for i in range(-3, 5):
                 for j in range(-4, 5):
                     brute = []
@@ -1083,7 +1107,7 @@ def test_actions_are_chain_maps():
     cases = [(build_operator_complex(cx, ModulePresentation.residue_field(
                   N3C3M5)), True),
              (build_operator_complex(cx, rx), True),
-             (build_operator_complex(N3C3M5, "self-E"), False)]
+             (self_e_complex(N3C3M5), False)]
     for opcx, with_x in cases:
         spec = opcx.spec
         xls = range(spec.n if with_x else 0)

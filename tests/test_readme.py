@@ -31,3 +31,14 @@ def test_readme_quick_start_runs_as_documented():
         assert repr(value) == expected, ast.unparse(stmt)
         checked.append(expected)
     assert checked == ["['th2']", "1", "2", "(1 + 2*t + t^2)/(1-t^2)^2", "1"]
+
+
+def test_readme_params_table_matches_the_cli():
+    from skewci.cli import _COMMANDS
+
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(),
+                      re.M)
+    table = {command: tuple(re.findall(r"`(\w+)`", keys))
+             for command, keys in rows}
+    assert table == {command: keys
+                     for command, (_handler, keys) in _COMMANDS.items()}

@@ -120,6 +120,28 @@ def test_q_free_module_resolves_at_length_zero():
         assert ("kernel_not_in_image", 0) in cx.verify_exactness()
 
 
+def test_exactness_certificate_builds_one_basis_per_map(monkeypatch):
+    # one Groebner basis of each d_h, with its syzygies, serves both the
+    # cycles at h and the image at h - 1; one more is the module's
+    from skewci import resolve
+
+    calls = []
+    real = resolve.buchberger
+
+    def counted(gens, ring, want_syzygies=False):
+        calls.append(want_syzygies)
+        return real(gens, ring, want_syzygies)
+
+    spec = three_var_ring()
+    for polys in (["x1"], ["x1*x2", "x3"], ["x1", "x2", "x3"]):
+        cx = finite_koszul_resolution(ModulePresentation.cyclic(spec, polys))
+        monkeypatch.setattr(resolve, "buchberger", counted)
+        calls.clear()
+        assert not cx.verify_exactness()
+        monkeypatch.setattr(resolve, "buchberger", real)
+        assert len(calls) == cx.length + 1, (polys, cx.length)
+
+
 def test_truncation_detects_corruption():
     spec = example_ring()
     m = ModulePresentation.cyclic(spec, ["x1"])

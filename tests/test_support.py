@@ -1,4 +1,7 @@
 import random
+import sys
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,41 @@ def test_compute_t_trivial_q():
 def test_compute_t_order_three():
     spec = RingSpec(2, 3, [[0, 1], [-1, 0]], relations=["x1^3", "x2^3"])
     assert compute_t(spec) == 3
+
+
+def _unit_order(value):
+    """Smallest e with value**e == 1, or None: the rule compute_t used on
+    scalars before it read orders from the integer chi exponents."""
+    m = value.m
+    n = m * 2 // gcd(m, 2)
+    if not (value ** n).is_one():
+        return None
+    return next(e for e in range(1, n + 1)
+                if n % e == 0 and (value ** e).is_one())
+
+
+def _compute_t_by_scalars(spec):
+    colors = [*spec.qring.colors, *spec.cf]
+    e = 1
+    for sigma in colors:
+        for tau in colors:
+            e = lcm(e, _unit_order(spec.chi(sigma, tau)))
+    return next(t for t in range(1, e + 1) if (t * t) % e == 0)
+
+
+def test_compute_t_matches_scalar_orders_on_fixture_and_bench_rings():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    specs = fixture_rings() + [skew_hypersurface_ring()] + [
+        RingSpec.from_json(doc) for doc in workloads.RINGS.values()]
+    rng = random.Random(29)
+    specs += [random_ring(rng, conductors=(5, 6, 8, 12)) for _ in range(10)]
+    for spec in specs:
+        assert compute_t(spec) == _compute_t_by_scalars(spec), spec
 
 
 def test_theta_algebra_validates():

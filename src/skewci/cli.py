@@ -19,9 +19,9 @@ from .resolve import ModulePresentation, minimal_R_resolution
 from .support import (
     EmptyWindowError,
     RationalityError,
+    ThetaAlgebra,
     arc_check,
     complexity,
-    compute_t,
     degree_bound,
     is_perfect,
     poincare_series,
@@ -69,7 +69,11 @@ _PARAM_TYPES = {
     **dict.fromkeys(("module", "other"), str),
 }
 # the window bounds the schema gives "minimum": 0
-_NONNEGATIVE = ("cmax", "dmax", "imax", "window", "bound", "diagonal_dmax")
+_NONNEGATIVE = ("cmax", "imax", "window", "bound", "diagonal_dmax")
+# the commands whose dmax cuts the degrees of R, so the schema gives it
+# "minimum": 0; elsewhere dmax tops a module's window of internal degrees,
+# which moves with its generator degrees, and is signed as jmin is
+_RING_DMAX = ("check", "hh")
 
 
 def run(config, cache_dir=None):
@@ -91,6 +95,8 @@ def run(config, cache_dir=None):
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise JobError("params must be an object")
+    nonnegative = ((*_NONNEGATIVE, "dmax") if command in _RING_DMAX
+                   else _NONNEGATIVE)
     for key, value in params.items():
         if key not in keys:
             raise JobError(f"unknown params key {key!r} for {command}; "
@@ -100,7 +106,7 @@ def run(config, cache_dir=None):
         if type(value) is not want:
             raise JobError(f"params.{key} must be of type {want.__name__}, "
                            f"got {value!r}")
-        if key in _NONNEGATIVE and value < 0:
+        if key in nonnegative and value < 0:
             raise JobError(f"params.{key} must be >= 0, got {value!r}")
     modules = config.get("modules", {})
     if not isinstance(modules, dict):
@@ -153,7 +159,8 @@ def _failure(exc):
 def _cmd_check(spec, config, params):
     cutoff = params.get("dmax")
     result = validate_ring(spec, cutoff).to_json()
-    result["t"] = compute_t(spec)
+    # the operator algebra certifies chi^(t^2) = 1 by scalar powers
+    result["t"] = ThetaAlgebra(spec).t
     dims = result["hilbert_dims"]
     lines = [f"Hilbert function of R (to degree {result['hilbert_cutoff']}): "
              + " ".join(str(v) for v in dims),

@@ -387,13 +387,11 @@ def _tensor_k_series(m, n, window):
     window = window or {}
     imax = window.get("cmax", 8)
     cx = current().get_or_build(m)
-    # the zero module has an empty resolution
-    top_deg = max((d for layer in cx.basis for d, _c in layer), default=0)
-    low_deg = min((d for layer in cx.basis for d, _c in layer), default=0)
+    low_deg, top_deg = _degree_span(cx)
     opcx = build_operator_complex(cx, n)
     nb = opcx.x.nb
-    min_n = _low_degree(nb.gens())
-    shift = _generator_degree(cx) - min_n
+    min_n = min((d for d, _c in nb.gens()), default=0)
+    shift = low_deg - min_n
     # j <= sum(w) df + max basis degree - min target degree, sum(w) <= i/2
     jmax_required = (imax // 2) * max(spec.df, default=0) + top_deg - min_n
     jmax = max(window.get("dmax", 10 + shift), jmax_required)
@@ -431,8 +429,7 @@ def degree_bound(cx, imax: int) -> int:
     """A degree above which Ext^{i,j}_R(M, k) = 0 for i <= imax, cx = F
     resolving M: the symbol (w, b), b in F_p, has i = 2|w| + p and j = sum
     w df + deg b <= top label degree + (imax // 2) max df; plus one max df."""
-    top = max((d for layer in cx.basis for d, _c in layer), default=0)
-    return top + (imax // 2 + 1) * max(cx.spec.df, default=0)
+    return _degree_span(cx)[1] + (imax // 2 + 1) * max(cx.spec.df, default=0)
 
 
 def is_perfect(m: ModulePresentation) -> bool:
@@ -475,15 +472,12 @@ class ArcReport:
         return {"verdict": self.verdict, **self.detail}
 
 
-def _low_degree(labels):
-    """The lowest degree among (degree, color) labels; 0 for none."""
-    return min((d for d, _c in labels), default=0)
-
-
-def _generator_degree(cx):
-    """The lowest generator degree of the module cx resolves, read off
-    F_0; 0 for the zero module, whose resolution is empty."""
-    return _low_degree(cx.basis[0] if cx.basis else ())
+def _degree_span(cx):
+    """(lowest, top) label degree of the resolution cx; (0, 0) for the
+    zero module, whose resolution is empty.  The lowest is the lowest
+    generator degree of the module cx resolves."""
+    degrees = [d for layer in cx.basis for d, _c in layer]
+    return (min(degrees), max(degrees)) if degrees else (0, 0)
 
 
 def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
@@ -501,7 +495,7 @@ def arc_check(m: ModulePresentation, r: int, window: int) -> ArcReport:
         raise ValueError("window must exceed r")
     cx = current().get_or_build(m)
     dmax = degree_bound(cx, window)
-    shift = _generator_degree(cx)
+    shift = _degree_span(cx)[0]
     jmax = dmax - shift
     opcx_m = build_operator_complex(cx, m)
     # Ext^{r+1}(M, M) alone is cheap, and most modules already fail there

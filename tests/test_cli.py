@@ -9,6 +9,7 @@ from skewci.cli import (
     _COMMANDS,
     _NONNEGATIVE,
     _PARAM_TYPES,
+    _RING_DMAX,
     JobError,
     ResolutionCache,
     main,
@@ -400,14 +401,20 @@ def test_malformed_config_reports_position(tmp_path):
 
 
 def test_negative_window_bounds_are_rejected(tmp_path, capsys):
-    readers = {"cmax": "ext", "dmax": "check", "imax": "betti",
-               "window": "arc", "bound": "selftest-appendix",
-               "diagonal_dmax": "check"}
+    readers = {"cmax": "ext", "imax": "betti", "window": "arc",
+               "bound": "selftest-appendix", "diagonal_dmax": "check"}
     assert set(readers) == set(_NONNEGATIVE)
     for key, command in readers.items():
         with pytest.raises(JobError, match=f"params.{key} must be >= 0"):
             run(example_config(command, {key: -1}))
-    # jmin is a signed internal degree
+    # dmax cuts the degrees of R in check and hh
+    for command in _RING_DMAX:
+        with pytest.raises(JobError, match="params.dmax must be >= 0"):
+            run(example_config(command, {"dmax": -1}))
+    # elsewhere dmax, like jmin, is a signed internal degree
+    code, report, _ = run(example_config(
+        "ext", {"module": "M", "dmax": -1, "jmin": -3}))
+    assert code == 0 and report["windows"]["dmax"] == -1
     assert run(example_config("ext", {"module": "M", "jmin": -3}))[0] == 0
     config_path = tmp_path / "job.json"
     for config in (example_config("check", {"dmax": -1}),
@@ -571,6 +578,11 @@ def test_schemas_agree_with_the_cli():
             for key in keys} == set(_PARAM_TYPES)
     assert {key for key, prop in params.items()
             if prop.get("minimum") == 0} == set(_NONNEGATIVE)
+    [ring_dmax] = _schema("config.schema.json")["allOf"]
+    assert set(ring_dmax["if"]["properties"]["command"]["enum"]) == \
+        set(_RING_DMAX)
+    assert ring_dmax["then"]["properties"]["params"]["properties"] == \
+        {"dmax": {"minimum": 0}}
     assert set(config["command"]["enum"]) == set(_COMMANDS)
     # the top-level keys of a report that succeeded, of a ring that failed
     # validation and of a job that failed with a typed error

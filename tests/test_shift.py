@@ -106,3 +106,26 @@ def test_pair_fit_window_follows_the_target_degree():
         code, report, _ = _n3c2m4_job(
             "complexity", {"module": "M", "other": "N"}, modules)
         assert code == 0 and report["result"]["value"] == 0, report
+
+
+def test_reported_windows_reproduce_shifted_jobs():
+    # windows below degree 0 are signed internal degrees: a report's
+    # windows, fed back as params, give the same report
+    modules = {"M": {"quotient": ["x1"], "name": "M"},
+               "N": {"gens": [{"degree": 20}], "relations": [["x2"]],
+                     "name": "N"},
+               "L": {"gens": [{"degree": -20}], "relations": [["x3"]],
+                     "name": "L"}}
+    for command, params in [("poincare", {"module": "M", "other": "N"}),
+                            ("complexity", {"module": "M", "other": "N"}),
+                            ("betti", {"module": "L"})]:
+        code, report, _ = _n3c2m4_job(command, params, modules)
+        assert code == 0, report
+        assert report["windows"]["dmax"] < 0, report["windows"]
+        windows = {k: v for k, v in report["windows"].items()
+                   if k != "j_complete"}
+        again, rerun, _ = _n3c2m4_job(command, {**params, **windows},
+                                      modules)
+        assert again == 0, rerun
+        assert (rerun["result"], rerun["windows"]) == \
+            (report["result"], report["windows"])
